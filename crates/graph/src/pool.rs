@@ -152,9 +152,11 @@
 //!
 //! Chaos sites (no-ops unless activated, see the `fail` shim):
 //! `pool-dispatch` (entry of [`WorkerPool::run`]), `pool-chunk` (just
-//! before a claimed chunk's job runs, inside the panic guard), and
-//! `pool-worker` (worker loop head; a `return` action makes the worker
-//! thread exit, exercising the respawn path).
+//! before a claimed chunk's job runs, inside the panic guard),
+//! `pool-barrier` (after the last chunk's completion decrement, before
+//! the parked caller is woken), and `pool-worker` (worker loop head; a
+//! `return` action makes the worker thread exit, exercising the
+//! respawn path).
 
 use crate::resilience::{ExecControl, Interrupted};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -241,10 +243,14 @@ struct Shared {
     control: Mutex<Control>,
     /// Workers park here after their spin window expires.
     work_ready: Condvar,
-    /// Call-finished flag for a *parked* caller (spinning callers
-    /// never touch it); reset during job installation, set by the
-    /// thread that completes the call's last chunk.
-    done: Mutex<bool>,
+    /// Lock + condvar a *parked* caller waits on (spinning callers
+    /// never touch them). The caller's predicate is `remaining != 0`,
+    /// checked under this lock; the thread that completes the call's
+    /// last chunk takes the lock before notifying, so the wake cannot
+    /// be lost. There is deliberately no done *flag*: a flag set by a
+    /// late last-chunk thread of one call could land after the next
+    /// call reset it and release that call's caller early.
+    done: Mutex<()>,
     done_cv: Condvar,
     /// `(epoch << 32) | next_chunk`: the range-stealing cursor. The
     /// epoch tag makes claims from finished calls fail their CAS
@@ -372,7 +378,7 @@ impl WorkerPool {
             call: Mutex::new(()),
             control: Mutex::new(Control { epoch: 0, chunks: 0, job: None, shutdown: false }),
             work_ready: Condvar::new(),
-            done: Mutex::new(false),
+            done: Mutex::new(()),
             done_cv: Condvar::new(),
             cursor: AtomicU64::new(0),
             remaining: AtomicU32::new(0),
@@ -556,7 +562,6 @@ impl WorkerPool {
             }
             control.chunks = chunks32;
             control.job = Some(Job { ptr });
-            *self.shared.done.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = false;
             self.shared.remaining.store(chunks32, Ordering::Release);
             self.shared.panicked.store(false, Ordering::Relaxed);
             // Publish the new cursor last: spinning workers key off the
@@ -599,7 +604,7 @@ impl WorkerPool {
             } else {
                 let mut done =
                     self.shared.done.lock().unwrap_or_else(PoisonError::into_inner);
-                while !*done {
+                while self.shared.remaining.load(Ordering::Acquire) != 0 {
                     done = self.shared.done_cv.wait(done).unwrap_or_else(PoisonError::into_inner);
                 }
                 break;
@@ -812,11 +817,14 @@ fn run_chunks(shared: &Shared, epoch: u32, chunks: u32, job: Job) {
             }
         }
         if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last chunk of the call: flip the done flag under its
-            // lock so a caller that gave up spinning (checks the flag
-            // under the same lock) cannot miss the wake.
-            let mut done = shared.done.lock().unwrap_or_else(PoisonError::into_inner);
-            *done = true;
+            // Chaos site between the barrier reaching zero and the wake:
+            // a delay here lets the caller return and start its next
+            // call before this thread notifies.
+            fail::fail_point!("pool-barrier");
+            // Last chunk of the call: notify under the done lock, so a
+            // caller that gave up spinning (it checks `remaining` under
+            // the same lock) cannot miss the wake.
+            let _done = shared.done.lock().unwrap_or_else(PoisonError::into_inner);
             shared.done_cv.notify_all();
         }
     }

@@ -75,9 +75,8 @@
 //!   are costed via actual CSC row lengths instead of being forced
 //!   forward.
 //!
-//! Ties break toward forward, then dense. The `PORTNUM_REVERSE`
-//! environment variable ([`reverse_override`]) pins Auto's choice for
-//! CI (`csc` / `dense` / `off`); explicit modes are never overridden.
+//! Ties break toward forward, then dense. The explicit modes pin one
+//! implementation (tests sweep all four modes in-process).
 //!
 //! # Fixpoints
 //!
@@ -94,28 +93,44 @@
 //!
 //! * the **first** iteration evaluates the body densely (every op,
 //!   every world), exactly like the straight-line executor;
-//! * every later iteration re-evaluates only the **dirty frontier**:
-//!   per body op, the candidate worlds whose value can have moved
-//!   given the flips recorded one operand upstream (the accumulator's
-//!   flips seed `Var`; a diamond's candidates are its flipped inner
-//!   worlds' CSC predecessors), with the same n/4 dense-fallback
-//!   threshold as [`ModelChecker::resume`]'s delta repair. An
+//! * every later iteration runs the body through the change-propagation
+//!   kernel below, seeded by the accumulator's flips at `Var`. An
 //!   iteration therefore costs O(frontier), not O(model): a monotone
 //!   iteration flips each world at most once, so a path-shaped
 //!   reachability query totals O(edges) across *all* its iterations
 //!   instead of O(n · iterations).
 //!
-//! `PORTNUM_FIXPOINT=dense` ([`fixpoint_override`]) pins every
-//! iteration to the dense pass — the always-correct baseline the
-//! frontier path is differentially pinned against and benchmarked
-//! over. Fixpoint instructions price into the shared work currency at
-//! twice their body's per-iteration work plus an `n/8` flip term (the
+//! Fixpoint instructions price into the shared work currency at twice
+//! their body's per-iteration work plus an `n/8` flip term (the
 //! flip-once amortization above), which keeps
 //! [`ModelChecker::estimate_work`] — and therefore serve admission —
 //! honest about iterate-until-stable batches. Fixpoint instructions
 //! run on the sequential instruction path (their *body* ops still
 //! chunk over the pool); scheduling one as a level-parallel chunk
 //! would nest pool dispatches from a worker thread.
+//!
+//! # Change propagation
+//!
+//! Fixpoint iteration and delta repair ([`ModelChecker::resume`]) are
+//! one algorithm, so they share one kernel (`propagate_op`). Given an
+//! op's stale value, the worlds where each operand flipped, and the
+//! worlds where the op reads a changed model directly (a delta's touched
+//! set; none inside a fixpoint run), it re-evaluates the op only at its
+//! *candidate* worlds:
+//!
+//! * `Prop`: the directly read worlds;
+//! * `¬`, `∧`, `∨`: the union of the operands' flips;
+//! * `⟨α⟩`: the directly read worlds plus the predecessors, under `α`
+//!   alone ([`Kripke::predecessors_csc`]), of the inner flips.
+//!
+//! Each op runs one point loop over its candidates, the same function
+//! per world as the dense evaluator. Once the candidates reach a quarter of
+//! the universe it recomputes the op densely and diffs the words
+//! instead. Either way it records the worlds that actually flipped, and
+//! these seed the op's consumers, so a change the formula cannot
+//! observe dies out after one ring. The callers keep what differs:
+//! `Var` and nested fixpoints (iteration), fixpoints rebuilt wholesale
+//! after a delta (repair), where values are stored, and their stats.
 //!
 //! # Parallel execution
 //!
@@ -177,14 +192,13 @@ use portnum_graph::resilience::{ExecControl, Interrupted};
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Strategy selection for diamond instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DiamondMode {
     /// Choose per instruction by the three-way cost model (the
-    /// default). Overridable process-wide via `PORTNUM_REVERSE` — see
-    /// [`reverse_override`].
+    /// default).
     #[default]
     Auto,
     /// Always walk the forward CSR rows.
@@ -227,107 +241,6 @@ fn reverse_word_cap() -> usize {
 #[doc(hidden)]
 pub fn set_reverse_word_cap_for_tests(words: usize) {
     REVERSE_WORD_CAP_OVERRIDE.store(words, Ordering::Relaxed);
-}
-
-/// How the `PORTNUM_REVERSE` environment variable pins
-/// [`DiamondMode::Auto`]'s strategy choice, parsed once per process by
-/// [`reverse_override`]. Explicit modes (`Forward` / `Reverse` /
-/// `Csc`) are never overridden — the knob exists so CI can drive the
-/// whole default-mode suite down one reverse implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReverseOverride {
-    /// No override: `Auto` uses the cost model (the default).
-    Auto,
-    /// `Auto` never takes a reverse path (every diamond forward).
-    Off,
-    /// `Auto` takes the dense [`BitMatrix`] rows whenever legal
-    /// (grade 1, under the cap), forward otherwise.
-    ///
-    /// [`BitMatrix`]: portnum_graph::bitset::BitMatrix
-    Dense,
-    /// `Auto` evaluates every diamond through the CSC gather.
-    Csc,
-}
-
-/// How `PORTNUM_REVERSE` pins the `Auto` diamond strategy: `csc`,
-/// `dense`, `off`, or `auto` (default). Parsed once per process; like
-/// `PORTNUM_POOL` and `PORTNUM_REFINE`, an unrecognised value panics —
-/// a CI job pinning one implementation must not silently run another.
-pub fn reverse_override() -> ReverseOverride {
-    static MODE: OnceLock<ReverseOverride> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("PORTNUM_REVERSE").as_deref() {
-        Ok("csc") => ReverseOverride::Csc,
-        Ok("dense") => ReverseOverride::Dense,
-        Ok("off") => ReverseOverride::Off,
-        Ok("auto") | Err(_) => ReverseOverride::Auto,
-        Ok(other) => {
-            panic!("unrecognised PORTNUM_REVERSE value {other:?} (use csc, dense, off, or auto)")
-        }
-    })
-}
-
-/// How the `PORTNUM_DELTA` environment variable steers
-/// [`ModelChecker::resume`] after a [`crate::ModelDelta`], parsed once
-/// per process by [`delta_override`]. The escape hatch exists so a
-/// repair bug can be ruled in or out in production without a rebuild:
-/// `PORTNUM_DELTA=rebuild` drops every cached truth vector (and the
-/// cached quotient) at resume time and recomputes on demand, which is
-/// always correct and never fast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaOverride {
-    /// Incrementally repair cached truth vectors over the dirty
-    /// frontier (the default).
-    Repair,
-    /// Drop all caches at resume; later checks recompute from scratch.
-    Rebuild,
-}
-
-/// How `PORTNUM_DELTA` steers cache handling across deltas: `repair`
-/// (default) or `rebuild`. Parsed once per process; like
-/// `PORTNUM_REVERSE` and `PORTNUM_REFINE`, an unrecognised value
-/// panics — a CI job pinning one implementation must not silently run
-/// another.
-pub fn delta_override() -> DeltaOverride {
-    static MODE: OnceLock<DeltaOverride> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("PORTNUM_DELTA").as_deref() {
-        Ok("rebuild") => DeltaOverride::Rebuild,
-        Ok("repair") | Err(_) => DeltaOverride::Repair,
-        Ok(other) => {
-            panic!("unrecognised PORTNUM_DELTA value {other:?} (use repair or rebuild)")
-        }
-    })
-}
-
-/// How the `PORTNUM_FIXPOINT` environment variable steers the
-/// iterate-until-stable executor (`eval_fixpoint_into`), parsed once
-/// per process by [`fixpoint_override`]. `dense` re-evaluates the
-/// whole body every Kleene iteration — always correct, never fast:
-/// the baseline the frontier path is differentially pinned against
-/// (the CI matrix drives the whole suite down it) and benchmarked
-/// over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FixpointOverride {
-    /// After the first iteration, re-evaluate only the dirty frontier,
-    /// with the per-op n/4 dense fallback (the default).
-    Frontier,
-    /// Re-evaluate the whole body every iteration.
-    Dense,
-}
-
-/// How `PORTNUM_FIXPOINT` steers fixpoint iteration: `frontier`
-/// (default) or `dense`. Parsed once per process; like
-/// `PORTNUM_REVERSE` and `PORTNUM_DELTA`, an unrecognised value
-/// panics — a CI job pinning one implementation must not silently run
-/// another.
-pub fn fixpoint_override() -> FixpointOverride {
-    static MODE: OnceLock<FixpointOverride> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("PORTNUM_FIXPOINT").as_deref() {
-        Ok("dense") => FixpointOverride::Dense,
-        Ok("frontier") | Err(_) => FixpointOverride::Frontier,
-        Ok(other) => {
-            panic!("unrecognised PORTNUM_FIXPOINT value {other:?} (use frontier or dense)")
-        }
-    })
 }
 
 /// One plan instruction; operands are earlier instruction ids.
@@ -443,8 +356,7 @@ pub struct ExecStats {
     /// the differential suite pins on path-shaped models.
     pub fixpoint_frontier_worlds: usize,
     /// Whole-body dense evaluation passes: the first iteration of
-    /// every fixpoint, and every iteration under
-    /// `PORTNUM_FIXPOINT=dense`.
+    /// every fixpoint.
     pub fixpoint_dense_passes: usize,
     /// The pool's measured per-dispatch coordination cost in
     /// nanoseconds ([`WorkerPool::dispatch_cost_ns`], calibrated once
@@ -1434,14 +1346,12 @@ fn body_dense_pass(
 }
 
 /// One frontier pass over a fixpoint body: repairs the persistent
-/// per-op values in place, re-evaluating each op only at its
-/// *candidate* worlds — those whose value can have moved given the
-/// flips recorded one operand upstream (`x_changed`, the accumulator's
-/// flips, seeds the `Var` op). Semantically
-/// `eval_op_into(..).get(v)` per candidate, so the repaired values are
-/// bit-identical to a dense pass — the contract the differential µ
-/// suite pins. Flips land in `changed[i]` (ascending, deduplicated);
-/// `changed[body.root]` is the accumulator's next flip set.
+/// per-op values in place through the change-propagation kernel
+/// ([`propagate_op`]), seeded by `x_changed`, the accumulator's flips,
+/// at the `Var` op. The repaired values are bit-identical to a dense
+/// pass — the contract the differential µ suite pins. Flips land in
+/// `changed[i]` (ascending, deduplicated); `changed[body.root]` is the
+/// accumulator's next flip set.
 #[allow(clippy::too_many_arguments)]
 fn body_frontier_pass(
     model: &Kripke,
@@ -1456,171 +1366,191 @@ fn body_frontier_pass(
     ctl: &ExecControl,
     threads: &(dyn Fn(usize) -> usize + Sync),
 ) -> Result<(), Interrupted> {
-    let n = model.len();
-    let dense = |d: usize| d * 4 >= n;
-    for i in 0..body.ops.len() {
-        let op = body.ops[i];
-        // A nested fixpoint re-runs whenever any of its external
-        // inputs flipped (its own executor starts dense again — its
-        // accumulator restarts from ⊥/⊤, so stale per-iteration state
-        // cannot be reused); the flips its consumers need fall out of
-        // a word diff.
-        if let Op::Fixpoint(b) = op {
-            let stale = bodies[b as usize].args.iter().any(|&a| !changed[a as usize].is_empty());
-            let (prev_changed, rest_changed) = changed.split_at_mut(i);
-            let flips = &mut rest_changed[0];
-            flips.clear();
-            if stale {
-                let (prev, rest) = vals.split_at_mut(i);
-                let cur = &mut rest[0];
-                let mut next = Bitset::default();
-                eval_fixpoint_into(
-                    model,
-                    mode,
-                    bodies,
-                    b,
-                    &|a| &prev[a as usize],
-                    &mut next,
-                    stats,
-                    ctl,
-                    threads,
-                )?;
-                cur.for_each_difference(&next, |v| flips.push(v as u32));
-                *cur = next;
-            }
-            let _ = prev_changed;
-            continue;
-        }
-        // Candidate dirty worlds, ascending and deduplicated.
-        let candidates: Vec<u32> = match op {
-            // Inputs are fixed for the whole fixpoint run: the model
-            // does not change between iterations, and external args
-            // are resolved once at entry.
-            Op::Top | Op::Bottom | Op::Prop(_) | Op::Arg(_) => Vec::new(),
-            Op::Var => x_changed.to_vec(),
-            Op::Not(a) => changed[a as usize].clone(),
-            Op::And(a, b) | Op::Or(a, b) => {
-                let mut c: Vec<u32> =
-                    changed[a as usize].iter().chain(&changed[b as usize]).copied().collect();
-                c.sort_unstable();
-                c.dedup();
-                c
-            }
-            Op::Diamond { rel, inner, .. } => {
-                let inner_changed = &changed[inner as usize];
-                let mut c = Vec::new();
-                if !inner_changed.is_empty() {
-                    let csc = model.predecessors_csc(rel as usize);
-                    for &w in inner_changed {
-                        c.extend_from_slice(csc.row(w as usize));
-                    }
-                    c.sort_unstable();
-                    c.dedup();
-                }
-                c
-            }
-            Op::Fixpoint(_) => unreachable!("handled above"),
-        };
-        let (_, rest_changed) = changed.split_at_mut(i);
-        let flips = &mut rest_changed[0];
-        flips.clear();
-        if candidates.is_empty() {
-            continue;
-        }
+    for (i, &op) in body.ops.iter().enumerate() {
         let (prev, rest) = vals.split_at_mut(i);
+        let prev: &[Bitset] = prev;
         let cur = &mut rest[0];
-        if dense(candidates.len()) {
-            // Past a quarter of the universe the vectorized sweep
-            // beats point lookups — the same crossover as delta
-            // repair; the flips still come cheap off a word diff.
-            stats.fixpoint_frontier_worlds += n;
-            let mut next = Bitset::default();
-            match op {
-                Op::Var => next.copy_from(x),
-                _ => eval_op_into(model, mode, op, |a| &prev[a as usize], &mut next, stats),
-            }
-            cur.for_each_difference(&next, |v| flips.push(v as u32));
-            *cur = next;
-            continue;
-        }
-        stats.fixpoint_frontier_worlds += candidates.len();
-        // One dispatch per op, tight point loops per candidate —
-        // mirroring the delta-repair arms.
+        let (prev_changed, rest_changed) = changed.split_at_mut(i);
+        let flips = &mut rest_changed[0];
         match op {
+            // `Var` holds the previous accumulator, which moved exactly
+            // at its recorded flips.
             Op::Var => {
-                for &v in &candidates {
-                    let now = x.get(v as usize);
-                    if cur.get(v as usize) != now {
-                        cur.set(v as usize, now);
-                        flips.push(v);
-                    }
+                for &v in x_changed {
+                    cur.set(v as usize, x.get(v as usize));
+                }
+                flips.clear();
+                flips.extend_from_slice(x_changed);
+                stats.fixpoint_frontier_worlds += x_changed.len();
+            }
+            // A nested fixpoint re-runs whenever any of its external
+            // inputs flipped (its own executor starts dense again — its
+            // accumulator restarts from ⊥/⊤, so stale per-iteration
+            // state cannot be reused); the flips its consumers need fall
+            // out of a word diff.
+            Op::Fixpoint(b) => {
+                flips.clear();
+                if bodies[b as usize].args.iter().any(|&a| !prev_changed[a as usize].is_empty()) {
+                    let mut next = Bitset::default();
+                    eval_fixpoint_into(
+                        model,
+                        mode,
+                        bodies,
+                        b,
+                        &|a| &prev[a as usize],
+                        &mut next,
+                        stats,
+                        ctl,
+                        threads,
+                    )?;
+                    cur.for_each_difference(&next, |v| flips.push(v as u32));
+                    *cur = next;
                 }
             }
-            Op::Not(a) => {
-                let a = &prev[a as usize];
-                for &v in &candidates {
-                    let now = !a.get(v as usize);
-                    if cur.get(v as usize) != now {
-                        cur.set(v as usize, now);
-                        flips.push(v);
-                    }
-                }
-            }
-            Op::And(a, b) => {
-                let (a, b) = (&prev[a as usize], &prev[b as usize]);
-                for &v in &candidates {
-                    let now = a.get(v as usize) && b.get(v as usize);
-                    if cur.get(v as usize) != now {
-                        cur.set(v as usize, now);
-                        flips.push(v);
-                    }
-                }
-            }
-            Op::Or(a, b) => {
-                let (a, b) = (&prev[a as usize], &prev[b as usize]);
-                for &v in &candidates {
-                    let now = a.get(v as usize) || b.get(v as usize);
-                    if cur.get(v as usize) != now {
-                        cur.set(v as usize, now);
-                        flips.push(v);
-                    }
-                }
-            }
-            Op::Diamond { rel, grade, inner } => {
-                let sat = &prev[inner as usize];
-                for &v in &candidates {
-                    let mut count = 0usize;
-                    let mut now = false;
-                    for &w in model.successors_dense(rel as usize, v as usize) {
-                        if sat.get(w as usize) {
-                            count += 1;
-                            if count >= grade {
-                                now = true;
-                                break;
-                            }
-                        }
-                    }
-                    if cur.get(v as usize) != now {
-                        cur.set(v as usize, now);
-                        flips.push(v);
-                    }
-                }
-            }
-            Op::Top | Op::Bottom | Op::Prop(_) | Op::Arg(_) | Op::Fixpoint(_) => {
-                unreachable!("ops without candidates are skipped above")
-            }
+            // The model is fixed for the whole run, so no op reads a
+            // changed world directly.
+            _ => match propagate_op(
+                model,
+                mode,
+                op,
+                |a| &prev[a as usize],
+                |a| prev_changed[a as usize].as_slice(),
+                &[],
+                || cur,
+                flips,
+                stats,
+            ) {
+                Propagation::Clean => {}
+                Propagation::Dense => stats.fixpoint_frontier_worlds += model.len(),
+                Propagation::Points(c) => stats.fixpoint_frontier_worlds += c,
+            },
         }
     }
     Ok(())
 }
 
+/// How [`propagate_op`] brought one value up to date.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Propagation {
+    /// No candidate world: the value cannot have moved.
+    Clean,
+    /// Recomputed over the whole universe (the candidates reached the
+    /// dense-fallback threshold).
+    Dense,
+    /// Re-evaluated at this many candidate worlds.
+    Points(usize),
+}
+
+/// The change-propagation kernel shared by fixpoint frontier iteration
+/// ([`body_frontier_pass`]) and delta repair ([`ModelChecker::resume`]);
+/// see the module docs. Brings `cur`, the value `op` had before some of
+/// its inputs changed, up to date with the operands' current values
+/// (`operand`), given the worlds where each operand flipped
+/// (`flips_of`) and the worlds where the model changed under an op that
+/// reads it directly (`direct`).
+///
+/// `flips` is overwritten with the worlds where `cur` flipped,
+/// ascending. `cur` is only fetched when some candidate exists, so a
+/// copy-on-write store is never copied for a clean op. `Var` and
+/// `Fixpoint` are the callers' business; `Arg` is an input fixed for
+/// the whole run, like a constant.
+#[allow(clippy::too_many_arguments)]
+fn propagate_op<'a, 'c>(
+    model: &Kripke,
+    mode: DiamondMode,
+    op: Op,
+    operand: impl Fn(u32) -> &'a Bitset,
+    flips_of: impl Fn(u32) -> &'a [u32],
+    direct: &[u32],
+    cur: impl FnOnce() -> &'c mut Bitset,
+    flips: &mut Vec<u32>,
+    stats: &mut ExecStats,
+) -> Propagation {
+    flips.clear();
+    // Candidate worlds, ascending and deduplicated.
+    let candidates: Vec<u32> = match op {
+        Op::Top | Op::Bottom | Op::Arg(_) => Vec::new(),
+        Op::Prop(_) => direct.to_vec(),
+        Op::Not(a) => flips_of(a).to_vec(),
+        Op::And(a, b) | Op::Or(a, b) => {
+            let mut c: Vec<u32> = flips_of(a).iter().chain(flips_of(b)).copied().collect();
+            c.sort_unstable();
+            c.dedup();
+            c
+        }
+        Op::Diamond { rel, inner, .. } => {
+            let mut c = direct.to_vec();
+            let inner_flips = flips_of(inner);
+            if !inner_flips.is_empty() {
+                let csc = model.predecessors_csc(rel as usize);
+                for &w in inner_flips {
+                    c.extend_from_slice(csc.row(w as usize));
+                }
+                c.sort_unstable();
+                c.dedup();
+            }
+            c
+        }
+        Op::Var | Op::Fixpoint(_) => unreachable!("Var and Fixpoint are propagated by the caller"),
+    };
+    if candidates.is_empty() {
+        return Propagation::Clean;
+    }
+    let cur = cur();
+    if candidates.len() * 4 >= model.len() {
+        // Past a quarter of the universe the vectorized sweep beats
+        // point lookups; the flips still come cheap off a word diff.
+        let mut next = Bitset::default();
+        eval_op_into(model, mode, op, operand, &mut next, stats);
+        cur.for_each_difference(&next, |v| flips.push(v as u32));
+        *cur = next;
+        return Propagation::Dense;
+    }
+    // One dispatch per op, then a tight point loop whose `now(v)` is
+    // `eval_op_into(..).get(v)`.
+    fn repair(cur: &mut Bitset, candidates: &[u32], flips: &mut Vec<u32>, now: impl Fn(usize) -> bool) {
+        for &v in candidates {
+            let now = now(v as usize);
+            if cur.get(v as usize) != now {
+                cur.set(v as usize, now);
+                flips.push(v);
+            }
+        }
+    }
+    match op {
+        Op::Prop(d) => repair(cur, &candidates, flips, |v| model.degree(v) == d),
+        Op::Not(a) => {
+            let a = operand(a);
+            repair(cur, &candidates, flips, |v| !a.get(v));
+        }
+        Op::And(a, b) => {
+            let (a, b) = (operand(a), operand(b));
+            repair(cur, &candidates, flips, |v| a.get(v) && b.get(v));
+        }
+        Op::Or(a, b) => {
+            let (a, b) = (operand(a), operand(b));
+            repair(cur, &candidates, flips, |v| a.get(v) || b.get(v));
+        }
+        Op::Diamond { rel, grade, inner } => {
+            let sat = operand(inner);
+            repair(cur, &candidates, flips, |v| {
+                let succ = model.successors_dense(rel as usize, v);
+                succ.iter().filter(|&&w| sat.get(w as usize)).take(grade).count() >= grade
+            });
+        }
+        Op::Top | Op::Bottom | Op::Arg(_) | Op::Var | Op::Fixpoint(_) => {
+            unreachable!("ops without candidates returned above")
+        }
+    }
+    Propagation::Points(candidates.len())
+}
+
 /// Iterate-until-stable evaluation of one [`Op::Fixpoint`]
 /// instruction: Kleene iteration of `bodies[b]` from ⊥ (µ) or ⊤ (ν),
 /// with the first iteration dense and every later one a frontier pass
-/// (unless `PORTNUM_FIXPOINT=dense` pins the baseline) — see the
-/// module docs. The accumulator is advanced by applying the root op's
-/// recorded flips, so a frontier iteration costs O(frontier); the
-/// empty flip set is the convergence test. `arg_of` resolves the
+/// — see the module docs. The accumulator is advanced by applying the
+/// root op's recorded flips, so a frontier iteration costs
+/// O(frontier); the empty flip set is the convergence test. `arg_of` resolves the
 /// body's external inputs in the enclosing context (plan slots,
 /// checker caches, or an enclosing body's value store — never invoked
 /// for a top-level fixpoint, whose body is closed).
@@ -1653,7 +1583,6 @@ fn eval_fixpoint_into<'a>(
     let mut changed: Vec<Vec<u32>> = vec![Vec::new(); body.ops.len()];
     let mut x = if body.greatest { Bitset::ones(n) } else { Bitset::zeros(n) };
     let mut x_changed: Vec<u32> = Vec::new();
-    let frontier = fixpoint_override() == FixpointOverride::Frontier;
     stats.fixpoints += 1;
     let mut iters = 0usize;
     loop {
@@ -1668,7 +1597,7 @@ fn eval_fixpoint_into<'a>(
         // the accumulator oscillated.
         assert!(iters <= n + 2, "fixpoint failed to converge: body not monotone?");
         stats.fixpoint_iters += 1;
-        if iters == 1 || !frontier {
+        if iters == 1 {
             stats.fixpoint_dense_passes += 1;
             body_dense_pass(model, mode, bodies, body, &x, &arg_vals, &mut vals, stats, ctl, threads)?;
             x_changed.clear();
@@ -1722,8 +1651,7 @@ enum DiamondImpl {
 ///   is why the store is built before costing), plus `n/64` for the
 ///   grade-1 zeroing or `n` for the graded counts array.
 ///
-/// Ties break toward forward, then dense. `PORTNUM_REVERSE` pins the
-/// `Auto` arm (see [`reverse_override`]); explicit modes are taken
+/// Ties break toward forward, then dense; explicit modes are taken
 /// verbatim.
 fn diamond_impl(
     model: &Kripke,
@@ -1744,53 +1672,37 @@ fn diamond_impl(
                 DiamondImpl::Csc
             }
         }
-        DiamondMode::Auto => match reverse_override() {
-            ReverseOverride::Off => DiamondImpl::Forward,
-            ReverseOverride::Csc => DiamondImpl::Csc,
-            ReverseOverride::Dense => {
-                if dense_legal {
-                    DiamondImpl::Dense
-                } else {
-                    DiamondImpl::Forward
-                }
-            }
-            ReverseOverride::Auto => {
-                let n = model.len();
-                let ones = sat.count_ones();
-                let forward_cost = targets_len + n;
-                let dense_cost = if dense_legal {
-                    ones * sat.words().len()
-                } else {
-                    usize::MAX
-                };
-                // CSC cost: the fixed part (row lookups + zeroing or
-                // the counts array) plus the actual predecessor
-                // entries of the satisfying worlds. The summation
-                // stops — and the store is not even built — once the
-                // running cost reaches the cheaper alternative: past
-                // that point the winner cannot change, and a near-full
-                // ‖φ‖ would otherwise pay O(|‖φ‖|) lookups per
-                // execution just to re-learn that forward wins.
-                let budget = forward_cost.min(dense_cost);
-                let mut csc_cost = ones + if grade == 1 { n / 64 } else { n };
-                if csc_cost < budget {
-                    let csc = model.predecessors_csc(rel);
-                    for u in sat.iter_ones() {
-                        csc_cost += csc.row_len(u);
-                        if csc_cost >= budget {
-                            break;
-                        }
+        DiamondMode::Auto => {
+            let n = model.len();
+            let ones = sat.count_ones();
+            let forward_cost = targets_len + n;
+            let dense_cost = if dense_legal { ones * sat.words().len() } else { usize::MAX };
+            // CSC cost: the fixed part (row lookups + zeroing or the
+            // counts array) plus the actual predecessor entries of the
+            // satisfying worlds. The summation stops — and the store is
+            // not even built — once the running cost reaches the
+            // cheaper alternative: past that point the winner cannot
+            // change, and a near-full ‖φ‖ would otherwise pay O(|‖φ‖|)
+            // lookups per execution just to re-learn that forward wins.
+            let budget = forward_cost.min(dense_cost);
+            let mut csc_cost = ones + if grade == 1 { n / 64 } else { n };
+            if csc_cost < budget {
+                let csc = model.predecessors_csc(rel);
+                for u in sat.iter_ones() {
+                    csc_cost += csc.row_len(u);
+                    if csc_cost >= budget {
+                        break;
                     }
                 }
-                if forward_cost <= dense_cost && forward_cost <= csc_cost {
-                    DiamondImpl::Forward
-                } else if dense_cost <= csc_cost {
-                    DiamondImpl::Dense
-                } else {
-                    DiamondImpl::Csc
-                }
             }
-        },
+            if forward_cost <= dense_cost && forward_cost <= csc_cost {
+                DiamondImpl::Forward
+            } else if dense_cost <= csc_cost {
+                DiamondImpl::Dense
+            } else {
+                DiamondImpl::Csc
+            }
+        }
     }
 }
 
@@ -2701,16 +2613,18 @@ impl<'m> ModelChecker<'m> {
     /// returned by the deltas applied since [`Self::detach`] (order and
     /// duplicates don't matter).
     ///
-    /// Repair recomputes only what a delta can have changed: an
-    /// instruction of modal height `h` is stale at world `v` exactly
-    /// when some touched world is forward-reachable from `v` within `h`
-    /// steps, so each cached vector is patched pointwise over the
-    /// frontier `D_h = touched ∪ preds(touched) ∪ …` (`h` predecessor
-    /// expansions, read off the post-delta CSC store). A frontier that
-    /// grows past a quarter of the universe falls back to recomputing
-    /// that vector wholesale — past that point the dense sweep is
-    /// cheaper than point lookups. Both paths are pinned bit-identical
-    /// to a fresh checker by the differential delta suite, and
+    /// Repair recomputes only what a delta can have changed: cached
+    /// vectors are brought up to date in instruction order by the
+    /// change-propagation kernel (see the module docs), seeded by the
+    /// touched set where an op reads the model directly. A vector of
+    /// modal height `h` is therefore patched at most over `touched`
+    /// plus its `h`-fold predecessor ball under the relations it
+    /// actually reads, and usually much less: only worlds whose operand
+    /// values really flipped propagate. A frontier that grows past a
+    /// quarter of the universe falls back to recomputing that vector
+    /// wholesale. Fixpoints read the model at unbounded depth and are
+    /// always recomputed. Every path is pinned bit-identical to a fresh
+    /// checker by the differential delta suite, and
     /// [`Self::last_repair`] reports which path each vector took.
     ///
     /// A cached quotient is repaired too, by resuming partition
@@ -2718,10 +2632,6 @@ impl<'m> ModelChecker<'m> {
     /// frontier ([`crate::bisim::refine_fixpoint_from`]) — stable, so
     /// [`Self::check_via_quotient`] stays exact, but possibly finer
     /// than coarsest, so the next [`Self::minimum_base`] recomputes.
-    ///
-    /// `PORTNUM_DELTA=rebuild` ([`delta_override`]) turns resume into
-    /// the escape hatch: all cached vectors and the quotient are
-    /// dropped and later checks recompute from scratch.
     ///
     /// # Panics
     ///
@@ -2755,12 +2665,6 @@ impl<'m> ModelChecker<'m> {
         if touched.is_empty() && model.version() == cache.model_version {
             return checker;
         }
-        if delta_override() == DeltaOverride::Rebuild {
-            checker.results.iter_mut().for_each(|r| *r = None);
-            checker.quotient = None;
-            checker.quotient_repaired = false;
-            return checker;
-        }
         checker.repair(touched);
         checker
     }
@@ -2768,44 +2672,34 @@ impl<'m> ModelChecker<'m> {
     /// The repair pass of [`Self::resume`]; see its contract there.
     fn repair(&mut self, touched: &[u32]) {
         let model = self.model;
-        let n = model.len();
         let mut stats = RepairStats::default();
 
         let mut d0: Vec<u32> = touched.to_vec();
         d0.sort_unstable();
         d0.dedup();
-        assert!(d0.last().is_none_or(|&w| (w as usize) < n), "touched world out of range");
+        assert!(d0.last().is_none_or(|&w| (w as usize) < model.len()), "touched world out of range");
 
-        // Change propagation in ascending id order (operands before
-        // consumers; a cached consumer's operands are always cached —
-        // commits are whole-or-nothing). Each cached vector re-evaluates
-        // only its *candidate* worlds — those whose value can have
-        // moved: the touched set where the op reads the model directly
-        // (valuations for `Prop`, edited rows for `Diamond` — both
-        // endpoints of every edit are in `touched`, so removed edges
-        // need no pre-delta predecessor pass), and the operands' worlds
-        // that **actually flipped** for the rest (their post-delta
-        // predecessors, for a diamond). The flips recorded at each op
-        // drive its consumers, so a delta the formula cannot observe
-        // dies out after one ring instead of dirtying a
-        // frontier-per-modal-height closure of the touched set.
-        let dense = |d: usize| d * 4 >= n;
+        // Ascending id order puts operands before consumers, and a
+        // cached consumer's operands are always cached (commits are
+        // whole-or-nothing). Every edited edge has both endpoints in
+        // `d0`, so seeding with the post-delta predecessors suffices for
+        // removed edges too.
         let mut changed: Vec<Vec<u32>> = vec![Vec::new(); self.results.len()];
         let mut exec = ExecStats::default();
         for id in 0..self.results.len() {
-            let Some(existing) = self.results[id].take() else { continue };
+            let Some(mut existing) = self.results[id].take() else { continue };
+            let results = &self.results;
+            let operand = |a: u32| -> &Bitset {
+                results[a as usize].as_deref().expect("cached consumers have cached operands")
+            };
+            let (prev_changed, rest_changed) = changed.split_at_mut(id);
+            let flips = &mut rest_changed[0];
             let op = self.lw.ops[id];
-            if let Op::Fixpoint(b) = op {
-                // A fixpoint reads the model at unbounded modal depth, so
-                // no frontier bound holds after a delta: rebuild it
-                // wholesale (its own executor still iterates by frontier)
-                // and let the word diff drive downstream consumers.
-                let results = &self.results;
-                let operand = |a: u32| -> &Bitset {
-                    results[a as usize]
-                        .as_deref()
-                        .expect("cached consumers have cached operands")
-                };
+            let outcome = if let Op::Fixpoint(b) = op {
+                // A fixpoint reads the model at unbounded modal depth,
+                // so no frontier bound holds after a delta: rebuild it
+                // wholesale (its own executor still iterates by
+                // frontier) and let the word diff drive its consumers.
                 let mut out = Bitset::default();
                 eval_fixpoint_into(
                     model,
@@ -2819,149 +2713,35 @@ impl<'m> ModelChecker<'m> {
                     &|_| 1,
                 )
                 .expect("unrestricted control never interrupts");
-                existing.for_each_difference(&out, |v| changed[id].push(v as u32));
-                stats.rebuilt_vectors += 1;
-                self.computed += 1;
-                self.results[id] = Some(Rc::new(out));
-                continue;
-            }
-            // Candidate dirty worlds, sorted ascending and deduplicated.
-            let candidates: Vec<u32> = match op {
-                // Constant vectors cannot be dirtied.
-                Op::Top | Op::Bottom => Vec::new(),
-                Op::Prop(_) => d0.clone(),
-                Op::Not(a) => changed[a as usize].clone(),
-                Op::And(a, b) | Op::Or(a, b) => {
-                    let mut c: Vec<u32> =
-                        changed[a as usize].iter().chain(&changed[b as usize]).copied().collect();
-                    c.sort_unstable();
-                    c.dedup();
-                    c
-                }
-                Op::Diamond { inner, .. } => {
-                    let mut c = d0.clone();
-                    let inner_changed = &changed[inner as usize];
-                    if !inner_changed.is_empty() {
-                        let csc = model.combined_predecessors_csc();
-                        for &w in inner_changed {
-                            c.extend_from_slice(csc.row(w as usize));
-                        }
-                        c.sort_unstable();
-                        c.dedup();
-                    }
-                    c
-                }
-                Op::Var | Op::Arg(_) => unreachable!("Var/Arg live only inside fixpoint bodies"),
-                Op::Fixpoint(_) => unreachable!("fixpoints are rebuilt wholesale above"),
+                existing.for_each_difference(&out, |v| flips.push(v as u32));
+                existing = Rc::new(out);
+                Propagation::Dense
+            } else {
+                propagate_op(
+                    model,
+                    self.mode,
+                    op,
+                    operand,
+                    |a| prev_changed[a as usize].as_slice(),
+                    &d0,
+                    || Rc::make_mut(&mut existing),
+                    flips,
+                    &mut exec,
+                )
             };
-            if candidates.is_empty() {
-                self.results[id] = Some(existing);
-                continue;
-            }
-            if dense(candidates.len()) {
-                // Past the fallback threshold a wholesale vectorized
-                // recompute beats point repair; the flips still come
-                // cheap off a word-level diff.
-                let results = &self.results;
-                let operand = |a: u32| -> &Bitset {
-                    results[a as usize]
-                        .as_deref()
-                        .expect("cached consumers have cached operands")
-                };
-                let mut out = Bitset::default();
-                eval_op_into(model, self.mode, op, operand, &mut out, &mut exec);
-                for v in 0..n {
-                    if out.get(v) != existing.get(v) {
-                        changed[id].push(v as u32);
-                    }
+            match outcome {
+                Propagation::Clean => {}
+                Propagation::Dense => {
+                    stats.rebuilt_vectors += 1;
+                    self.computed += 1;
                 }
-                stats.rebuilt_vectors += 1;
-                self.computed += 1;
-                self.results[id] = Some(Rc::new(out));
-                continue;
-            }
-            let mut vec = existing;
-            let bits = Rc::make_mut(&mut vec);
-            let results = &self.results;
-            let operand = |a: u32| -> &Bitset {
-                results[a as usize]
-                    .as_deref()
-                    .expect("cached consumers have cached operands")
-            };
-            // One dispatch per vector, not per world: each arm resolves
-            // its operand bitsets once and runs a tight point loop —
-            // semantically `eval_op_into(..).get(v)` per candidate,
-            // pinned by the differential delta tests.
-            let flips = &mut changed[id];
-            match op {
-                Op::Top | Op::Bottom => unreachable!("constants have no candidates"),
-                Op::Prop(d) => {
-                    for &v in &candidates {
-                        let now = model.degree(v as usize) == d;
-                        if bits.get(v as usize) != now {
-                            bits.set(v as usize, now);
-                            flips.push(v);
-                        }
-                    }
-                }
-                Op::Not(a) => {
-                    let a = operand(a);
-                    for &v in &candidates {
-                        let now = !a.get(v as usize);
-                        if bits.get(v as usize) != now {
-                            bits.set(v as usize, now);
-                            flips.push(v);
-                        }
-                    }
-                }
-                Op::And(a, b) => {
-                    let (a, b) = (operand(a), operand(b));
-                    for &v in &candidates {
-                        let now = a.get(v as usize) && b.get(v as usize);
-                        if bits.get(v as usize) != now {
-                            bits.set(v as usize, now);
-                            flips.push(v);
-                        }
-                    }
-                }
-                Op::Or(a, b) => {
-                    let (a, b) = (operand(a), operand(b));
-                    for &v in &candidates {
-                        let now = a.get(v as usize) || b.get(v as usize);
-                        if bits.get(v as usize) != now {
-                            bits.set(v as usize, now);
-                            flips.push(v);
-                        }
-                    }
-                }
-                Op::Diamond { rel, grade, inner } => {
-                    let sat = operand(inner);
-                    for &v in &candidates {
-                        let mut count = 0usize;
-                        let mut now = false;
-                        for &w in model.successors_dense(rel as usize, v as usize) {
-                            if sat.get(w as usize) {
-                                count += 1;
-                                if count >= grade {
-                                    now = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if bits.get(v as usize) != now {
-                            bits.set(v as usize, now);
-                            flips.push(v);
-                        }
-                    }
-                }
-                Op::Var | Op::Arg(_) | Op::Fixpoint(_) => {
-                    unreachable!("never point-repaired: no candidates or handled above")
+                Propagation::Points(c) => {
+                    stats.repaired_vectors += 1;
+                    stats.repaired_worlds += c;
+                    stats.max_frontier = stats.max_frontier.max(c);
                 }
             }
-            stats.repaired_vectors += 1;
-            stats.repaired_worlds += candidates.len();
-            stats.max_frontier = stats.max_frontier.max(candidates.len());
-            self.results[id] = Some(vec);
+            self.results[id] = Some(existing);
         }
         self.exec.absorb(exec);
 
@@ -2982,8 +2762,8 @@ impl<'m> ModelChecker<'m> {
     }
 
     /// What the latest [`Self::resume`] repair pass did, or `None` if
-    /// this checker has not repaired anything (fresh checker, no-op
-    /// resume, or `PORTNUM_DELTA=rebuild`).
+    /// this checker has not repaired anything (fresh checker or no-op
+    /// resume).
     pub fn last_repair(&self) -> Option<&RepairStats> {
         self.last_repair.as_ref()
     }
@@ -3381,18 +3161,8 @@ mod tests {
         Kripke::from_parts(crate::kripke::ModelVariant::MinusMinus, degree, relations).unwrap()
     }
 
-    /// Skips strategy-count pins when `PORTNUM_REVERSE` pins `Auto`
-    /// to one implementation (the CI matrix runs this suite under
-    /// every knob value; output equality is asserted elsewhere).
-    fn auto_is_unpinned() -> bool {
-        reverse_override() == ReverseOverride::Auto
-    }
-
     #[test]
     fn auto_cost_model_counts_the_full_forward_sweep() {
-        if !auto_is_unpinned() {
-            return;
-        }
         // Regression for the Auto crossover: the forward walk costs
         // n + targets.len() (assign_from_fn visits every world, empty
         // row or not), so on this model a reverse path (4 satisfying
@@ -3434,9 +3204,6 @@ mod tests {
 
     #[test]
     fn auto_keeps_dense_rows_for_dense_predecessors_under_the_cap() {
-        if !auto_is_unpinned() {
-            return;
-        }
         // One satisfying world with 640 predecessors: dense reverse is
         // one 10-word row OR (cost 10), the CSC gather walks all 640
         // entries, the forward sweep visits 640 worlds + 640 pairs.
@@ -3452,9 +3219,6 @@ mod tests {
 
     #[test]
     fn auto_picks_csc_above_the_dense_cap() {
-        if !auto_is_unpinned() {
-            return;
-        }
         // The acceptance scenario: a sparse model big enough that the
         // n²-bit predecessor matrix is over the cap, with a sparse
         // inner set — before the CSC store existed, this diamond was
@@ -3478,21 +3242,6 @@ mod tests {
         assert_eq!(out, fwd);
         // ⟨α⟩q₁ holds exactly at the endpoints' neighbours.
         assert_eq!(out[0].iter_ones().collect::<Vec<_>>(), vec![1, n - 2]);
-    }
-
-    #[test]
-    fn reverse_override_knob_parses_or_panics() {
-        // CI's knob matrix relies on unknown values failing loudly at
-        // first use; force the parse under whatever environment this
-        // process carries.
-        let _ = reverse_override();
-    }
-
-    #[test]
-    fn delta_override_knob_parses_or_panics() {
-        // Same contract as PORTNUM_REVERSE: the CI rebuild matrix leg
-        // must never silently run the repair path.
-        let _ = delta_override();
     }
 
     /// A small suite exercising every op: atoms, boolean structure,
@@ -3543,19 +3292,14 @@ mod tests {
                     );
                 }
             }
-            if delta_override() == DeltaOverride::Repair {
-                let stats = checker.last_repair().expect("repair ran");
-                assert!(stats.repaired_vectors + stats.rebuilt_vectors > 0);
-            }
+            let stats = checker.last_repair().expect("repair ran");
+            assert!(stats.repaired_vectors + stats.rebuilt_vectors > 0);
         }
     }
 
     #[test]
     fn checker_repair_touches_a_strict_subset_on_localized_deltas() {
         use crate::kripke::ModelDelta;
-        if delta_override() != DeltaOverride::Repair {
-            return; // the rebuild leg has no repair pass to observe
-        }
         let mut k = Kripke::k_mm(&generators::path(256));
         let mut checker = ModelChecker::new(&k);
         for f in delta_suite() {
@@ -3584,6 +3328,48 @@ mod tests {
     }
 
     #[test]
+    fn checker_repair_seeds_diamonds_from_their_own_relation() {
+        use crate::kripke::ModelDelta;
+        // K₊,₊ of a degree-8 circulant: a world has at most one
+        // predecessor per relation but eight across all of them, so
+        // seeding from the union of relations would dirty every
+        // neighbour of a flipped world instead of one.
+        let g = generators::circulant(200, &[1, 2, 3, 4]);
+        let mut k = Kripke::k_pp(&g, &PortNumbering::consistent(&g));
+        let alpha = k.indices().next().unwrap();
+        let rel = k.relation_id(alpha).unwrap();
+        let (v, w) = (0..k.len())
+            .find_map(|v| k.successors_dense(rel, v).first().map(|&w| (v as u32, w)))
+            .unwrap();
+        // q8 flips at v when the delta drops v's degree to 7.
+        let f = Formula::diamond(alpha, &Formula::diamond(alpha, &Formula::prop(8)));
+        let mut checker = ModelChecker::new(&k);
+        checker.check(&f).unwrap();
+        let cache = checker.detach();
+        let touched = k.apply_delta(ModelDelta::new().remove_edge(alpha, v, w)).unwrap();
+        checker = ModelChecker::resume(&k, cache, &touched);
+        // The cached vectors have modal heights 0, 1, 2; each may be
+        // repaired at most over α's predecessor ball of that radius.
+        let csc = k.predecessors_csc(rel);
+        let mut ball = touched.clone();
+        let mut bound = 0;
+        for _height in 0..=2 {
+            bound += ball.len();
+            let preds: Vec<u32> = ball.iter().flat_map(|&u| csc.row(u as usize)).copied().collect();
+            ball.extend(preds);
+            ball.sort_unstable();
+            ball.dedup();
+        }
+        let stats = *checker.last_repair().expect("repair ran");
+        assert_eq!(stats.rebuilt_vectors, 0, "{stats:?}");
+        assert!(stats.repaired_worlds <= bound, "repaired {stats:?} beyond α's balls ({bound})");
+        assert_eq!(
+            checker.check(&f).unwrap().to_bools(),
+            ModelChecker::new(&k).check(&f).unwrap().to_bools()
+        );
+    }
+
+    #[test]
     fn quotient_repair_stays_exact_and_minimum_base_recovers_coarsest() {
         use crate::kripke::ModelDelta;
         // A 6-cycle quotients to one world; cutting it open makes the
@@ -3603,9 +3389,7 @@ mod tests {
         let via_quotient = checker.check_via_quotient(&phi).unwrap();
         let mut fresh = ModelChecker::new(&k);
         assert_eq!(via_quotient.to_bools(), fresh.check(&phi).unwrap().to_bools());
-        if delta_override() == DeltaOverride::Repair {
-            assert!(checker.last_repair().expect("repair ran").quotient_repaired);
-        }
+        assert!(checker.last_repair().expect("repair ran").quotient_repaired);
         // minimum_base drops the repaired quotient and recomputes the
         // coarsest one — identical to a fresh checker's.
         assert_eq!(*checker.minimum_base(), *fresh.minimum_base());
@@ -3790,13 +3574,6 @@ mod tests {
         assert_eq!(out[1], out[2]);
     }
 
-    #[test]
-    fn fixpoint_override_knob_parses_or_panics() {
-        // Same contract as PORTNUM_REVERSE / PORTNUM_DELTA: CI's dense
-        // baseline leg must never silently run the frontier path.
-        let _ = fixpoint_override();
-    }
-
     /// Closed fixpoint formulas exercising µ, ν, nesting, boolean
     /// structure around binders, and grades inside bodies.
     fn fixpoint_suite() -> Vec<Formula> {
@@ -3882,20 +3659,16 @@ mod tests {
         let (out, stats) = plan.execute_with(&k, DiamondMode::Auto);
         assert_eq!(out[0], evaluate_packed_recursive(&k, &f).unwrap());
         assert!(stats.fixpoint_iters > n / 4, "a path forces a long iteration chain: {stats:?}");
-        if fixpoint_override() == FixpointOverride::Frontier {
-            assert_eq!(stats.fixpoint_dense_passes, 1, "only the first iteration is dense");
-            // Frontier accounting must beat whole-model re-evaluation by
-            // a wide margin: n per iteration would be n·iters ≈ n²/2.
-            let budget = 8 * n + stats.fixpoint_iters * 8;
-            assert!(
-                stats.fixpoint_frontier_worlds < budget,
-                "frontier touched {} worlds over {} iterations (budget {budget})",
-                stats.fixpoint_frontier_worlds,
-                stats.fixpoint_iters,
-            );
-        } else {
-            assert_eq!(stats.fixpoint_dense_passes, stats.fixpoint_iters);
-        }
+        assert_eq!(stats.fixpoint_dense_passes, 1, "only the first iteration is dense");
+        // Frontier accounting must beat whole-model re-evaluation by a
+        // wide margin: n per iteration would be n·iters ≈ n²/2.
+        let budget = 8 * n + stats.fixpoint_iters * 8;
+        assert!(
+            stats.fixpoint_frontier_worlds < budget,
+            "frontier touched {} worlds over {} iterations (budget {budget})",
+            stats.fixpoint_frontier_worlds,
+            stats.fixpoint_iters,
+        );
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //!   caches, which `Eq` ignores but the checker reads) agrees with a
 //!   from-scratch build;
 //! * a [`ModelChecker`] carried across the script via
-//!   `detach`/`resume` must answer bit-identically to a fresh checker
-//!   on the rebuilt model — repair is indistinguishable from full
-//!   recomputation (under `PORTNUM_DELTA=rebuild` the same assertions
-//!   pin the drop-everything path; CI runs both knob modes);
+//!   `detach`/`resume`, under a randomly drawn [`DiamondMode`], must
+//!   answer bit-identically to a fresh evaluation of the rebuilt model
+//!   — repair is indistinguishable from full recomputation whichever
+//!   diamond implementation computed the vectors it patches;
 //! * plan execution on the patched model must agree between the
-//!   sequential and forced-parallel engines (patched rows feed the
-//!   chunked executor the same slices);
+//!   sequential and forced-parallel engines under the same mode
+//!   (patched rows feed the chunked executor the same slices);
 //! * the quotient path ([`ModelChecker::check_via_quotient`], repaired
 //!   incrementally from the pre-delta partition) must stay exact for
 //!   ungraded formulas.
@@ -137,6 +137,12 @@ proptest! {
         g in arb_graph(),
         seed in any::<u64>(),
         steps in 1usize..10,
+        mode in prop_oneof![
+            Just(DiamondMode::Auto),
+            Just(DiamondMode::Forward),
+            Just(DiamondMode::Reverse),
+            Just(DiamondMode::Csc),
+        ],
         f_pp in arb_formula(ModalIndex::InOut),
         f_mp in arb_formula(|_i, j| ModalIndex::Out(j)),
         f_pm in arb_formula(|i, _j| ModalIndex::In(i)),
@@ -151,7 +157,7 @@ proptest! {
             // Warm a checker on the pristine model, then carry its
             // cache across every step of the script.
             let mut patched = model.clone();
-            let mut checker = ModelChecker::new(&patched);
+            let mut checker = ModelChecker::with_mode(&patched, mode);
             checker.check(f).unwrap();
             let mut cache = checker.detach();
             for _ in 0..steps {
@@ -177,15 +183,15 @@ proptest! {
             let mut resumed = ModelChecker::resume(&patched, cache, &[]);
             prop_assert_eq!(
                 &*resumed.check(f).unwrap(), &expected,
-                "repaired cache diverged on {:?} with {} (graph {})",
-                patched.variant(), f, g
+                "repaired cache diverged on {:?} under {:?} with {} (graph {})",
+                patched.variant(), mode, f, g
             );
 
             // Engine parity on patched storage: sequential vs forced
             // parallel over the post-delta rows.
             let plan = Plan::compile(&patched, f).unwrap();
-            let (seq, _) = plan.execute_with(&patched, DiamondMode::Auto);
-            let (par, _) = plan.execute_forced_parallel(&patched, DiamondMode::Auto);
+            let (seq, _) = plan.execute_with(&patched, mode);
+            let (par, _) = plan.execute_forced_parallel(&patched, mode);
             prop_assert_eq!(&seq, &par);
 
             // Quotient path: exact for ungraded formulas on the

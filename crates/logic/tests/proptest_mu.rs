@@ -17,9 +17,7 @@
 mod common;
 
 use common::{arb_graph, arb_mu_formula};
-use portnum_logic::plan::{
-    fixpoint_override, DiamondMode, FixpointOverride, ModelChecker, Plan,
-};
+use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
 use portnum_logic::{evaluate_packed_recursive, Formula, Kripke, ModalIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -97,9 +95,6 @@ proptest! {
 /// worlds stay far below `n × iters`, the dense engine's bill.
 #[test]
 fn frontier_iteration_touches_o_of_n_iters_worlds_on_paths() {
-    if fixpoint_override() != FixpointOverride::Frontier {
-        return; // the dense baseline leg intentionally re-sweeps everything
-    }
     for n in [128usize, 512, 1024] {
         let k = Kripke::k_mm(&generators::path(n));
         let f = Formula::mu(

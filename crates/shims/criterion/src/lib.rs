@@ -162,8 +162,11 @@ impl<'a> BenchmarkGroup<'a> {
         match (self.criterion.mode, result) {
             (Mode::TestOnce, _) => println!("test {full} ... ok"),
             (Mode::Measure, Some(s)) => {
+                // Labelled, because the columns are not real criterion's
+                // `[low estimate high]` interval: a skewed run has
+                // mean > median, which would read as an inverted one.
                 println!(
-                    "{full:<60} time: [{} {} {}]",
+                    "{full:<60} time: [min {} median {} mean {}]",
                     fmt_ns(s.min_ns),
                     fmt_ns(s.median_ns),
                     fmt_ns(s.mean_ns)
