@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use portnum_bench::workloads;
+use portnum_graph::partition::Parallelism;
 use portnum_logic::bisim::{refine, refine_with, BisimStyle, RefineEngine};
 use portnum_logic::Kripke;
 use std::time::Duration;
@@ -44,12 +45,12 @@ fn bench_worklist_vs_rounds(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("plain_kmm_{engine_name}"), &w.name),
                 &k_mm,
-                |b, k| b.iter(|| refine_with(k, BisimStyle::Plain, engine)),
+                |b, k| b.iter(|| refine_with(k, BisimStyle::Plain, engine, Parallelism::Auto)),
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("plain_kpp_{engine_name}"), &w.name),
                 &k_pp,
-                |b, k| b.iter(|| refine_with(k, BisimStyle::Plain, engine)),
+                |b, k| b.iter(|| refine_with(k, BisimStyle::Plain, engine, Parallelism::Auto)),
             );
         }
     }

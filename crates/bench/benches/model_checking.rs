@@ -12,6 +12,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use portnum_bench::workloads;
+use portnum_graph::partition::Parallelism;
+use portnum_graph::resilience::ExecControl;
 use portnum_logic::plan::DiamondMode;
 use portnum_logic::{
     evaluate_packed, evaluate_packed_recursive, Formula, FormulaKind, Kripke, Plan,
@@ -146,7 +148,8 @@ fn bench_parallel_execution(c: &mut Criterion) {
             b.iter(|| plan.execute_with(&k, DiamondMode::Auto))
         });
         group.bench_function("pool_forced", |b| {
-            b.iter(|| plan.execute_forced_parallel(&k, DiamondMode::Auto))
+            let ctl = ExecControl::unrestricted();
+            b.iter(|| plan.execute_controlled(&k, DiamondMode::Auto, Parallelism::Force, &ctl))
         });
         group.finish();
     }

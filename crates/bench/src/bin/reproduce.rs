@@ -10,6 +10,7 @@ use portnum::sim::{MultisetFromVector, SetFromMultiset};
 use portnum::{separations, verify, ProblemClass};
 use portnum_bench::report::{section, Table};
 use portnum_bench::workloads;
+use portnum_graph::partition::Parallelism;
 use portnum_graph::{cover, generators, matching, properties, Graph, Port, PortNumbering};
 use portnum_logic::bisim::{self, BisimStyle, RefineEngine};
 use portnum_logic::compile::{
@@ -80,6 +81,16 @@ fn median_us<T>(mut routine: impl FnMut() -> T, mut verify: impl FnMut(T)) -> f6
 /// rows are the incremental worklist engine that now drives the default
 /// path. The long-diameter workloads (`path1024`, `deep_tree1024`) are
 /// where the two diverge by design.
+/// Executes `plan` under [`portnum_logic::DiamondMode::Auto`] with
+/// thread counts pinned by `par` — the sequential/pool pairs the eval
+/// snapshot times against each other.
+fn execute_pinned(plan: &Plan, k: &Kripke, par: Parallelism) -> Vec<portnum_graph::bitset::Bitset> {
+    let ctl = portnum_graph::resilience::ExecControl::unrestricted();
+    plan.execute_controlled(k, portnum_logic::DiamondMode::Auto, par, &ctl)
+        .expect("unrestricted execution cannot be interrupted")
+        .0
+}
+
 fn bench_snapshot() {
     use std::fmt::Write as _;
     section("Perf snapshot: bisimulation refinement (written to BENCH_bisim.json)");
@@ -117,7 +128,7 @@ fn bench_snapshot() {
                 ("refine_worklist", "worklist", RefineEngine::Worklist),
             ] {
                 let median = median_us(
-                    || bisim::refine_with(k, style, engine),
+                    || bisim::refine_with(k, style, engine, Parallelism::Auto),
                     |c| assert_eq!(c.final_level(), classes.final_level()),
                 );
                 let touched = match engine {
@@ -280,7 +291,7 @@ fn bench_eval_snapshot() {
             (
                 "plan_exec_pool",
                 median_us(
-                    || plan.execute_forced_parallel(&k, DiamondMode::Auto).0,
+                    || execute_pinned(&plan, &k, Parallelism::Force),
                     |truths| assert_eq!(truths, reference),
                 ),
             ),
@@ -358,19 +369,19 @@ fn bench_eval_snapshot() {
         let k = workloads::huge_gnp(n, 6.0 / n as f64, 2012);
         let deep = workloads::nested_diamonds(8);
         let plan = Plan::compile(&k, &deep).expect("well-formed case");
-        let (reference, _) = plan.execute_forced_sequential(&k, DiamondMode::Auto);
+        let reference = execute_pinned(&plan, &k, Parallelism::Off);
         let ones: usize = reference.iter().map(|b| b.count_ones()).sum();
         let seq_median = median_us(
-            || plan.execute_forced_sequential(&k, DiamondMode::Auto).0,
+            || execute_pinned(&plan, &k, Parallelism::Off),
             |truths| assert_eq!(truths, reference),
         );
         let pool_median = median_us(
-            || plan.execute_forced_parallel(&k, DiamondMode::Auto).0,
+            || execute_pinned(&plan, &k, Parallelism::Force),
             |truths| assert_eq!(truths, reference),
         );
         let classes = bisim::refine(&k, BisimStyle::Plain);
         let refine_median = median_us(
-            || bisim::refine_with(&k, BisimStyle::Plain, RefineEngine::Worklist),
+            || bisim::refine_with(&k, BisimStyle::Plain, RefineEngine::Worklist, Parallelism::Auto),
             |c| assert_eq!(c.final_level(), classes.final_level()),
         );
         let million_cases = [
@@ -488,7 +499,7 @@ fn bench_eval_snapshot() {
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::scope(|s| {
                 s.spawn(|| loop {
-                    match plan.execute_controlled(&k, DiamondMode::Auto, &ctl) {
+                    match plan.execute_controlled(&k, DiamondMode::Auto, Parallelism::Auto, &ctl) {
                         Ok(_) => continue,
                         Err(_) => {
                             let _ = tx.send(std::time::Instant::now());

@@ -19,18 +19,18 @@
 //! * [`cover`] — bipartite double covers;
 //! * [`views`] — Yamashita–Kameda view equivalence;
 //! * [`refinement`] — colour refinement (1-WL);
-//! * [`partition`] — the partition-refinement engines (full-round
-//!   interned-signature reference + incremental Paige–Tarjan-style
-//!   worklist, selected by `PORTNUM_REFINE`) shared by colour
-//!   refinement and `portnum-logic`'s bisimulation;
+//! * [`partition`] — the partition-refinement engines (incremental
+//!   Paige–Tarjan-style worklist, plus the full-round interned-signature
+//!   reference it is tested against) shared by colour refinement and
+//!   `portnum-logic`'s bisimulation, and the [`partition::Parallelism`]
+//!   value every thread-count decision takes;
 //! * [`bitset`] — packed `u64`-word truth vectors backing
 //!   `portnum-logic`'s word-parallel model checker;
 //! * [`blocking`] — the shared cache-block geometry (L2-sized world
 //!   blocks, row-bound prefetch) tiling the plan executor's diamond
 //!   sweeps and the worklist refiner's frontier encode;
 //! * [`pool`] — the persistent worker pool behind every parallel phase
-//!   (refinement encode rounds, parallel plan execution), tunable via
-//!   `PORTNUM_POOL`;
+//!   (refinement encode rounds, parallel plan execution);
 //! * [`resilience`] — the cooperative execution control plane
 //!   (`CancelToken`, `Deadline`, `ExecBudget`) threaded through every
 //!   long-running engine loop here and in `portnum-logic`;

@@ -6,11 +6,10 @@
 //! initial partition, repeatedly replace each node's block with an
 //! *interned signature* — the previous block plus, per relation, the
 //! (multi)set of successor blocks — until the partition stops changing.
-//! Two engines implement it, selected by the `PORTNUM_REFINE`
-//! environment variable (see [`refine_engine_choice`]) and pinned
-//! against each other by differential tests:
+//! Two engines implement it, pinned against each other by in-process
+//! differential tests ([`RefineEngine`] names them):
 //!
-//! * [`WorklistRefiner`] (default) — incremental, Paige–Tarjan-style:
+//! * [`WorklistRefiner`] (production) — incremental, Paige–Tarjan-style:
 //!   per round only the *dirty frontier* (predecessors of nodes that
 //!   split off last round) is re-signed, so near-stable rounds cost
 //!   O(changed) instead of O(n). Long-diameter models drop from
@@ -54,19 +53,17 @@
 //! which preserves the first-seen canonical id order of the sequential
 //! engine exactly. Front-ends gate this on a size threshold — waking
 //! the pool costs a few microseconds, which only pays off once a round
-//! encodes a few thousand signature words. The `PORTNUM_POOL`
-//! environment variable overrides the gate (see [`threads_for`]).
+//! encodes a few thousand signature words.
 //!
-//! # Environment variables
+//! # Configuration is a value
 //!
-//! | variable | values | read by |
-//! |----------|--------|---------|
-//! | `PORTNUM_POOL` | `auto` (default) / `force` / `off` | [`threads_for`] — the parallel work gate shared by refinement rounds and plan execution |
-//! | `PORTNUM_REFINE` | `worklist` (default) / `rounds` | [`refine_engine_choice`] — which engine drives `bisim::refine*`, 1-WL, and the quotient cache |
-//!
-//! Both are parsed once per process and panic on unrecognised values,
-//! so a typo cannot silently select the default in a CI job that pins
-//! a mode. See `ARCHITECTURE.md` for the full reference.
+//! Nothing here reads the environment. Every thread-count decision —
+//! refinement rounds and plan execution alike — takes a
+//! [`Parallelism`] value: production passes [`Parallelism::Auto`] (the
+//! [`threads_for`] gate), while differential tests and benches pass
+//! `Force` or `Off` to pin one side of the gate in-process. The only
+//! process-wide state is the cached host core count
+//! ([`encode_threads`]).
 
 use crate::csc::CscAdjacency;
 use crate::pool::WorkerPool;
@@ -371,31 +368,6 @@ pub fn encode_threads() -> usize {
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// How the `PORTNUM_POOL` environment variable overrides the parallel
-/// work gate, parsed once per process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PoolMode {
-    /// No override: gate on [`PARALLEL_THRESHOLD`].
-    Auto,
-    /// Always parallel (≥ 2 threads even on single-core hosts) — lets
-    /// 1-core CI runners exercise every pool-driven code path.
-    Force,
-    /// Never parallel.
-    Off,
-}
-
-fn pool_mode() -> PoolMode {
-    static MODE: OnceLock<PoolMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("PORTNUM_POOL").as_deref() {
-        Ok("force") => PoolMode::Force,
-        Ok("off") => PoolMode::Off,
-        Ok("auto") | Err(_) => PoolMode::Auto,
-        // A typo (e.g. "forced") silently falling back to Auto would
-        // defeat the CI step that forces the pool on — fail loudly.
-        Ok(other) => panic!("unrecognised PORTNUM_POOL value {other:?} (use force, off, or auto)"),
-    })
-}
-
 /// Words of sweep/encode work one core retires per microsecond — a
 /// deliberately conservative estimate used only to convert the pool's
 /// *measured* dispatch cost ([`crate::pool::WorkerPool::dispatch_cost_ns`],
@@ -426,24 +398,44 @@ pub fn parallel_floor_words() -> usize {
 /// work that cannot amortise one real pool round-trip stays
 /// sequential. The single gate shared by every parallel front-end
 /// (refinement rounds *and* plan execution) so the engines cannot
-/// diverge on tuning.
-///
-/// Setting the `PORTNUM_POOL` environment variable overrides the gate:
-/// `force` always parallelises (with at least 2 threads, so single-core
-/// CI runners still drive the pool), `off` never does.
+/// diverge on tuning; [`Parallelism::Auto`] resolves through it.
 pub fn threads_for(work: usize) -> usize {
-    match pool_mode() {
-        PoolMode::Force => encode_threads().max(2),
-        PoolMode::Off => 1,
-        PoolMode::Auto => {
-            // Static gate first (short-circuit): below it we return
-            // without touching — or lazily constructing — the global
-            // pool that the calibrated floor would consult.
-            if work >= PARALLEL_THRESHOLD && work >= parallel_floor_words() {
-                encode_threads()
-            } else {
-                1
-            }
+    // Static gate first (short-circuit): below it we return without
+    // touching — or lazily constructing — the global pool that the
+    // calibrated floor would consult.
+    if work >= PARALLEL_THRESHOLD && work >= parallel_floor_words() {
+        encode_threads()
+    } else {
+        1
+    }
+}
+
+/// How a parallel phase resolves its thread count: the one value every
+/// thread-count decision takes (refinement encode rounds, plan
+/// execution). Production paths run [`Parallelism::Auto`]; the other
+/// two pin one side of the gate so differential tests and benches can
+/// compare the pool-driven and sequential paths in one process. Output
+/// never depends on the choice — every parallel path is bit-identical
+/// to the sequential one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Parallelism {
+    /// The two-stage work gate of [`threads_for`]: what production runs.
+    Auto,
+    /// Always parallel, with at least 2 threads even on single-core
+    /// hosts, so small inputs still drive every pool path.
+    Force,
+    /// Never parallel: the sequential reference at sizes the gate
+    /// would parallelise.
+    Off,
+}
+
+impl Parallelism {
+    /// Worker threads for a phase doing `work` words of per-call work.
+    pub fn threads(self, work: usize) -> usize {
+        match self {
+            Parallelism::Auto => threads_for(work),
+            Parallelism::Force => encode_threads().max(2),
+            Parallelism::Off => 1,
         }
     }
 }
@@ -574,38 +566,20 @@ where
     });
 }
 
-/// Which refinement engine drives the high-level front-ends
-/// (`bisim::refine*`, 1-WL [`crate::refinement::color_refinement`]).
-///
-/// Selected once per process via the `PORTNUM_REFINE` environment
-/// variable (`worklist` — the default — or `rounds`); see
-/// [`refine_engine_choice`]. The two engines produce identical
-/// partitions at every depth (proptest-pinned), so the knob is a
-/// performance/debugging switch, not a semantic one.
+/// Which refinement engine a differential test or bench pins
+/// (`bisim::refine_with`). Every production front-end (`bisim::refine*`,
+/// 1-WL [`crate::refinement::color_refinement`], the quotient cache)
+/// runs [`RefineEngine::Worklist`]. The two engines produce identical
+/// partitions at every depth (proptest-pinned), so the choice is a
+/// performance/testing switch, not a semantic one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefineEngine {
     /// Incremental worklist refinement ([`WorklistRefiner`]): each round
-    /// re-encodes only the dirty frontier. The default.
+    /// re-encodes only the dirty frontier. The production engine.
     Worklist,
     /// The full-round engine: every node re-signed every round. Kept as
     /// the differential-testing reference.
     Rounds,
-}
-
-/// How the `PORTNUM_REFINE` environment variable selects the refinement
-/// engine, parsed once per process: `worklist` (default) or `rounds`.
-///
-/// Like `PORTNUM_POOL`, a typo fails loudly instead of silently falling
-/// back — a CI job pinning one engine must not quietly run the other.
-pub fn refine_engine_choice() -> RefineEngine {
-    static CHOICE: OnceLock<RefineEngine> = OnceLock::new();
-    *CHOICE.get_or_init(|| match std::env::var("PORTNUM_REFINE").as_deref() {
-        Ok("rounds") => RefineEngine::Rounds,
-        Ok("worklist") | Err(_) => RefineEngine::Worklist,
-        Ok(other) => {
-            panic!("unrecognised PORTNUM_REFINE value {other:?} (use worklist or rounds)")
-        }
-    })
 }
 
 /// Borrowed CSR rows of one relation: successors of node `v` are
@@ -923,9 +897,9 @@ impl std::fmt::Debug for SharedPreds<'_> {
 /// out over the persistent worker pool exactly like the full-round
 /// engine does (chunked at work quantiles into [`SignatureBuffer`]s,
 /// grouped sequentially in node order afterwards) — independent
-/// splitters' dirty ranges encode in parallel. `PORTNUM_POOL=force|off`
-/// overrides the gate (see [`threads_for`]), and
-/// [`WorklistRefiner::force_parallel`] pins it for differential tests.
+/// splitters' dirty ranges encode in parallel. The gate is a
+/// [`Parallelism`] value, [`Parallelism::Auto`] unless
+/// [`WorklistRefiner::parallelism`] pins another.
 ///
 /// # Usage
 ///
@@ -949,7 +923,7 @@ impl std::fmt::Debug for SharedPreds<'_> {
 pub struct WorklistRefiner<'a> {
     n: usize,
     counting: Counting,
-    force_parallel: bool,
+    par: Parallelism,
     /// Whether per-round level semantics are observed (default). When
     /// off, the next frontier is left in discovery order instead of
     /// being sorted into node order — see
@@ -1115,7 +1089,7 @@ impl<'a> WorklistRefiner<'a> {
         WorklistRefiner {
             n,
             counting,
-            force_parallel: false,
+            par: Parallelism::Auto,
             observe_levels: true,
             relations: relations.to_vec(),
             row_bounds,
@@ -1179,11 +1153,13 @@ impl<'a> WorklistRefiner<'a> {
         self.shared_preds = Some(SharedPreds { source: Box::new(source) });
     }
 
-    /// Forces every round's encode phase onto the worker pool regardless
-    /// of frontier size — the differential-test knob pinning the
-    /// pool-driven path bit-identical to the sequential one.
-    pub fn force_parallel(&mut self, on: bool) {
-        self.force_parallel = on;
+    /// Sets how each round's encode phase picks its thread count
+    /// ([`Parallelism::Auto`] by default). [`Parallelism::Force`] puts
+    /// every round on the worker pool regardless of frontier size — how
+    /// differential tests pin the pool-driven path bit-identical to the
+    /// sequential one.
+    pub fn parallelism(&mut self, par: Parallelism) {
+        self.par = par;
     }
 
     /// Switches per-round level bookkeeping off (or back on) for
@@ -1278,12 +1254,7 @@ impl<'a> WorklistRefiner<'a> {
         // grouping walks them in node order, so group creation order —
         // and therefore every downstream id — is identical either way.
         let total_work: usize = self.dirty.iter().map(|&w| self.node_work[w as usize]).sum();
-        let threads = if self.force_parallel {
-            encode_threads().max(2)
-        } else {
-            threads_for(total_work)
-        };
-        let threads = threads.clamp(1, self.dirty.len());
+        let threads = self.par.threads(total_work).clamp(1, self.dirty.len());
         self.round.groups.clear();
         self.round.table.clear();
         self.round.touched.clear();
@@ -1753,8 +1724,9 @@ mod tests {
         let seeds: Vec<u64> = (0..n).map(|v| (v % 3) as u64).collect();
         for counting in [Counting::Distinct, Counting::Multiset] {
             let mut seq = WorklistRefiner::new(n, &[rel], counting, seeds.iter().copied());
+            seq.parallelism(Parallelism::Off);
             let mut par = WorklistRefiner::new(n, &[rel], counting, seeds.iter().copied());
-            par.force_parallel(true);
+            par.parallelism(Parallelism::Force);
             let (mut ls, mut lp) = (Vec::new(), Vec::new());
             loop {
                 let (cs, cp) = (seq.round(), par.round());
@@ -1834,16 +1806,11 @@ mod tests {
 
     #[test]
     fn env_knobs_parse_or_panic() {
-        // CI's knob matrix relies on unknown values failing loudly at
-        // first use: force every parser to run under whatever this
-        // process's environment carries, so a typo in a matrix entry
-        // fails the suite here instead of silently testing the default.
-        let _ = threads_for(0);
-        let _ = refine_engine_choice();
-        // Resilience knobs: PORTNUM_DEADLINE_MS / PORTNUM_MAX_*_WORDS
-        // (panic on non-integer values) and PORTNUM_FAILPOINTS (panics
-        // on malformed site=action specs).
-        let _ = ExecControl::from_env();
+        // The engine crates read one variable, PORTNUM_FAILPOINTS (pool
+        // construction arms it). Force the parse under whatever this
+        // process's environment carries, so a malformed `site=action`
+        // spec in a CI job fails the suite here instead of silently
+        // running with no failpoints armed.
         fail::setup_from_env();
     }
 

@@ -69,16 +69,15 @@
 //! — and the plan executor surfaces the same number in its `ExecStats`
 //! so a bench row records the coordination cost it actually paid.
 //!
-//! # Tuning (`PORTNUM_POOL`)
+//! # Tuning
 //!
 //! Whether a phase actually fans out is decided by the caller through
-//! the shared work gate [`crate::partition::threads_for`], which the
-//! `PORTNUM_POOL` environment variable overrides: `force` always
-//! parallelises (≥ 2 threads even on single-core hosts, so CI can
-//! drive every pool path), `off` never does, `auto` (default) gates on
-//! [`crate::partition::PARALLEL_THRESHOLD`] and the calibrated floor.
-//! The pool itself is sized `cores − 1` workers (minimum 1) plus the
-//! participating caller.
+//! a [`crate::partition::Parallelism`] value: `Auto` (production) gates
+//! on [`crate::partition::PARALLEL_THRESHOLD`] and the calibrated floor
+//! via [`crate::partition::threads_for`], `Force` always parallelises
+//! (≥ 2 threads even on single-core hosts, so tests drive every pool
+//! path in-process), `Off` never does. The pool itself is sized
+//! `cores − 1` workers (minimum 1) plus the participating caller.
 //!
 //! # Execution model
 //!

@@ -6,30 +6,26 @@
 //! (the logic crate cross-validates the equivalence), and characterises what
 //! `Multiset ∩ Broadcast` algorithms can distinguish.
 //!
-//! Rounds run on the shared refinement engines of [`crate::partition`]:
-//! by default the incremental **worklist engine**
-//! ([`crate::partition::WorklistRefiner`]) re-colours only nodes whose
-//! neighbourhood colours can have changed (the dirty frontier —
-//! predecessors of nodes that split off last round), which turns
-//! near-stable rounds from Θ(n) into O(changed); `PORTNUM_REFINE=rounds`
-//! selects the full-round reference engine, in which a node's next
-//! colour is the interned word sequence `(prev colour, multiset of
-//! neighbour colours)` assigned dense first-seen ids. Both engines
-//! produce identical levels (differentially tested), use the same ids
-//! and stability criterion that `portnum-logic` uses for
-//! (g-)bisimulation — so the two notions are comparable level by level —
-//! and on rounds with at least
+//! Rounds run on the incremental **worklist engine** of
+//! [`crate::partition`] ([`crate::partition::WorklistRefiner`]): a round
+//! re-colours only nodes whose neighbourhood colours can have changed
+//! (the dirty frontier — predecessors of nodes that split off last
+//! round), which turns near-stable rounds from Θ(n) into O(changed).
+//! Levels use the dense first-seen ids and stability criterion that
+//! `portnum-logic` uses for (g-)bisimulation, so the two notions are
+//! comparable level by level. Rounds with at least
 //! [`crate::partition::PARALLEL_THRESHOLD`] signature words of encode
-//! work fan the encode phase out over the persistent worker pool (see
-//! [`crate::partition::parallel_encode`] and [`crate::pool`]); the
-//! sequential intern/group phase keeps colour ids bit-identical to the
-//! single-threaded path.
+//! work fan the encode phase out over the persistent worker pool
+//! ([`crate::pool`]); the sequential group phase keeps colour ids
+//! bit-identical to the single-threaded path.
+//!
+//! This module's tests keep the full-round engine (every node
+//! re-coloured every round, its next colour the interned word sequence
+//! `(prev colour, multiset of neighbour colours)`) as the reference the
+//! worklist engine must reproduce level for level.
 
 use crate::graph::{Graph, NodeId};
-use crate::partition::{
-    parallel_encode_weighted, refine_engine_choice, threads_for, Counting, RefineEngine,
-    Refiner, RelationCsr, SignatureBuffer, WorklistRefiner,
-};
+use crate::partition::{Counting, Parallelism, RelationCsr, WorklistRefiner};
 
 /// Per-round colour classes: `levels[t][v]` is node `v`'s colour after `t`
 /// refinement rounds; colours are contiguous small integers per round.
@@ -98,85 +94,6 @@ impl ColorClasses {
     }
 }
 
-/// Reusable per-run state for colour-refinement rounds: the shared
-/// interner plus the sequential and parallel encode scratch buffers.
-#[derive(Default)]
-struct RoundState {
-    refiner: Refiner,
-    blocks: Vec<usize>,
-    buffers: Vec<SignatureBuffer>,
-    /// Worker threads for the encode phase (1 = sequential).
-    threads: usize,
-    /// Prefix sums of per-node encode work (degrees do not change, so
-    /// one array serves every round); built only when `threads > 1`.
-    work: Vec<usize>,
-}
-
-impl RoundState {
-    fn for_graph(g: &Graph) -> RoundState {
-        // Per-round encode work: one previous colour plus both endpoints
-        // of every edge.
-        RoundState { threads: threads_for(g.len() + 2 * g.edge_count()), ..RoundState::default() }
-    }
-
-    /// Builds the per-node work prefix sums (colour word + count slot +
-    /// one entry per neighbour) used to balance the parallel chunks.
-    /// Idempotent; [`refine_round`] calls it lazily so a `RoundState`
-    /// cannot reach the parallel path without its work array.
-    fn ensure_work(&mut self, g: &Graph) {
-        if self.threads > 1 && self.work.len() != g.len() + 1 {
-            self.work.clear();
-            self.work.reserve(g.len() + 1);
-            self.work.push(0);
-            for v in g.nodes() {
-                self.work.push(self.work[v] + 2 + g.degree(v));
-            }
-        }
-    }
-}
-
-/// One colour-refinement round over the shared engine; returns the next
-/// level and whether it equals `prev` (i.e. the partition is stable).
-fn refine_round(g: &Graph, prev: &[usize], state: &mut RoundState) -> (Vec<usize>, bool) {
-    state.refiner.begin_round();
-    state.ensure_work(g);
-    let mut next = Vec::with_capacity(g.len());
-    if state.threads > 1 {
-        // Parallel encode into chunk-local buffers split at work
-        // quantiles (a hub node gets a chunk to itself), then intern in
-        // node order (first-seen ids match the sequential engine
-        // exactly).
-        parallel_encode_weighted(&state.work, state.threads, &mut state.buffers, |range, buf| {
-            let mut blocks = std::mem::take(buf.blocks_scratch());
-            for v in range {
-                buf.begin(prev[v]);
-                blocks.extend(g.neighbors(v).iter().map(|&u| prev[u]));
-                buf.push_blocks(&mut blocks, Counting::Multiset);
-                buf.end();
-            }
-            *buf.blocks_scratch() = blocks;
-        });
-        for buf in &state.buffers {
-            for i in 0..buf.len() {
-                next.push(state.refiner.commit_slice(buf.signature(i)));
-            }
-        }
-    } else {
-        for v in g.nodes() {
-            state.refiner.begin_signature(prev[v]);
-            state.blocks.extend(g.neighbors(v).iter().map(|&u| prev[u]));
-            state.refiner.push_blocks(&mut state.blocks, Counting::Multiset);
-            next.push(state.refiner.commit());
-        }
-    }
-    let stable = next == prev;
-    (next, stable)
-}
-
-fn degree_partition(g: &Graph, refiner: &mut Refiner) -> Vec<usize> {
-    refiner.seed_partition(g.nodes().map(|v| g.degree(v) as u64))
-}
-
 /// The adjacency lists of `g` packed as one CSR relation (`u32`
 /// targets), the worklist engine's input shape.
 fn graph_csr(g: &Graph) -> (Vec<usize>, Vec<u32>) {
@@ -197,7 +114,7 @@ fn graph_csr(g: &Graph) -> (Vec<usize>, Vec<u32>) {
 fn worklist_coloring(
     g: &Graph,
     bound: Option<usize>,
-    force_parallel: bool,
+    par: Parallelism,
 ) -> (ColorClasses, Option<usize>) {
     let (offsets, targets) = graph_csr(g);
     let rel = RelationCsr { offsets: &offsets, targets: &targets };
@@ -207,7 +124,7 @@ fn worklist_coloring(
         Counting::Multiset,
         g.nodes().map(|v| g.degree(v) as u64),
     );
-    refiner.force_parallel(force_parallel);
+    refiner.parallelism(par);
     let mut level = Vec::new();
     refiner.canonical_level_into(&mut level);
     let mut levels = vec![level.clone()];
@@ -236,11 +153,6 @@ fn worklist_coloring(
 /// Runs colour refinement for exactly `rounds` rounds (even past the
 /// stable point — use [`stable_coloring`] to stop at the fixpoint).
 ///
-/// Rounds run on the engine selected by `PORTNUM_REFINE` (see
-/// [`refine_engine_choice`]): the incremental worklist engine by
-/// default, the full-round reference with `PORTNUM_REFINE=rounds`.
-/// Both produce identical levels.
-///
 /// # Examples
 ///
 /// ```
@@ -251,24 +163,7 @@ fn worklist_coloring(
 /// assert_eq!(c.class_count(5), 1);
 /// ```
 pub fn color_refinement(g: &Graph, rounds: usize) -> ColorClasses {
-    color_refinement_with(g, rounds, refine_engine_choice())
-}
-
-/// [`color_refinement`] pinned to a specific engine — the differential
-/// testing and benchmarking hook; use [`color_refinement`] elsewhere.
-#[doc(hidden)]
-pub fn color_refinement_with(g: &Graph, rounds: usize, engine: RefineEngine) -> ColorClasses {
-    if engine == RefineEngine::Worklist {
-        return worklist_coloring(g, Some(rounds), false).0;
-    }
-    let mut state = RoundState::for_graph(g);
-    let mut levels = Vec::with_capacity(rounds + 1);
-    levels.push(degree_partition(g, &mut state.refiner));
-    for _ in 0..rounds {
-        let (next, _) = refine_round(g, levels.last().expect("depth 0"), &mut state);
-        levels.push(next);
-    }
-    ColorClasses { levels }
+    worklist_coloring(g, Some(rounds), Parallelism::Auto).0
 }
 
 /// Runs colour refinement to stability; returns the classes and the round at
@@ -278,33 +173,10 @@ pub fn color_refinement_with(g: &Graph, rounds: usize, engine: RefineEngine) -> 
 /// instead of running a fixed `n` rounds, so highly symmetric graphs
 /// (which stabilise in O(1) rounds) cost O(1) rounds. The returned
 /// [`ColorClasses`] contains levels `0..=round + 1` (the last two levels
-/// are equal, witnessing stability). The engine is selected by
-/// `PORTNUM_REFINE` exactly as for [`color_refinement`].
+/// are equal, witnessing stability).
 pub fn stable_coloring(g: &Graph) -> (ColorClasses, usize) {
-    stable_coloring_with(g, refine_engine_choice())
-}
-
-/// [`stable_coloring`] pinned to a specific engine — the differential
-/// testing and benchmarking hook; use [`stable_coloring`] elsewhere.
-#[doc(hidden)]
-pub fn stable_coloring_with(g: &Graph, engine: RefineEngine) -> (ColorClasses, usize) {
-    if engine == RefineEngine::Worklist {
-        let (classes, round) = worklist_coloring(g, None, false);
-        return (classes, round.expect("unbounded run reports its stable round"));
-    }
-    let mut state = RoundState::for_graph(g);
-    let mut levels = vec![degree_partition(g, &mut state.refiner)];
-    loop {
-        let (next, stable) = refine_round(g, levels.last().expect("depth 0"), &mut state);
-        levels.push(next);
-        if stable {
-            let round = levels.len() - 2;
-            return (ColorClasses { levels }, round);
-        }
-        // Safety valve: a partition on n nodes can only split n - 1 times,
-        // so stability must occur within n rounds.
-        debug_assert!(levels.len() <= g.len().max(1) + 1, "refinement failed to stabilise");
-    }
+    let (classes, round) = worklist_coloring(g, None, Parallelism::Auto);
+    (classes, round.expect("unbounded run reports its stable round"))
 }
 
 #[cfg(test)]
@@ -312,6 +184,113 @@ mod tests {
     use super::*;
     use crate::generators;
     use crate::graph::Graph;
+    use crate::partition::{parallel_encode_weighted, Refiner, SignatureBuffer};
+
+    /// Reusable per-run state for colour-refinement rounds: the shared
+    /// interner plus the sequential and parallel encode scratch buffers.
+    #[derive(Default)]
+    struct RoundState {
+        refiner: Refiner,
+        blocks: Vec<usize>,
+        buffers: Vec<SignatureBuffer>,
+        /// Worker threads for the encode phase (1 = sequential).
+        threads: usize,
+        /// Prefix sums of per-node encode work (degrees do not change, so
+        /// one array serves every round); built only when `threads > 1`.
+        work: Vec<usize>,
+    }
+
+    impl RoundState {
+        fn for_graph(g: &Graph) -> RoundState {
+            // Per-round encode work: one previous colour plus both endpoints
+            // of every edge.
+            RoundState {
+                threads: Parallelism::Auto.threads(g.len() + 2 * g.edge_count()),
+                ..RoundState::default()
+            }
+        }
+
+        /// Builds the per-node work prefix sums (colour word + count slot +
+        /// one entry per neighbour) used to balance the parallel chunks.
+        /// Idempotent; [`refine_round`] calls it lazily so a `RoundState`
+        /// cannot reach the parallel path without its work array.
+        fn ensure_work(&mut self, g: &Graph) {
+            if self.threads > 1 && self.work.len() != g.len() + 1 {
+                self.work.clear();
+                self.work.reserve(g.len() + 1);
+                self.work.push(0);
+                for v in g.nodes() {
+                    self.work.push(self.work[v] + 2 + g.degree(v));
+                }
+            }
+        }
+    }
+
+    /// One colour-refinement round over the shared engine; returns the next
+    /// level and whether it equals `prev` (i.e. the partition is stable).
+    fn refine_round(g: &Graph, prev: &[usize], state: &mut RoundState) -> (Vec<usize>, bool) {
+        state.refiner.begin_round();
+        state.ensure_work(g);
+        let mut next = Vec::with_capacity(g.len());
+        if state.threads > 1 {
+            // Parallel encode into chunk-local buffers split at work
+            // quantiles (a hub node gets a chunk to itself), then intern in
+            // node order (first-seen ids match the sequential engine
+            // exactly).
+            parallel_encode_weighted(&state.work, state.threads, &mut state.buffers, |range, buf| {
+                let mut blocks = std::mem::take(buf.blocks_scratch());
+                for v in range {
+                    buf.begin(prev[v]);
+                    blocks.extend(g.neighbors(v).iter().map(|&u| prev[u]));
+                    buf.push_blocks(&mut blocks, Counting::Multiset);
+                    buf.end();
+                }
+                *buf.blocks_scratch() = blocks;
+            });
+            for buf in &state.buffers {
+                for i in 0..buf.len() {
+                    next.push(state.refiner.commit_slice(buf.signature(i)));
+                }
+            }
+        } else {
+            for v in g.nodes() {
+                state.refiner.begin_signature(prev[v]);
+                state.blocks.extend(g.neighbors(v).iter().map(|&u| prev[u]));
+                state.refiner.push_blocks(&mut state.blocks, Counting::Multiset);
+                next.push(state.refiner.commit());
+            }
+        }
+        let stable = next == prev;
+        (next, stable)
+    }
+
+    fn degree_partition(g: &Graph, refiner: &mut Refiner) -> Vec<usize> {
+        refiner.seed_partition(g.nodes().map(|v| g.degree(v) as u64))
+    }
+
+    /// The full-round reference engine: every node re-coloured every
+    /// round. Same contract as [`worklist_coloring`] — `Some(r)` runs
+    /// exactly `r` rounds, `None` stops at (and reports) the first
+    /// stable round.
+    fn rounds_coloring(g: &Graph, bound: Option<usize>) -> (ColorClasses, Option<usize>) {
+        let mut state = RoundState::for_graph(g);
+        let mut levels = vec![degree_partition(g, &mut state.refiner)];
+        loop {
+            if bound.is_some_and(|rounds| levels.len() > rounds) {
+                return (ColorClasses { levels }, None);
+            }
+            let (next, stable) = refine_round(g, levels.last().expect("depth 0"), &mut state);
+            levels.push(next);
+            if bound.is_none() {
+                if stable {
+                    let round = levels.len() - 2;
+                    return (ColorClasses { levels }, Some(round));
+                }
+                // A partition on n nodes can only split n - 1 times.
+                debug_assert!(levels.len() <= g.len().max(1) + 1, "refinement failed to stabilise");
+            }
+        }
+    }
 
     #[test]
     fn cycles_of_different_lengths_are_wl_equivalent() {
@@ -452,16 +431,17 @@ mod tests {
             Graph::empty(3),
             Graph::empty(0),
         ] {
-            let (wl, wl_round) = stable_coloring_with(&g, RefineEngine::Worklist);
-            let (rd, rd_round) = stable_coloring_with(&g, RefineEngine::Rounds);
+            let (wl, wl_round) = stable_coloring(&g);
+            let (rd, rd_round) = rounds_coloring(&g, None);
+            let rd_round = rd_round.expect("unbounded run reports its stable round");
             assert_eq!(wl_round, rd_round, "stable round diverged on {g}");
             assert_eq!(wl.rounds(), rd.rounds(), "level count diverged on {g}");
             for t in 0..=wl.rounds() {
                 assert_eq!(wl.level(t), rd.level(t), "{g} level {t}");
             }
             for rounds in [0, 1, wl_round + 2] {
-                let a = color_refinement_with(&g, rounds, RefineEngine::Worklist);
-                let b = color_refinement_with(&g, rounds, RefineEngine::Rounds);
+                let a = color_refinement(&g, rounds);
+                let (b, _) = rounds_coloring(&g, Some(rounds));
                 for t in 0..=rounds {
                     assert_eq!(a.levels[t], b.levels[t], "{g} bounded {rounds} level {t}");
                 }
@@ -472,8 +452,8 @@ mod tests {
     #[test]
     fn worklist_forced_parallel_coloring_matches_sequential() {
         for g in [generators::grid(6, 5), generators::path(40)] {
-            let (seq, seq_round) = worklist_coloring(&g, None, false);
-            let (par, par_round) = worklist_coloring(&g, None, true);
+            let (seq, seq_round) = worklist_coloring(&g, None, Parallelism::Off);
+            let (par, par_round) = worklist_coloring(&g, None, Parallelism::Force);
             assert_eq!(seq_round, par_round);
             assert_eq!(seq.levels, par.levels, "{g}");
         }

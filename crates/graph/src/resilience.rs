@@ -219,33 +219,6 @@ impl ExecControl {
         ExecControl { budget, ..Self::default() }
     }
 
-    /// Builds from the process environment:
-    /// `PORTNUM_DEADLINE_MS`, `PORTNUM_MAX_SLOT_WORDS`,
-    /// `PORTNUM_MAX_TOUCHED_WORDS`, `PORTNUM_MAX_CACHE_WORDS`.
-    /// Unset knobs stay unlimited; set-but-malformed knobs panic (the
-    /// workspace's parse-or-panic knob contract, enforced by
-    /// `env_knobs_parse_or_panic`).
-    #[must_use]
-    pub fn from_env() -> Self {
-        fn usize_knob(name: &str) -> Option<usize> {
-            std::env::var(name).ok().map(|v| {
-                v.parse::<usize>()
-                    .unwrap_or_else(|_| panic!("{name} must be a non-negative integer, got {v:?}"))
-            })
-        }
-        let deadline = usize_knob("PORTNUM_DEADLINE_MS")
-            .map(|ms| Deadline::after(Duration::from_millis(ms as u64)));
-        ExecControl {
-            cancel: None,
-            deadline,
-            budget: ExecBudget {
-                max_slot_words: usize_knob("PORTNUM_MAX_SLOT_WORDS"),
-                max_touched_words: usize_knob("PORTNUM_MAX_TOUCHED_WORDS"),
-                max_cache_words: usize_knob("PORTNUM_MAX_CACHE_WORDS"),
-            },
-        }
-    }
-
     /// True when this control can never interrupt (no token, no
     /// deadline, no work ceiling) — engines use it to skip staging
     /// buffers they would only need for rollback.

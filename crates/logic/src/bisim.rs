@@ -20,21 +20,20 @@
 //!
 //! # Implementation
 //!
-//! Two engines drive the rounds, selected once per process by the
-//! `PORTNUM_REFINE` environment variable (see
-//! [`portnum_graph::partition::refine_engine_choice`]) and
-//! differentially tested to produce identical partitions at every
-//! depth:
+//! Two engines drive the rounds, differentially tested in-process to
+//! produce identical partitions at every depth:
 //!
-//! * **Worklist** (default) — the incremental engine of
+//! * **Worklist** (every public entry point) — the incremental engine of
 //!   [`portnum_graph::partition::WorklistRefiner`]: blocks that split
 //!   in round `t` are the splitters of round `t + 1`, and only their
 //!   members' predecessors (found via a reverse CSR built once per
 //!   run) are re-signed. Near-stable rounds cost O(changed) instead of
 //!   O(n), which collapses the Θ(n · rounds) bill that long-diameter
 //!   models (paths, deep trees — Θ(n) rounds each) used to pay.
-//! * **Rounds** (`PORTNUM_REFINE=rounds`) — the full-round reference
-//!   engine described below; every world is re-signed every round.
+//! * **Rounds** — the full-round reference engine described below;
+//!   every world is re-signed every round. Reached only through the
+//!   doc-hidden [`refine_with`], which pins an engine and a
+//!   [`Parallelism`] for differential tests and benches.
 //!
 //! Rounds of the reference engine run on the interned-signature engine
 //! of [`portnum_graph::partition`] (shared with 1-WL colour refinement): a
@@ -79,8 +78,8 @@
 
 use crate::kripke::Kripke;
 use portnum_graph::partition::{
-    encode_threads, encode_work, nonempty_row_index, parallel_encode_weighted,
-    refine_engine_choice, threads_for, Counting, Refiner, SignatureBuffer, WorklistRefiner,
+    encode_work, nonempty_row_index, parallel_encode_weighted, Counting, Parallelism, Refiner,
+    SignatureBuffer, WorklistRefiner,
 };
 use portnum_graph::resilience::{ExecControl, Interrupted};
 pub use portnum_graph::partition::{RefineEngine, RefineStats};
@@ -88,8 +87,7 @@ pub use portnum_graph::partition::{RefineEngine, RefineStats};
 /// Minimum signature words of per-round encode work (worlds + stored
 /// successor pairs) before refinement rounds parallelise their encode
 /// phase; below this, even the pool wake-up outweighs the round's
-/// work. Overridable via `PORTNUM_POOL` — see
-/// [`portnum_graph::partition::threads_for`].
+/// work. See [`portnum_graph::partition::threads_for`].
 pub const PARALLEL_THRESHOLD: usize = portnum_graph::partition::PARALLEL_THRESHOLD;
 
 /// Plain (set-based) or graded (counting) refinement.
@@ -217,13 +215,10 @@ impl BisimClasses {
 /// level (O(n · depth) memory). Use [`refine_fixpoint`] when only the
 /// final partition matters.
 ///
-/// Rounds run on the engine selected by `PORTNUM_REFINE` (see
-/// [`refine_engine_choice`]): the incremental worklist engine by
-/// default, the full-round reference with `PORTNUM_REFINE=rounds`.
-/// The engines produce identical levels at every depth
-/// (proptest-pinned), differing only in cost: on long-diameter models
-/// the worklist engine touches O(changed) worlds per round instead of
-/// all n.
+/// Rounds run on the incremental worklist engine, whose levels equal
+/// the full-round reference's at every depth (proptest-pinned): on
+/// long-diameter models it touches O(changed) worlds per round instead
+/// of all n.
 pub fn refine(model: &Kripke, style: BisimStyle) -> BisimClasses {
     refine_impl(model, style, None, true, &ExecControl::unrestricted())
         .expect("unrestricted refinement cannot be interrupted")
@@ -248,20 +243,6 @@ pub fn refine_controlled(
     refine_impl(model, style, None, true, ctl)
 }
 
-/// Control-aware [`refine_fixpoint`] (final partition only); the same
-/// round-boundary polling contract as [`refine_controlled`].
-///
-/// # Errors
-///
-/// The first [`Interrupted`] observed at a round boundary.
-pub fn refine_fixpoint_controlled(
-    model: &Kripke,
-    style: BisimStyle,
-    ctl: &ExecControl,
-) -> Result<BisimClasses, Interrupted> {
-    refine_impl(model, style, None, false, ctl)
-}
-
 /// Runs signature refinement for at most `depth` rounds (the result
 /// characterises formulas of modal depth `≤ depth`).
 pub fn refine_bounded(model: &Kripke, style: BisimStyle, depth: usize) -> BisimClasses {
@@ -273,8 +254,7 @@ pub fn refine_bounded(model: &Kripke, style: BisimStyle, depth: usize) -> BisimC
 /// partition (O(n) memory — no level history).
 ///
 /// The result answers [`BisimClasses::bisimilar`] / final-level queries;
-/// level-indexed queries below the fixpoint depth panic. Like
-/// [`refine`], the engine is selected by `PORTNUM_REFINE`.
+/// level-indexed queries below the fixpoint depth panic.
 ///
 /// # Examples
 ///
@@ -301,7 +281,7 @@ pub fn refine_fixpoint(model: &Kripke, style: BisimStyle) -> BisimClasses {
 /// full-round engine would encode exactly `n · rounds` signatures; on
 /// long-diameter models `encoded` stays O(n + edges).
 pub fn refine_fixpoint_stats(model: &Kripke, style: BisimStyle) -> (BisimClasses, RefineStats) {
-    refine_worklist(model, style, None, false, false, &ExecControl::unrestricted())
+    refine_worklist(model, style, None, false, Parallelism::Auto, &ExecControl::unrestricted())
         .expect("unrestricted refinement cannot be interrupted")
 }
 
@@ -312,61 +292,26 @@ fn refine_impl(
     keep_levels: bool,
     ctl: &ExecControl,
 ) -> Result<BisimClasses, Interrupted> {
-    match refine_engine_choice() {
-        RefineEngine::Worklist => {
-            Ok(refine_worklist(model, style, depth, keep_levels, false, ctl)?.0)
-        }
-        RefineEngine::Rounds => refine_engine(
-            model,
-            style,
-            depth,
-            keep_levels,
-            threads_for(model.len() + model.relation_entry_count()),
-            ctl,
-        ),
-    }
+    Ok(refine_worklist(model, style, depth, keep_levels, Parallelism::Auto, ctl)?.0)
 }
 
-/// Full-history refinement pinned to a specific engine — the
-/// differential-testing and benchmarking hook; use [`refine`] (which
-/// consults `PORTNUM_REFINE`) everywhere else.
+/// Full-history refinement pinned to an engine and a thread-count
+/// policy — the differential-testing and benchmarking hook; use
+/// [`refine`] everywhere else. Every combination yields the same
+/// levels.
 #[doc(hidden)]
-pub fn refine_with(model: &Kripke, style: BisimStyle, engine: RefineEngine) -> BisimClasses {
+pub fn refine_with(
+    model: &Kripke,
+    style: BisimStyle,
+    engine: RefineEngine,
+    par: Parallelism,
+) -> BisimClasses {
     let ctl = ExecControl::unrestricted();
     match engine {
-        RefineEngine::Worklist => refine_worklist(model, style, None, true, false, &ctl)
-            .expect("unrestricted refinement cannot be interrupted")
-            .0,
-        RefineEngine::Rounds => refine_engine(
-            model,
-            style,
-            None,
-            true,
-            threads_for(model.len() + model.relation_entry_count()),
-            &ctl,
-        )
-        .expect("unrestricted refinement cannot be interrupted"),
+        RefineEngine::Worklist => refine_worklist(model, style, None, true, par, &ctl).map(|r| r.0),
+        RefineEngine::Rounds => refine_engine(model, style, None, true, par, &ctl),
     }
-}
-
-/// Runs the full-history **round-engine** refinement with the encode
-/// phase forced onto the worker pool regardless of model size. Exists
-/// so tests and benches can pin the pool-driven path against the
-/// sequential one; use [`refine`] and friends everywhere else.
-#[doc(hidden)]
-pub fn refine_forced_parallel(model: &Kripke, style: BisimStyle) -> BisimClasses {
-    refine_engine(model, style, None, true, encode_threads().max(2), &ExecControl::unrestricted())
-        .expect("unrestricted refinement cannot be interrupted")
-}
-
-/// Runs the full-history **worklist** refinement with every round's
-/// encode phase forced onto the worker pool — the differential-test
-/// knob for the frontier-chunked parallel path.
-#[doc(hidden)]
-pub fn refine_worklist_forced_parallel(model: &Kripke, style: BisimStyle) -> BisimClasses {
-    refine_worklist(model, style, None, true, true, &ExecControl::unrestricted())
-        .expect("unrestricted refinement cannot be interrupted")
-        .0
+    .expect("unrestricted refinement cannot be interrupted")
 }
 
 /// The worklist-engine driver: identical round semantics to
@@ -380,7 +325,7 @@ fn refine_worklist(
     style: BisimStyle,
     depth: Option<usize>,
     keep_levels: bool,
-    force_parallel: bool,
+    par: Parallelism,
     ctl: &ExecControl,
 ) -> Result<(BisimClasses, RefineStats), Interrupted> {
     let n = model.len();
@@ -398,7 +343,7 @@ fn refine_worklist(
     // single-relation models literally the same store as the
     // evaluator's CSC diamond path.
     refiner.share_reverse_adjacency(|| model.combined_predecessors_csc());
-    refiner.force_parallel(force_parallel);
+    refiner.parallelism(par);
     // Fixpoint-only callers never observe intermediate canonical
     // levels, so the refiner can skip its per-round level bookkeeping
     // (the dirty-order sort); the fixpoint partition is unaffected.
@@ -507,11 +452,12 @@ fn refine_engine(
     style: BisimStyle,
     depth: Option<usize>,
     keep_levels: bool,
-    threads: usize,
+    par: Parallelism,
     ctl: &ExecControl,
 ) -> Result<BisimClasses, Interrupted> {
     let n = model.len();
     let counting = style.counting();
+    let threads = par.threads(n + model.relation_entry_count());
 
     let mut refiner = Refiner::new();
     // Depth 0: partition by valuation (degree atoms).
@@ -827,8 +773,8 @@ mod tests {
             let p = PortNumbering::random(&g, &mut rng);
             for k in [Kripke::k_mm(&g), Kripke::k_pp(&g, &p), Kripke::k_mp(&g, &p)] {
                 for style in [BisimStyle::Plain, BisimStyle::Graded] {
-                    let wl = refine_with(&k, style, RefineEngine::Worklist);
-                    let rd = refine_with(&k, style, RefineEngine::Rounds);
+                    let wl = refine_with(&k, style, RefineEngine::Worklist, Parallelism::Auto);
+                    let rd = refine_with(&k, style, RefineEngine::Rounds, Parallelism::Auto);
                     assert_eq!(wl.depth(), rd.depth(), "{g} {:?} depth", style);
                     assert_eq!(wl.is_stable(), rd.is_stable());
                     for t in 0..=wl.depth() {
@@ -847,8 +793,8 @@ mod tests {
         });
         let k = Kripke::k_mm(&g);
         for style in [BisimStyle::Plain, BisimStyle::Graded] {
-            let seq = refine_with(&k, style, RefineEngine::Worklist);
-            let par = refine_worklist_forced_parallel(&k, style);
+            let seq = refine_with(&k, style, RefineEngine::Worklist, Parallelism::Off);
+            let par = refine_with(&k, style, RefineEngine::Worklist, Parallelism::Force);
             assert_eq!(seq.depth(), par.depth());
             for t in 0..=seq.depth() {
                 assert_eq!(seq.level(t), par.level(t), "{:?} level {t}", style);

@@ -15,9 +15,9 @@
 //!   ([`plan::Plan::compile_suite`]) and the per-model
 //!   [`plan::ModelChecker`] cache amortising suites formula by formula;
 //! * [`bisim`] — plain and graded bisimulation via partition refinement,
-//!   bounded or to fixpoint (Section 4.2, Fact 1), on the worklist or
-//!   full-round engine (`PORTNUM_REFINE`, see
-//!   [`portnum_graph::partition`]);
+//!   bounded or to fixpoint (Section 4.2, Fact 1), on the incremental
+//!   worklist engine of [`portnum_graph::partition`] (the full-round
+//!   engine stays as its in-process differential reference);
 //! * [`characteristic`] — Hennessy–Milner characteristic formulas: the
 //!   converse of Fact 1, one separating formula per inequivalent pair;
 //! * [`quotient`]/[`minimum_base`] — bisimulation quotients (the

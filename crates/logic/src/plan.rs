@@ -135,9 +135,10 @@
 //! # Parallel execution
 //!
 //! [`Plan::execute`] runs on the persistent worker pool
-//! ([`portnum_graph::pool`]) along two axes, both gated on the shared
-//! work threshold ([`portnum_graph::partition::threads_for`]) so tiny
-//! models stay on the sequential fast path:
+//! ([`portnum_graph::pool`]) along two axes, both gated by a
+//! [`Parallelism`] value — in production [`Parallelism::Auto`], the
+//! shared work threshold ([`portnum_graph::partition::threads_for`]) —
+//! so tiny models stay on the sequential fast path:
 //!
 //! * **within an instruction** — `Prop` and forward diamonds split the
 //!   world range at 64-aligned, work-weighted boundaries (the CSR
@@ -159,10 +160,12 @@
 //! prefetch — a pure traversal-order-and-hint layer.
 //!
 //! Both axes write only per-chunk state, so results are bit-identical
-//! to the sequential engine (proptest-pinned; `execute_forced_parallel`
-//! is the test knob that drives them below the gate, and
-//! `execute_forced_sequential` the converse knob pinning the reference
-//! at sizes the work gate would parallelise).
+//! to the sequential engine (proptest-pinned in-process:
+//! [`Plan::execute_controlled`] with [`Parallelism::Force`] drives them
+//! below the gate, and with [`Parallelism::Off`] pins the sequential
+//! reference at sizes the gate would parallelise). Fixpoint bodies
+//! inherit the executor's value; [`ModelChecker`] evaluates
+//! sequentially.
 //!
 //! The gate itself is two-stage: the static word floor
 //! ([`portnum_graph::partition::threads_for`]) plus a floor derived
@@ -186,7 +189,7 @@ use crate::kripke::Kripke;
 use portnum_graph::bitset::{fill_words_from_fn, Bitset};
 use portnum_graph::blocking;
 use portnum_graph::csc::CscAdjacency;
-use portnum_graph::partition::{encode_threads, quantile_ranges, threads_for, FxHashMap};
+use portnum_graph::partition::{encode_threads, quantile_ranges, FxHashMap, Parallelism};
 use portnum_graph::pool::WorkerPool;
 use portnum_graph::resilience::{ExecControl, Interrupted};
 use std::ops::Range;
@@ -386,18 +389,6 @@ impl ExecStats {
         self.fixpoint_dense_passes += other.fixpoint_dense_passes;
         self.dispatch_cost_ns = self.dispatch_cost_ns.max(other.dispatch_cost_ns);
     }
-}
-
-/// How the executor resolves thread counts: the two-stage Auto work
-/// gate, forced parallel (tests and benches pinning the pool paths
-/// below the gate), or forced sequential (the benches' reference
-/// timings above it). Orthogonal to [`DiamondMode`]: strategy choice
-/// and parallelisation never influence each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Parallelism {
-    Auto,
-    Force,
-    Off,
 }
 
 /// One in-progress fixpoint body during lowering: the frame of a µ/ν
@@ -944,14 +935,27 @@ impl Plan {
     ///
     /// See [`Plan::execute`].
     pub fn execute_with(&self, model: &Kripke, mode: DiamondMode) -> (Vec<Bitset>, ExecStats) {
-        self.execute_impl(model, mode, Parallelism::Auto, &ExecControl::unrestricted())
+        self.execute_controlled(model, mode, Parallelism::Auto, &ExecControl::unrestricted())
             .expect("unrestricted execution cannot be interrupted")
     }
 
-    /// Control-aware executor: polls `ctl` at every instruction
-    /// boundary (and, through the pool, at every chunk boundary of a
-    /// level-parallel step), so cancel-to-error latency is bounded by
-    /// one instruction/chunk granule. Budget semantics:
+    /// Estimated work of one instruction, in the same "words of work"
+    /// currency as [`Parallelism::Auto`]'s gate (refinement signature words
+    /// ≈ a few ns each): connectives are word-parallel (`n/64`),
+    /// `Prop` compares one degree per world, diamonds sweep every
+    /// world plus every stored successor pair.
+    fn op_work(&self, model: &Kripke, id: u32) -> usize {
+        op_work_for(model, &self.bodies, self.ops[id as usize])
+    }
+
+    /// The full executor: `par` decides how thread counts resolve
+    /// ([`Parallelism::Auto`] in production; `Force`/`Off` pin the
+    /// pool-driven or sequential paths for differential tests and
+    /// benches — output is bit-identical either way, and orthogonal to
+    /// the [`DiamondMode`] strategy), and `ctl` is polled at every
+    /// instruction boundary (and, through the pool, at every chunk
+    /// boundary of a level-parallel step), so cancel-to-error latency is
+    /// bounded by one instruction/chunk granule. Budget semantics:
     ///
     /// * the touched-work ceiling accumulates the executor's
     ///   per-instruction work estimate — the same currency the Auto
@@ -976,63 +980,6 @@ impl Plan {
         &self,
         model: &Kripke,
         mode: DiamondMode,
-        ctl: &ExecControl,
-    ) -> Result<(Vec<Bitset>, ExecStats), Interrupted> {
-        self.execute_impl(model, mode, Parallelism::Auto, ctl)
-    }
-
-    /// Runs the executor with every parallel path forced on (both
-    /// chunking axes, regardless of model size). Exists so tests and
-    /// benches can pin the pool-driven executor against the sequential
-    /// one; use [`Plan::execute`] / [`Plan::execute_with`] everywhere
-    /// else.
-    #[doc(hidden)]
-    pub fn execute_forced_parallel(&self, model: &Kripke, mode: DiamondMode) -> (Vec<Bitset>, ExecStats) {
-        self.execute_impl(model, mode, Parallelism::Force, &ExecControl::unrestricted())
-            .expect("unrestricted execution cannot be interrupted")
-    }
-
-    /// Runs the executor with every parallel path forced *off* (one
-    /// thread regardless of work), so benches can measure the
-    /// sequential reference at sizes the Auto work gate would
-    /// parallelise — the counterpart of
-    /// [`Plan::execute_forced_parallel`] on the other side of the
-    /// gate. Bit-identical output to every other mode.
-    #[doc(hidden)]
-    pub fn execute_forced_sequential(
-        &self,
-        model: &Kripke,
-        mode: DiamondMode,
-    ) -> (Vec<Bitset>, ExecStats) {
-        self.execute_impl(model, mode, Parallelism::Off, &ExecControl::unrestricted())
-            .expect("unrestricted execution cannot be interrupted")
-    }
-
-    /// [`Plan::execute_forced_parallel`] with a control — the chaos
-    /// tests drive the pool-backed paths under cancellation with this.
-    #[doc(hidden)]
-    pub fn execute_forced_parallel_controlled(
-        &self,
-        model: &Kripke,
-        mode: DiamondMode,
-        ctl: &ExecControl,
-    ) -> Result<(Vec<Bitset>, ExecStats), Interrupted> {
-        self.execute_impl(model, mode, Parallelism::Force, ctl)
-    }
-
-    /// Estimated work of one instruction, in the same "words of work"
-    /// currency as [`threads_for`]'s gate (refinement signature words
-    /// ≈ a few ns each): connectives are word-parallel (`n/64`),
-    /// `Prop` compares one degree per world, diamonds sweep every
-    /// world plus every stored successor pair.
-    fn op_work(&self, model: &Kripke, id: u32) -> usize {
-        op_work_for(model, &self.bodies, self.ops[id as usize])
-    }
-
-    fn execute_impl(
-        &self,
-        model: &Kripke,
-        mode: DiamondMode,
         par: Parallelism,
         ctl: &ExecControl,
     ) -> Result<(Vec<Bitset>, ExecStats), Interrupted> {
@@ -1048,18 +995,13 @@ impl Plan {
         // that sum would cross the ceiling, degrade to sequential —
         // the query still answers, just without the partials.
         let word_len = self.n.div_ceil(64);
-        let parallel_ok = !ctl
+        let par = if ctl
             .budget
-            .slots_over(self.slot_count * word_len + (encode_threads().max(2) + 1) * word_len);
-        let threads = |work: usize| {
-            if !parallel_ok {
-                return 1;
-            }
-            match par {
-                Parallelism::Off => 1,
-                Parallelism::Force => encode_threads().max(2),
-                Parallelism::Auto => threads_for(work),
-            }
+            .slots_over(self.slot_count * word_len + (encode_threads().max(2) + 1) * word_len)
+        {
+            Parallelism::Off
+        } else {
+            par
         };
         let mut touched = 0usize;
         let mut stats = ExecStats::default();
@@ -1078,7 +1020,7 @@ impl Plan {
             // its own body ops over the pool, and a pool worker must
             // never dispatch a nested pool call.
             if ids.len() > 1
-                && threads(level_work) > 1
+                && par.threads(level_work) > 1
                 && heaviest * 2 <= level_work
                 && !ids.iter().any(|&id| matches!(self.ops[id as usize], Op::Fixpoint(_)))
             {
@@ -1111,14 +1053,14 @@ impl Plan {
                         &mut out,
                         &mut stats,
                         ctl,
-                        &threads,
+                        par,
                     )?;
                     stats.executed += 1;
                     slots[dst] = out;
                     continue;
                 }
                 let op_threads = match op {
-                    Op::Prop(_) | Op::Diamond { .. } => threads(self.op_work(model, id)),
+                    Op::Prop(_) | Op::Diamond { .. } => par.threads(self.op_work(model, id)),
                     _ => 1,
                 };
                 if op_threads > 1 {
@@ -1216,7 +1158,7 @@ impl Plan {
 }
 
 /// Estimated work of one instruction, in the same "words of work"
-/// currency as [`threads_for`]'s gate (refinement signature words
+/// currency as [`Parallelism::Auto`]'s gate (refinement signature words
 /// ≈ a few ns each): connectives are word-parallel (`n/64`),
 /// `Prop` compares one degree per world, diamonds sweep every
 /// world plus every stored successor pair. A fixpoint prices at twice
@@ -1305,7 +1247,7 @@ fn body_dense_pass(
     vals: &mut [Bitset],
     stats: &mut ExecStats,
     ctl: &ExecControl,
-    threads: &(dyn Fn(usize) -> usize + Sync),
+    par: Parallelism,
 ) -> Result<(), Interrupted> {
     for i in 0..body.ops.len() {
         let op = body.ops[i];
@@ -1325,12 +1267,12 @@ fn body_dense_pass(
                     &mut out,
                     stats,
                     ctl,
-                    threads,
+                    par,
                 )?;
             }
             _ => {
                 let op_threads = match op {
-                    Op::Prop(_) | Op::Diamond { .. } => threads(op_work_for(model, bodies, op)),
+                    Op::Prop(_) | Op::Diamond { .. } => par.threads(op_work_for(model, bodies, op)),
                     _ => 1,
                 };
                 if op_threads > 1 {
@@ -1364,7 +1306,7 @@ fn body_frontier_pass(
     changed: &mut [Vec<u32>],
     stats: &mut ExecStats,
     ctl: &ExecControl,
-    threads: &(dyn Fn(usize) -> usize + Sync),
+    par: Parallelism,
 ) -> Result<(), Interrupted> {
     for (i, &op) in body.ops.iter().enumerate() {
         let (prev, rest) = vals.split_at_mut(i);
@@ -1401,7 +1343,7 @@ fn body_frontier_pass(
                         &mut next,
                         stats,
                         ctl,
-                        threads,
+                        par,
                     )?;
                     cur.for_each_difference(&next, |v| flips.push(v as u32));
                     *cur = next;
@@ -1574,7 +1516,7 @@ fn eval_fixpoint_into<'a>(
     out: &mut Bitset,
     stats: &mut ExecStats,
     ctl: &ExecControl,
-    threads: &(dyn Fn(usize) -> usize + Sync),
+    par: Parallelism,
 ) -> Result<(), Interrupted> {
     let body = &bodies[b as usize];
     let n = model.len();
@@ -1599,13 +1541,13 @@ fn eval_fixpoint_into<'a>(
         stats.fixpoint_iters += 1;
         if iters == 1 {
             stats.fixpoint_dense_passes += 1;
-            body_dense_pass(model, mode, bodies, body, &x, &arg_vals, &mut vals, stats, ctl, threads)?;
+            body_dense_pass(model, mode, bodies, body, &x, &arg_vals, &mut vals, stats, ctl, par)?;
             x_changed.clear();
             x.for_each_difference(&vals[body.root as usize], |v| x_changed.push(v as u32));
         } else {
             body_frontier_pass(
                 model, mode, bodies, body, &x, &x_changed, &mut vals, &mut changed, stats, ctl,
-                threads,
+                par,
             )?;
             x_changed.clear();
             x_changed.extend_from_slice(&changed[body.root as usize]);
@@ -2530,7 +2472,7 @@ impl<'m> ModelChecker<'m> {
                     &mut out,
                     &mut exec,
                     ctl,
-                    &|_| 1,
+                    Parallelism::Off,
                 )?;
             } else {
                 eval_op_into(self.model, self.mode, self.lw.ops[id as usize], operand, &mut out, &mut exec);
@@ -2710,7 +2652,7 @@ impl<'m> ModelChecker<'m> {
                     &mut out,
                     &mut exec,
                     &ExecControl::unrestricted(),
-                    &|_| 1,
+                    Parallelism::Off,
                 )
                 .expect("unrestricted control never interrupts");
                 existing.for_each_difference(&out, |v| flips.push(v as u32));
@@ -2865,6 +2807,17 @@ mod tests {
     use crate::eval::evaluate_packed_recursive;
     use crate::formula::ModalIndex;
     use portnum_graph::{generators, PortNumbering};
+
+    /// Runs `plan` with thread counts pinned by `par` and no control.
+    fn execute_pinned(
+        plan: &Plan,
+        k: &Kripke,
+        mode: DiamondMode,
+        par: Parallelism,
+    ) -> (Vec<Bitset>, ExecStats) {
+        plan.execute_controlled(k, mode, par, &ExecControl::unrestricted())
+            .expect("unrestricted execution cannot be interrupted")
+    }
 
     /// Structurally equal diamond towers sharing no `Arc`s.
     fn unshared_tower(depth: usize) -> Formula {
@@ -3409,15 +3362,14 @@ mod tests {
         for mode in
             [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Reverse, DiamondMode::Csc]
         {
-            let (seq, seq_stats) = plan.execute_with(&k, mode);
-            let (par, par_stats) = plan.execute_forced_parallel(&k, mode);
+            let (seq, seq_stats) = execute_pinned(&plan, &k, mode, Parallelism::Off);
+            let (par, par_stats) = execute_pinned(&plan, &k, mode, Parallelism::Force);
             assert_eq!(seq, par, "mode {mode:?}");
             assert_eq!(seq_stats.executed, par_stats.executed);
             assert_eq!(seq_stats.forward_diamonds, par_stats.forward_diamonds);
             assert_eq!(seq_stats.reverse_diamonds, par_stats.reverse_diamonds);
             assert_eq!(seq_stats.csc_diamonds, par_stats.csc_diamonds);
-            // (The un-forced run may chunk too when PORTNUM_POOL=force
-            // is set, so only the forced side is asserted.)
+            assert_eq!(seq_stats.chunked_ops, 0, "mode {mode:?}: {seq_stats:?}");
             assert!(par_stats.chunked_ops > 0, "mode {mode:?}: {par_stats:?}");
         }
     }
@@ -3434,7 +3386,7 @@ mod tests {
         }
         let plan = Plan::compile(&k, &f).unwrap();
         let (seq, seq_stats) = plan.execute_with(&k, DiamondMode::Auto);
-        let (par, par_stats) = plan.execute_forced_parallel(&k, DiamondMode::Auto);
+        let (par, par_stats) = execute_pinned(&plan, &k, DiamondMode::Auto, Parallelism::Force);
         assert_eq!(seq, par);
         assert_eq!(seq_stats.executed, par_stats.executed);
         assert!(par_stats.level_parallel_ops >= 8, "{par_stats:?}");
@@ -3449,7 +3401,7 @@ mod tests {
         let f = Formula::diamond(ModalIndex::Any, &Formula::prop(2)); // everything true inside
         let plan = Plan::compile(&k, &f).unwrap();
         let (seq, ss) = plan.execute_with(&k, DiamondMode::Reverse);
-        let (par, ps) = plan.execute_forced_parallel(&k, DiamondMode::Reverse);
+        let (par, ps) = execute_pinned(&plan, &k, DiamondMode::Reverse, Parallelism::Force);
         assert_eq!(seq, par);
         assert_eq!(ss.reverse_diamonds, 1);
         assert_eq!(ps.reverse_diamonds, 1);
@@ -3458,7 +3410,7 @@ mod tests {
         let none = Formula::diamond(ModalIndex::Any, &Formula::prop(9));
         let plan = Plan::compile(&k, &none).unwrap();
         let (seq, _) = plan.execute_with(&k, DiamondMode::Reverse);
-        let (par, _) = plan.execute_forced_parallel(&k, DiamondMode::Reverse);
+        let (par, _) = execute_pinned(&plan, &k, DiamondMode::Reverse, Parallelism::Force);
         assert_eq!(seq, par);
         assert!(seq[0].none());
     }
@@ -3473,7 +3425,7 @@ mod tests {
         let f = Formula::diamond(ModalIndex::Any, &Formula::prop(2)); // everything true inside
         let plan = Plan::compile(&k, &f).unwrap();
         let (seq, ss) = plan.execute_with(&k, DiamondMode::Csc);
-        let (par, ps) = plan.execute_forced_parallel(&k, DiamondMode::Csc);
+        let (par, ps) = execute_pinned(&plan, &k, DiamondMode::Csc, Parallelism::Force);
         assert_eq!(seq, par);
         assert_eq!(ss.csc_diamonds, 1);
         assert_eq!(ps.csc_diamonds, 1);
@@ -3482,7 +3434,7 @@ mod tests {
         let none = Formula::diamond(ModalIndex::Any, &Formula::prop(9));
         let plan = Plan::compile(&k, &none).unwrap();
         let (seq, _) = plan.execute_with(&k, DiamondMode::Csc);
-        let (par, _) = plan.execute_forced_parallel(&k, DiamondMode::Csc);
+        let (par, _) = execute_pinned(&plan, &k, DiamondMode::Csc, Parallelism::Force);
         assert_eq!(seq, par);
         assert!(seq[0].none());
         // Graded counting chunks too (per-chunk sparse count maps,
@@ -3491,7 +3443,7 @@ mod tests {
         let graded = Formula::diamond_geq(ModalIndex::Any, 2, &Formula::prop(2));
         let plan = Plan::compile(&k, &graded).unwrap();
         let (seq, ss) = plan.execute_with(&k, DiamondMode::Csc);
-        let (par, ps) = plan.execute_forced_parallel(&k, DiamondMode::Csc);
+        let (par, ps) = execute_pinned(&plan, &k, DiamondMode::Csc, Parallelism::Force);
         assert_eq!(seq, par);
         assert_eq!(ss.csc_diamonds, ps.csc_diamonds);
         assert!(ps.chunked_ops > 0, "graded CSC must shard its counting: {ps:?}");
@@ -3508,7 +3460,7 @@ mod tests {
         let f = Formula::diamond(ModalIndex::Any, &Formula::prop(1)); // leaves satisfy q1
         let plan = Plan::compile(&k, &f).unwrap();
         let (seq, _) = plan.execute_with(&k, DiamondMode::Csc);
-        let (par, ps) = plan.execute_forced_parallel(&k, DiamondMode::Csc);
+        let (par, ps) = execute_pinned(&plan, &k, DiamondMode::Csc, Parallelism::Force);
         assert_eq!(seq, par);
         assert!(ps.chunked_ops > 0, "{ps:?}");
         // Directly: shard one hub row across many chunks and replay
@@ -3677,7 +3629,7 @@ mod tests {
         for f in fixpoint_suite() {
             let plan = Plan::compile(&k, &f).unwrap();
             let (seq, seq_stats) = plan.execute_with(&k, DiamondMode::Auto);
-            let (par, par_stats) = plan.execute_forced_parallel(&k, DiamondMode::Auto);
+            let (par, par_stats) = execute_pinned(&plan, &k, DiamondMode::Auto, Parallelism::Force);
             assert_eq!(seq, par, "{f}");
             assert_eq!(seq_stats.executed, par_stats.executed);
             assert_eq!(seq_stats.fixpoint_iters, par_stats.fixpoint_iters, "{f}");

@@ -12,6 +12,7 @@
 //! on one lock and tears the registry down before and after itself.
 
 use portnum_graph::generators;
+use portnum_graph::partition::Parallelism;
 use portnum_graph::pool::WorkerPool;
 use portnum_graph::resilience::{CancelToken, ExecControl, InterruptReason};
 use portnum_logic::bisim::{self, BisimStyle};
@@ -62,42 +63,42 @@ type Query = fn(&ExecControl) -> Result<Vec<u64>, LogicError>;
 fn run_plan_seq(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     let k = chaos_model();
     let plan = Plan::compile(&k, &query_formula(4))?;
-    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Auto, ctl)?;
+    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Auto, Parallelism::Auto, ctl)?;
     Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
 }
 
 fn run_plan_pool(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     let k = chaos_model();
     let plan = Plan::compile(&k, &query_formula(4))?;
-    let (truths, _) = plan.execute_forced_parallel_controlled(&k, DiamondMode::Auto, ctl)?;
+    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Auto, Parallelism::Force, ctl)?;
     Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
 }
 
 fn run_plan_csc(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     let k = chaos_model();
     let plan = Plan::compile(&k, &query_formula(2))?;
-    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Csc, ctl)?;
+    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Csc, Parallelism::Auto, ctl)?;
     Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
 }
 
 fn run_plan_dense(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     let k = chaos_model();
     let plan = Plan::compile(&k, &query_formula(2))?;
-    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Reverse, ctl)?;
+    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Reverse, Parallelism::Auto, ctl)?;
     Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
 }
 
 fn run_fixpoint_seq(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     let k = chaos_model();
     let plan = Plan::compile(&k, &fixpoint_formula())?;
-    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Auto, ctl)?;
+    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Auto, Parallelism::Auto, ctl)?;
     Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
 }
 
 fn run_fixpoint_pool(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     let k = chaos_model();
     let plan = Plan::compile(&k, &fixpoint_formula())?;
-    let (truths, _) = plan.execute_forced_parallel_controlled(&k, DiamondMode::Auto, ctl)?;
+    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Auto, Parallelism::Force, ctl)?;
     Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
 }
 
@@ -474,7 +475,7 @@ fn deadline_and_budget_interrupt_long_queries() {
     });
     let plan = Plan::compile(&k, &query_formula(4)).expect("compiles");
     let (seq, stats) = plan
-        .execute_controlled(&k, DiamondMode::Auto, &tight_slots)
+        .execute_controlled(&k, DiamondMode::Auto, Parallelism::Force, &tight_slots)
         .expect("slot budget degrades, never fails");
     assert_eq!(stats.chunked_ops + stats.level_parallel_ops, 0, "degraded run must be sequential");
     assert_eq!(seq, plan.execute(&k), "degraded run must match the default bits");

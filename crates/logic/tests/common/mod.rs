@@ -8,7 +8,11 @@
 //! subset of it, hence the file-level `dead_code` allowance.
 #![allow(dead_code)]
 
+use portnum_graph::bitset::Bitset;
+use portnum_graph::partition::Parallelism;
+use portnum_graph::resilience::ExecControl;
 use portnum_graph::{Graph, PortNumbering};
+use portnum_logic::plan::{DiamondMode, ExecStats, Plan};
 use portnum_logic::{Formula, FormulaKind, Kripke, ModalIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -168,4 +172,17 @@ pub fn deep_clone(f: &Formula) -> Formula {
             Formula::nu(var, &deep_clone(body)).expect("rebuild preserves binder validity")
         }
     }
+}
+
+/// Runs `plan` with thread counts pinned by `par` (`Force` drives every
+/// pool path below the work gate, `Off` the sequential reference above
+/// it) and no execution control.
+pub fn execute_pinned(
+    plan: &Plan,
+    model: &Kripke,
+    mode: DiamondMode,
+    par: Parallelism,
+) -> (Vec<Bitset>, ExecStats) {
+    plan.execute_controlled(model, mode, par, &ExecControl::unrestricted())
+        .expect("unrestricted execution cannot be interrupted")
 }

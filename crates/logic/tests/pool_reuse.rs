@@ -4,27 +4,31 @@
 //! one test per pool entry point (plan level execution, refinement
 //! encode, CSC chunking).
 //!
-//! The whole binary runs with `PORTNUM_POOL=force` so every entry
-//! point drives the pool even on the small models used here. The gate
-//! reads the variable once per process, so it is set under the same
-//! serial lock that protects the process-global failpoint registry,
-//! before the first engine call.
+//! Every entry point runs with [`Parallelism::Force`], so it drives
+//! the pool even on the small models used here; the "panic must reach
+//! the caller" assert proves each call really crossed the pool.
 
+mod common;
+
+use common::execute_pinned;
 use portnum_graph::generators;
-use portnum_logic::bisim::{self, BisimStyle};
+use portnum_graph::partition::Parallelism;
+use portnum_graph::pool::WorkerPool;
+use portnum_logic::bisim::{self, BisimStyle, RefineEngine};
 use portnum_logic::plan::{DiamondMode, Plan};
 use portnum_logic::{Formula, Kripke, ModalIndex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Serialises tests, forces the pool gate, and resets the registry.
+/// Serialises tests (the failpoint registry is process-global), resets
+/// the registry, and builds the global pool: its construction-time
+/// calibration crosses `pool-chunk`, so it must not run while a
+/// one-shot panic is armed (the sequential baselines never touch it).
 fn serial() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     let guard = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    // First locker wins the race to set the var before the once-per-
-    // process gate parse; later lockers find it already set.
-    std::env::set_var("PORTNUM_POOL", "force");
     fail::teardown();
+    WorkerPool::global();
     guard
 }
 
@@ -67,7 +71,8 @@ fn plan_level_execution_reuses_pool_after_chunk_panic() {
     let k = model();
     let plan = Plan::compile(&k, &wide_formula()).expect("compiles");
     let baseline = plan.execute(&k);
-    let reused = panic_then_reuse(|| plan.execute_with(&k, DiamondMode::Auto).0);
+    let reused =
+        panic_then_reuse(|| execute_pinned(&plan, &k, DiamondMode::Auto, Parallelism::Force).0);
     assert_eq!(reused, baseline);
 }
 
@@ -76,7 +81,9 @@ fn refinement_encode_reuses_pool_after_chunk_panic() {
     let _g = serial();
     let k = model();
     let baseline = bisim::refine(&k, BisimStyle::Plain);
-    let reused = panic_then_reuse(|| bisim::refine(&k, BisimStyle::Plain));
+    let reused = panic_then_reuse(|| {
+        bisim::refine_with(&k, BisimStyle::Plain, RefineEngine::Worklist, Parallelism::Force)
+    });
     assert_eq!(reused.depth(), baseline.depth());
     assert_eq!(reused.final_level(), baseline.final_level());
 }
@@ -91,6 +98,7 @@ fn csc_chunking_reuses_pool_after_chunk_panic() {
         .and(&Formula::prop(1).not());
     let plan = Plan::compile(&k, &f).expect("compiles");
     let baseline = plan.execute_with(&k, DiamondMode::Csc).0;
-    let reused = panic_then_reuse(|| plan.execute_with(&k, DiamondMode::Csc).0);
+    let reused =
+        panic_then_reuse(|| execute_pinned(&plan, &k, DiamondMode::Csc, Parallelism::Force).0);
     assert_eq!(reused, baseline);
 }

@@ -22,7 +22,8 @@
 
 mod common;
 
-use common::{all_variants, arb_formula_with, arb_graph};
+use common::{all_variants, arb_formula_with, arb_graph, execute_pinned};
+use portnum_graph::partition::Parallelism;
 use portnum_logic::plan::{
     set_reverse_word_cap_for_tests, DiamondMode, Plan, REVERSE_WORD_CAP,
 };
@@ -67,7 +68,7 @@ proptest! {
                 // Sequential and pool-forced execution, bit-identical
                 // to the recursive engine and to each other.
                 let (mut seq, ss) = plan.execute_with(model, mode);
-                let (mut par, ps) = plan.execute_forced_parallel(model, mode);
+                let (mut par, ps) = execute_pinned(&plan, model, mode, Parallelism::Force);
                 prop_assert_eq!(
                     seq.pop().unwrap(), reference.clone(),
                     "variant {:?}, mode {:?}, above_cap {}, formula {}",
@@ -146,7 +147,7 @@ fn explicit_grade_matrix_above_and_below_the_shrunk_cap() {
             let plan = Plan::compile(&k, &f).unwrap();
             for mode in ALL_MODES {
                 let (mut seq, _) = plan.execute_with(&k, mode);
-                let (mut par, _) = plan.execute_forced_parallel(&k, mode);
+                let (mut par, _) = execute_pinned(&plan, &k, mode, Parallelism::Force);
                 assert_eq!(seq.pop().unwrap(), reference, "n {n}, grade {grade}, mode {mode:?}");
                 assert_eq!(par.pop().unwrap(), reference, "n {n}, grade {grade}, mode {mode:?}");
             }
@@ -186,7 +187,7 @@ fn sharded_graded_counts_merge_across_chunks() {
     let plan = Plan::compile(&k, &f).unwrap();
     for mode in [DiamondMode::Auto, DiamondMode::Reverse, DiamondMode::Csc] {
         let (mut seq, ss) = plan.execute_with(&k, mode);
-        let (mut par, ps) = plan.execute_forced_parallel(&k, mode);
+        let (mut par, ps) = execute_pinned(&plan, &k, mode, Parallelism::Force);
         assert_eq!(seq.pop().unwrap(), reference, "mode {mode:?}");
         assert_eq!(par.pop().unwrap(), reference, "mode {mode:?}");
         if mode != DiamondMode::Auto {

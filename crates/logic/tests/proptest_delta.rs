@@ -24,7 +24,8 @@
 
 mod common;
 
-use common::{all_variants, arb_formula_with as arb_formula, arb_graph, ungrade};
+use common::{all_variants, arb_formula_with as arb_formula, arb_graph, execute_pinned, ungrade};
+use portnum_graph::partition::Parallelism;
 use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
 use portnum_logic::{evaluate_packed, Kripke, ModalIndex, ModelDelta};
 use proptest::prelude::*;
@@ -191,7 +192,7 @@ proptest! {
             // parallel over the post-delta rows.
             let plan = Plan::compile(&patched, f).unwrap();
             let (seq, _) = plan.execute_with(&patched, mode);
-            let (par, _) = plan.execute_forced_parallel(&patched, mode);
+            let (par, _) = execute_pinned(&plan, &patched, mode, Parallelism::Force);
             prop_assert_eq!(&seq, &par);
 
             // Quotient path: exact for ungraded formulas on the

@@ -17,7 +17,8 @@
 
 mod common;
 
-use common::{arb_formula_with as arb_formula, arb_graph, deep_clone};
+use common::{arb_formula_with as arb_formula, arb_graph, deep_clone, execute_pinned};
+use portnum_graph::partition::Parallelism;
 use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
 use portnum_logic::{
     evaluate, evaluate_packed, evaluate_packed_recursive, extension, satisfies, Formula,
@@ -162,16 +163,15 @@ proptest! {
             for mode in
                 [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Reverse, DiamondMode::Csc]
             {
-                let (seq, seq_stats) = plan.execute_with(model, mode);
-                let (par, par_stats) = plan.execute_forced_parallel(model, mode);
+                let (seq, seq_stats) = execute_pinned(&plan, model, mode, Parallelism::Off);
+                let (par, par_stats) = execute_pinned(&plan, model, mode, Parallelism::Force);
                 prop_assert_eq!(
                     &seq, &par,
                     "variant {:?}, mode {:?}, formula {}", model.variant(), mode, f
                 );
                 prop_assert_eq!(seq_stats.executed, par_stats.executed);
                 prop_assert_eq!(seq_stats.forward_diamonds, par_stats.forward_diamonds);
-                // (No assertion on chunked_ops for the un-forced run:
-                // PORTNUM_POOL=force legitimately chunks it too.)
+                prop_assert_eq!(seq_stats.chunked_ops, 0);
                 prop_assert_eq!(seq_stats.reverse_diamonds, par_stats.reverse_diamonds);
                 prop_assert_eq!(seq_stats.csc_diamonds, par_stats.csc_diamonds);
             }

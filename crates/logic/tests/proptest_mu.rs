@@ -16,7 +16,8 @@
 
 mod common;
 
-use common::{arb_graph, arb_mu_formula};
+use common::{arb_graph, arb_mu_formula, execute_pinned};
+use portnum_graph::partition::Parallelism;
 use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
 use portnum_logic::{evaluate_packed_recursive, Formula, Kripke, ModalIndex};
 use proptest::prelude::*;
@@ -59,7 +60,7 @@ proptest! {
                 // identical iteration counts (fixpoints always run on
                 // the sequential instruction path; only their body ops
                 // chunk).
-                let (mut par, par_stats) = plan.execute_forced_parallel(model, mode);
+                let (mut par, par_stats) = execute_pinned(&plan, model, mode, Parallelism::Force);
                 prop_assert_eq!(
                     par.pop().unwrap(), reference.clone(),
                     "forced-parallel diverged: variant {:?}, mode {:?}, formula {}",

@@ -11,10 +11,11 @@
 mod common;
 
 use common::arb_graph;
+use portnum_graph::partition::Parallelism;
 use portnum_graph::{Graph, PortNumbering};
 use portnum_logic::bisim::{
-    refine, refine_bounded, refine_fixpoint, refine_fixpoint_stats, refine_forced_parallel,
-    refine_with, refine_worklist_forced_parallel, BisimStyle, RefineEngine,
+    refine, refine_bounded, refine_fixpoint, refine_fixpoint_stats, refine_with, BisimStyle,
+    RefineEngine,
 };
 use portnum_logic::{Kripke, ModalIndex};
 use proptest::prelude::*;
@@ -140,15 +141,15 @@ proptest! {
         g in arb_graph(),
         seed in any::<u64>(),
     ) {
-        // The chunked encode + in-order intern path must produce levels
-        // BIT-identical (not just partition-equal) to the sequential
-        // engine, far below the auto-parallel threshold.
+        // The full-round engine's chunked encode + in-order intern path
+        // must produce levels BIT-identical (not just partition-equal)
+        // to its sequential path, far below the auto-parallel threshold.
         let mut rng = StdRng::seed_from_u64(seed);
         let p = PortNumbering::random(&g, &mut rng);
         for model in all_variants(&g, &p) {
             for style in [BisimStyle::Plain, BisimStyle::Graded] {
-                let seq = refine(&model, style);
-                let par = refine_forced_parallel(&model, style);
+                let seq = refine_with(&model, style, RefineEngine::Rounds, Parallelism::Off);
+                let par = refine_with(&model, style, RefineEngine::Rounds, Parallelism::Force);
                 prop_assert!(par.is_stable());
                 prop_assert_eq!(seq.depth(), par.depth());
                 for t in 0..=seq.depth() {
@@ -170,8 +171,8 @@ proptest! {
         let p = PortNumbering::random(&g, &mut rng);
         for model in all_variants(&g, &p) {
             for style in [BisimStyle::Plain, BisimStyle::Graded] {
-                let wl = refine_with(&model, style, RefineEngine::Worklist);
-                let rd = refine_with(&model, style, RefineEngine::Rounds);
+                let wl = refine_with(&model, style, RefineEngine::Worklist, Parallelism::Auto);
+                let rd = refine_with(&model, style, RefineEngine::Rounds, Parallelism::Auto);
                 prop_assert_eq!(wl.depth(), rd.depth(), "variant {:?}", model.variant());
                 prop_assert_eq!(wl.is_stable(), rd.is_stable());
                 for t in 0..=wl.depth() {
@@ -201,8 +202,8 @@ proptest! {
         let p = PortNumbering::random(&g, &mut rng);
         for model in all_variants(&g, &p) {
             for style in [BisimStyle::Plain, BisimStyle::Graded] {
-                let seq = refine_with(&model, style, RefineEngine::Worklist);
-                let par = refine_worklist_forced_parallel(&model, style);
+                let seq = refine_with(&model, style, RefineEngine::Worklist, Parallelism::Off);
+                let par = refine_with(&model, style, RefineEngine::Worklist, Parallelism::Force);
                 prop_assert_eq!(seq.depth(), par.depth());
                 for t in 0..=seq.depth() {
                     prop_assert_eq!(

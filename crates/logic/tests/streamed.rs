@@ -20,7 +20,8 @@
 
 mod common;
 
-use common::arb_graph;
+use common::{arb_graph, execute_pinned};
+use portnum_graph::partition::Parallelism;
 use portnum_graph::{generators, Graph, Port, PortNumbering};
 use portnum_logic::plan::{DiamondMode, Plan};
 use portnum_logic::{Formula, Kripke, KripkeBuilder, ModalIndex, ModelVariant};
@@ -113,8 +114,8 @@ fn million_world_streamed_path_evaluates_identically_across_executors() {
     let f1 = Formula::diamond(ModalIndex::Any, &Formula::prop(1)).or(&Formula::prop(2));
     let f2 = Formula::diamond_geq(ModalIndex::Any, 2, &Formula::prop(2));
     let plan = Plan::compile_suite(&k, &[f1, f2.clone()]).expect("suite compiles");
-    let (seq, ss) = plan.execute_forced_sequential(&k, DiamondMode::Auto);
-    let (par, ps) = plan.execute_forced_parallel(&k, DiamondMode::Auto);
+    let (seq, ss) = execute_pinned(&plan, &k, DiamondMode::Auto, Parallelism::Off);
+    let (par, ps) = execute_pinned(&plan, &k, DiamondMode::Auto, Parallelism::Force);
     let (auto, _) = plan.execute_with(&k, DiamondMode::Auto);
     assert_eq!(seq, par, "forced-parallel must be bit-identical at scale");
     assert_eq!(seq, auto, "Auto must be bit-identical at scale");
@@ -128,8 +129,8 @@ fn million_world_streamed_path_evaluates_identically_across_executors() {
     // must take the *chunked* route (blocked forward sweeps, sharded
     // CSC gathers) rather than running whole ops level-parallel.
     let solo = Plan::compile(&k, &f2).expect("formula compiles");
-    let (solo_seq, _) = solo.execute_forced_sequential(&k, DiamondMode::Auto);
-    let (solo_par, sp) = solo.execute_forced_parallel(&k, DiamondMode::Auto);
+    let (solo_seq, _) = execute_pinned(&solo, &k, DiamondMode::Auto, Parallelism::Off);
+    let (solo_par, sp) = execute_pinned(&solo, &k, DiamondMode::Auto, Parallelism::Force);
     assert_eq!(solo_seq, solo_par, "chunked run must be bit-identical at scale");
     assert!(sp.chunked_ops > 0, "single-op levels must chunk: {sp:?}");
     assert_eq!(solo_seq[0], seq[1], "the two plans agree on the shared formula");
