@@ -7,7 +7,7 @@
 //! (both pay the identical warm-up prefix, and the second serve is
 //! where they diverge):
 //!
-//! * **repair** — `Kripke::apply_delta` patches the CSR/CSC/dense
+//! * **repair** — `Kripke::apply_delta` patches the CSR/CSC
 //!   stores in place and `ModelChecker::detach`/`resume` repairs the
 //!   cached truth vectors over the dirty frontier;
 //! * **rebuild** — the post-delta model is reconstructed from its rows

@@ -156,10 +156,9 @@ fn bench_parallel_execution(c: &mut Criterion) {
 }
 
 fn bench_diamond_strategies(c: &mut Criterion) {
-    // Deep alternating-grade towers: the grade-1 levels are eligible
-    // for predecessor-row unions, the grade-2 levels for the CSC
-    // counting gather — `auto` picks per instruction among forward,
-    // dense rows, and the CSC gather.
+    // Deep alternating-grade towers: the grade-1 levels run the CSC
+    // union gather, the grade-2 levels the CSC counting gather —
+    // `auto` picks per instruction between forward and the CSC gather.
     let f = workloads::nested_diamonds(16);
     for w in workloads::gnp_sweep(&[512], 0.05, 5) {
         let k = Kripke::k_mm(&w.graph);
@@ -168,7 +167,6 @@ fn bench_diamond_strategies(c: &mut Criterion) {
         for (name, mode) in [
             ("auto", DiamondMode::Auto),
             ("forward", DiamondMode::Forward),
-            ("reverse", DiamondMode::Reverse),
             ("csc", DiamondMode::Csc),
         ] {
             group.bench_with_input(BenchmarkId::new(name, w.graph.len()), &mode, |b, &mode| {
@@ -178,10 +176,9 @@ fn bench_diamond_strategies(c: &mut Criterion) {
         group.finish();
     }
 
-    // Above the dense cap only forward and CSC are on the table: the
-    // n²-bit predecessor matrix would cost ~0.5 GiB here, so before
-    // the CSC store this workload's reverse-eligible diamonds were
-    // silently forced onto the forward sweep.
+    // A huge sparse path with a two-world inner set: the CSC gather
+    // touches two predecessor rows where the forward sweep walks all
+    // n worlds.
     let w = workloads::sparse_huge();
     let k = Kripke::k_mm(&w.graph);
     let f = workloads::endpoint_diamond();

@@ -46,9 +46,28 @@ fn main() {
     covers();
     section31();
     bench_snapshot();
-    bench_eval_snapshot();
-    serve_qps_snapshot();
+    let mut failed_gates = Vec::new();
+    bench_eval_snapshot(&mut failed_gates);
+    serve_qps_snapshot(&mut failed_gates);
+    if !failed_gates.is_empty() {
+        eprintln!("\nAll sections ran; {} perf gate(s) failed:", failed_gates.len());
+        for message in &failed_gates {
+            eprintln!("  - {message}");
+        }
+        std::process::exit(1);
+    }
     println!("\nAll sections completed.");
+}
+
+/// Records a failed perf gate instead of panicking, so a host-dependent
+/// timing gate cannot stop the sections after it; `main` lists every
+/// failed gate and exits non-zero. Correctness checks stay `assert!`s.
+fn gate(failed: &mut Vec<String>, holds: bool, message: impl FnOnce() -> String) {
+    if !holds {
+        let message = message();
+        println!("PERF GATE FAILED: {message}");
+        failed.push(message);
+    }
 }
 
 /// Median wall-clock microseconds of 7 runs of `routine` (the caller
@@ -169,8 +188,9 @@ fn bench_snapshot() {
 
 /// Times the packed model checker on the standard eval workloads and
 /// writes `BENCH_eval.json` next to `BENCH_bisim.json`, so the perf
-/// trajectory covers model checking as well as refinement.
-fn bench_eval_snapshot() {
+/// trajectory covers model checking as well as refinement. Failed perf
+/// gates are pushed onto `failed`.
+fn bench_eval_snapshot(failed: &mut Vec<String>) {
     use std::fmt::Write as _;
     section("Perf snapshot: packed model checking (written to BENCH_eval.json)");
 
@@ -310,21 +330,15 @@ fn bench_eval_snapshot() {
             );
         }
     }
-    // A sparse model above the dense reverse cap (n²-bit predecessor
-    // rows are out of reach): the reverse diamond path is only
-    // reachable through the CSC store, where it previously fell back
-    // to the forward sweep. The Auto row asserts (via ExecStats) that
-    // the CSC gather actually fired.
+    // A huge sparse model with a two-world inner set: the reverse
+    // diamond path runs on the O(n + edges) CSC store. The Auto row
+    // asserts (via ExecStats) that the CSC gather actually fired.
     let huge = workloads::sparse_huge();
     let k = Kripke::k_mm(&huge.graph);
-    assert!(
-        k.predecessor_matrix_words() > portnum_logic::plan::REVERSE_WORD_CAP,
-        "sparse_huge must sit above the dense cap"
-    );
     let f = workloads::endpoint_diamond();
     let plan = Plan::compile(&k, &f).expect("well-formed case");
     let (reference, stats) = plan.execute_with(&k, portnum_logic::plan::DiamondMode::Auto);
-    assert_eq!(stats.csc_diamonds, 1, "above-cap sparse diamond must go CSC: {stats:?}");
+    assert_eq!(stats.csc_diamonds, 1, "huge sparse diamond must go CSC: {stats:?}");
     let ones: usize = reference.iter().map(|b| b.count_ones()).sum();
     let huge_cases = [
         (
@@ -403,20 +417,22 @@ fn bench_eval_snapshot() {
         }
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         if cores > 1 {
-            assert!(
-                pool_median < seq_median,
-                "at 2^20 worlds the pool must beat sequential: \
-                 pool {pool_median:.1}µs vs seq {seq_median:.1}µs on {cores} cores"
-            );
+            gate(failed, pool_median < seq_median, || {
+                format!(
+                    "at 2^20 worlds the pool must beat sequential: \
+                     pool {pool_median:.1}µs vs seq {seq_median:.1}µs on {cores} cores"
+                )
+            });
         } else {
             // One core: the pool cannot win, but the chunked paths must
             // stay within coordination overhead of the sequential sweep
             // (no hash-map cliffs, no re-done work).
-            assert!(
-                pool_median < seq_median * 1.5,
-                "single-core pool overhead out of bounds: \
-                 pool {pool_median:.1}µs vs seq {seq_median:.1}µs"
-            );
+            gate(failed, pool_median < seq_median * 1.5, || {
+                format!(
+                    "single-core pool overhead out of bounds: \
+                     pool {pool_median:.1}µs vs seq {seq_median:.1}µs"
+                )
+            });
         }
     }
     // The million-world fixpoint: reachability `µX. q1 ∨ ⟨*,*⟩X` on a
@@ -474,12 +490,13 @@ fn bench_eval_snapshot() {
                 iters
             );
         }
-        assert!(
-            plan_min * 3.0 <= kleene_min,
-            "frontier fixpoint iteration must beat whole-model re-evaluation ≥ 3× \
-             on the million-world path: plan {plan_min:.1}µs vs kleene {kleene_min:.1}µs \
-             over {iters} iterations (medians {plan_median:.1}µs / {kleene_median:.1}µs)"
-        );
+        gate(failed, plan_min * 3.0 <= kleene_min, || {
+            format!(
+                "frontier fixpoint iteration must beat whole-model re-evaluation ≥ 3× \
+                 on the million-world path: plan {plan_min:.1}µs vs kleene {kleene_min:.1}µs \
+                 over {iters} iterations (medians {plan_median:.1}µs / {kleene_median:.1}µs)"
+            )
+        });
     }
     // Cancellation latency: wall time from `CancelToken::cancel()` to
     // the `Interrupted` return of a controlled execution, while the
@@ -643,12 +660,13 @@ fn bench_eval_snapshot() {
                 );
             }
             if w.name == "path1024" {
-                assert!(
-                    repair_min * 5.0 <= rebuild_min,
-                    "localized live update must repair ≥ 5× faster than rebuild: \
-                     repair {repair_min:.1}µs vs rebuild {rebuild_min:.1}µs \
-                     (medians {repair_median:.1}µs / {rebuild_median:.1}µs)"
-                );
+                gate(failed, repair_min * 5.0 <= rebuild_min, || {
+                    format!(
+                        "localized live update must repair ≥ 5× faster than rebuild: \
+                         repair {repair_min:.1}µs vs rebuild {rebuild_min:.1}µs \
+                         (medians {repair_median:.1}µs / {rebuild_median:.1}µs)"
+                    )
+                });
             }
         }
     }
@@ -671,8 +689,9 @@ fn bench_eval_snapshot() {
 /// deep-tower shape is tracked continuously by the
 /// `serving_throughput` criterion bench instead). The gate compares
 /// minima over the samples (the noise-free estimate); the rows report
-/// medians like every other snapshot.
-fn serve_qps_snapshot() {
+/// medians like every other snapshot. A failed gate is pushed onto
+/// `failed`.
+fn serve_qps_snapshot(failed: &mut Vec<String>) {
     use portnum_serve::{Client, ModelSpec, ServeConfig, Server};
     use std::fmt::Write as _;
     use std::time::Instant;
@@ -775,16 +794,17 @@ fn serve_qps_snapshot() {
         );
     }
     print!("{}", t.render());
-    assert!(
-        batched_min * 3.0 <= unbatched_min,
-        "a coalesced 16-formula batch must serve ≥ 3× the QPS of 16 single-formula \
-         requests: batched {:.1}µs vs unbatched {:.1}µs per round \
-         (medians {:.1}µs / {:.1}µs)",
-        batched_min * 1e6,
-        unbatched_min * 1e6,
-        batched_median * 1e6,
-        unbatched_median * 1e6
-    );
+    gate(failed, batched_min * 3.0 <= unbatched_min, || {
+        format!(
+            "a coalesced 16-formula batch must serve ≥ 3× the QPS of 16 single-formula \
+             requests: batched {:.1}µs vs unbatched {:.1}µs per round \
+             (medians {:.1}µs / {:.1}µs)",
+            batched_min * 1e6,
+            unbatched_min * 1e6,
+            batched_median * 1e6,
+            unbatched_median * 1e6
+        )
+    });
     use std::io::Write as _;
     let appended = std::fs::OpenOptions::new()
         .create(true)

@@ -88,17 +88,13 @@ pub fn deep_tree(n: usize) -> Workload {
     Workload::consistent(format!("deep_tree{n}"), generators::caterpillar(n / 2))
 }
 
-/// A sparse model **above the evaluator's dense reverse cap**
-/// ([`portnum_logic::plan::REVERSE_WORD_CAP`]): a 16384-world path,
-/// whose per-relation predecessor matrix would cost 16384 × 256 = 2²²
-/// `u64` words — twice the cap — while its CSC store is O(n). The
-/// workload where the reverse diamond path is only reachable through
-/// the CSC gather.
+/// A huge sparse model: a 16384-world path, whose n²-bit predecessor
+/// matrix would cost 16384 × 256 = 2²² `u64` words (32 MiB) per
+/// relation while its CSC store is O(n). The workload where the CSC
+/// gather's sparse inner set beats the forward sweep's O(n) pass.
 pub fn sparse_huge() -> Workload {
     let n = 16_384;
-    let w = Workload::consistent(format!("sparse_huge{n}"), generators::path(n));
-    debug_assert!(n * n.div_ceil(64) > portnum_logic::plan::REVERSE_WORD_CAP);
-    w
+    Workload::consistent(format!("sparse_huge{n}"), generators::path(n))
 }
 
 /// The sparse-inner-set diamond paired with [`sparse_huge`]: `⟨*,*⟩q₁`

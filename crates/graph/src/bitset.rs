@@ -6,20 +6,12 @@
 //! word-parallel loops over the backing array — 64 elements per
 //! instruction instead of one — and membership is a shift and mask.
 //!
-//! [`BitMatrix`] packs a rectangular 0/1 matrix as one bit row per line,
-//! all rows in a single flat word array. It backs the model checker's
-//! *reverse-adjacency* diamond path: a relation's predecessor sets are
-//! stored as bit rows, so `⟨α⟩φ` is a union of whole rows
-//! ([`Bitset::or_words`]) over the worlds satisfying `φ`.
-//!
 //! # Tail invariant
 //!
 //! When `len` is not a multiple of 64, the unused high bits of the last
 //! word are **always zero**. Every constructor and mutator maintains
 //! this, so [`Bitset::count_ones`] and equality never see garbage and
-//! `not` must (and does) re-mask the tail after complementing. The same
-//! invariant holds per row of a [`BitMatrix`], so a row can be OR-ed
-//! into a [`Bitset`] of the same universe without re-masking.
+//! `not` must (and does) re-mask the tail after complementing.
 
 /// A fixed-length set of bits, packed 64 per `u64` word.
 ///
@@ -228,23 +220,6 @@ impl Bitset {
         }
     }
 
-    /// OR-s a raw word row (e.g. a [`BitMatrix`] row over the same
-    /// universe) into `self`, restricted to `self`'s universe: the tail
-    /// is re-masked afterwards, so row bits beyond `self.len()` are
-    /// discarded rather than breaking the tail invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len()` differs from `self`'s word count.
-    #[inline]
-    pub fn or_words(&mut self, words: &[u64]) {
-        assert_eq!(self.words.len(), words.len(), "Bitset universe mismatch");
-        for (a, &b) in self.words.iter_mut().zip(words) {
-            *a |= b;
-        }
-        self.mask_tail();
-    }
-
     /// In-place complement (relative to the universe).
     pub fn not_assign(&mut self) {
         for w in &mut self.words {
@@ -380,113 +355,6 @@ pub fn fill_words_from_fn(words: &mut [u64], range: std::ops::Range<usize>, mut 
     }
 }
 
-/// A dense 0/1 matrix stored as packed bit rows in one flat word array.
-///
-/// Row `r` occupies `row_words()` consecutive `u64`s; unused tail bits
-/// of each row are zero (the same invariant as [`Bitset`], so a row is
-/// directly OR-able into a `Bitset` over universe `0..cols` via
-/// [`Bitset::or_words`]). This is the storage behind the Kripke models'
-/// reverse-adjacency (predecessor) rows.
-///
-/// # Examples
-///
-/// ```
-/// use portnum_graph::bitset::{BitMatrix, Bitset};
-///
-/// let mut m = BitMatrix::zeros(3, 100);
-/// m.insert(1, 99);
-/// assert!(m.get(1, 99));
-/// let mut acc = Bitset::zeros(100);
-/// acc.or_words(m.row(1));
-/// assert_eq!(acc.iter_ones().collect::<Vec<_>>(), vec![99]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BitMatrix {
-    rows: usize,
-    cols: usize,
-    row_words: usize,
-    words: Vec<u64>,
-}
-
-impl BitMatrix {
-    /// The all-zero `rows × cols` matrix.
-    pub fn zeros(rows: usize, cols: usize) -> BitMatrix {
-        let row_words = word_count(cols);
-        BitMatrix { rows, cols, row_words, words: vec![0; rows * row_words] }
-    }
-
-    /// Number of rows.
-    pub fn row_count(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns (the universe of each row).
-    pub fn col_count(&self) -> usize {
-        self.cols
-    }
-
-    /// Words per row (shared by every [`Bitset`] over `0..cols`).
-    pub fn row_words(&self) -> usize {
-        self.row_words
-    }
-
-    /// Total backing words — the matrix's memory footprint in `u64`s.
-    pub fn word_len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Sets entry `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= row_count()` or `c >= col_count()`.
-    #[inline]
-    pub fn insert(&mut self, r: usize, c: usize) {
-        assert!(r < self.rows && c < self.cols, "BitMatrix entry ({r}, {c}) out of range");
-        self.words[r * self.row_words + c / 64] |= 1 << (c % 64);
-    }
-
-    /// Sets or clears entry `(r, c)` — the delta-repair counterpart of
-    /// [`BitMatrix::insert`]: patching a cached predecessor matrix
-    /// after an edge removal needs to *clear* a stale bit, not only set
-    /// new ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= row_count()` or `c >= col_count()`.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, value: bool) {
-        assert!(r < self.rows && c < self.cols, "BitMatrix entry ({r}, {c}) out of range");
-        let word = &mut self.words[r * self.row_words + c / 64];
-        if value {
-            *word |= 1 << (c % 64);
-        } else {
-            *word &= !(1 << (c % 64));
-        }
-    }
-
-    /// Tests entry `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= row_count()` or `c >= col_count()`.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> bool {
-        assert!(r < self.rows && c < self.cols, "BitMatrix entry ({r}, {c}) out of range");
-        self.words[r * self.row_words + c / 64] >> (c % 64) & 1 == 1
-    }
-
-    /// Row `r` as a word slice (tail bits zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= row_count()`.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[u64] {
-        &self.words[r * self.row_words..(r + 1) * self.row_words]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,20 +403,6 @@ mod tests {
         for (i, &b) in bools.iter().enumerate() {
             assert_eq!(set.get(i), b);
         }
-    }
-
-    #[test]
-    fn bitmatrix_set_clears_and_sets() {
-        let mut m = BitMatrix::zeros(2, 70);
-        m.insert(1, 69);
-        m.set(1, 69, false);
-        assert!(!m.get(1, 69));
-        m.set(1, 3, true);
-        assert!(m.get(1, 3));
-        // Setting an already-set bit and clearing a clear bit are no-ops.
-        m.set(1, 3, true);
-        m.set(0, 0, false);
-        assert!(m.get(1, 3) && !m.get(0, 0));
     }
 
     #[test]
@@ -608,54 +462,6 @@ mod tests {
         let other = Bitset::from_fn(64, |i| i % 2 == 0);
         s.copy_from(&other);
         assert_eq!(s, other);
-    }
-
-    #[test]
-    fn or_words_unions_rows() {
-        let mut acc = Bitset::from_fn(130, |i| i == 0);
-        let row = Bitset::from_fn(130, |i| i == 129);
-        acc.or_words(row.words());
-        assert_eq!(acc.iter_ones().collect::<Vec<_>>(), vec![0, 129]);
-    }
-
-    #[test]
-    fn or_words_restricts_to_the_universe() {
-        // A row from a *wider* universe with the same word count: bits
-        // beyond `len` are discarded and the tail invariant holds.
-        let mut acc = Bitset::zeros(70); // 2 words
-        let mut m = BitMatrix::zeros(1, 128); // also 2 words per row
-        m.insert(0, 3);
-        m.insert(0, 100);
-        acc.or_words(m.row(0));
-        assert_eq!(acc.iter_ones().collect::<Vec<_>>(), vec![3]);
-        assert_eq!(acc.count_ones(), 1);
-        assert_eq!(acc, Bitset::from_fn(70, |i| i == 3));
-    }
-
-    #[test]
-    fn bitmatrix_rows_respect_tail_invariant() {
-        let mut m = BitMatrix::zeros(4, 70);
-        assert_eq!(m.row_words(), 2);
-        assert_eq!(m.word_len(), 8);
-        m.insert(0, 0);
-        m.insert(0, 69);
-        m.insert(3, 64);
-        assert!(m.get(0, 69) && m.get(3, 64) && !m.get(1, 0));
-        // A row ORs into a same-universe Bitset and stays canonical.
-        let mut acc = Bitset::zeros(70);
-        acc.or_words(m.row(0));
-        acc.or_words(m.row(3));
-        assert_eq!(acc.iter_ones().collect::<Vec<_>>(), vec![0, 64, 69]);
-        assert_eq!(acc.count_ones(), 3);
-        // Untouched rows are all-zero.
-        assert!(m.row(2).iter().all(|&w| w == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bitmatrix_bounds_checked() {
-        let mut m = BitMatrix::zeros(2, 10);
-        m.insert(2, 0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! model checker's reverse diamond path computes `⟨α⟩φ` by gathering
 //! the predecessors of every world satisfying `φ`. [`CscAdjacency`] is
 //! that inverse in the same two-flat-arrays shape as the forward CSR:
-//! `O(n + edges)` memory at **any** scale, where the dense
-//! [`BitMatrix`](crate::bitset::BitMatrix) predecessor rows cost
-//! `n²` bits and stop paying for themselves on large sparse models.
+//! `O(n + edges)` memory at **any** scale. It is the only predecessor
+//! store: it serves grade-1 and graded diamonds alike, on models of
+//! every size.
 //!
 //! # Construction invariant
 //!

@@ -15,7 +15,7 @@
 //!   computation returns [`Interrupted`]; callers never see a
 //!   half-filled truth vector or partition.
 //! * **Whole-or-nothing caches.** An interrupted query must leave every
-//!   cache (the `OnceLock` CSC/dense reverse stores, the checker's
+//!   cache (the `OnceLock` CSC reverse stores, the checker's
 //!   `Rc<Bitset>` results) either fully committed or untouched, so an
 //!   immediate retry is bit-identical to a run that was never
 //!   interrupted.

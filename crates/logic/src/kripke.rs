@@ -38,30 +38,20 @@
 //!
 //! The forward CSR answers "successors of `v`" in O(row); the packed
 //! model checker's reverse diamond path also needs "predecessors of
-//! `w`", in two interchangeable shapes:
+//! `w`". [`Kripke::predecessors_csc`] inverts the forward CSR into a
+//! per-relation [`CscAdjacency`] (reverse CSR): `O(n + edges)` memory
+//! at any scale, so the reverse diamond path — and graded counting —
+//! stays open on huge sparse models. The same store drives the
+//! worklist refinement engine's dirty propagation
+//! ([`portnum_graph::partition::WorklistRefiner::share_reverse_adjacency`]),
+//! so the inverse is built at most once per relation *across* the
+//! evaluator and the refiner.
 //!
-//! * **Dense bit rows** — [`Kripke::predecessor_rows`] materialises one
-//!   [`BitMatrix`] per relation, so `⟨α⟩φ` is a union of whole
-//!   predecessor rows over `iter_ones(‖φ‖)`. n² bits, so only viable
-//!   under the evaluator's word cap
-//!   ([`REVERSE_WORD_CAP`](crate::plan::REVERSE_WORD_CAP)).
-//! * **CSC lists** — [`Kripke::predecessors_csc`] inverts the forward
-//!   CSR into a per-relation [`CscAdjacency`] (reverse CSR): `O(n +
-//!   edges)` memory at any scale, so the reverse diamond path — and
-//!   graded counting — stays open on huge sparse models where the
-//!   dense matrix is out of reach. The same store drives the worklist
-//!   refinement engine's dirty propagation
-//!   ([`portnum_graph::partition::WorklistRefiner::share_reverse_adjacency`]),
-//!   so the inverse is built at most once per relation *across* the
-//!   evaluator and the refiner.
-//!
-//! Both caches are lazy and built at most once per relation (a
-//! `OnceLock` per relation; ignored by `PartialEq`, carried along by
-//! `clone`).
+//! The stores are lazy and built at most once each (a `OnceLock` per
+//! store; ignored by `PartialEq`, carried along by `clone`).
 
 use crate::error::LogicError;
 use crate::formula::{IndexFamily, ModalIndex};
-use portnum_graph::bitset::BitMatrix;
 use portnum_graph::csc::CscAdjacency;
 use portnum_graph::partition::RelationCsr;
 use portnum_graph::{Graph, Port, PortNumbering};
@@ -409,19 +399,7 @@ impl<'a> KripkeBuilder<'a> {
                 degree
             }
         };
-        let reverse = (0..relations.len()).map(|_| OnceLock::new()).collect();
-        let reverse_csc = (0..relations.len()).map(|_| OnceLock::new()).collect();
-        Ok(Kripke {
-            variant: self.variant,
-            degree,
-            index_keys,
-            relations,
-            reverse,
-            reverse_csc,
-            reverse_csc_combined: OnceLock::new(),
-            version: 0,
-            empty: Vec::new(),
-        })
+        Ok(Kripke::from_csr(self.variant, degree, index_keys, relations))
     }
 }
 
@@ -566,17 +544,14 @@ pub struct Kripke {
     index_keys: Vec<ModalIndex>,
     /// CSR relations, parallel to `index_keys`.
     relations: Vec<CsrRelation>,
-    /// Lazily-built predecessor bit rows, parallel to `relations`.
-    /// Derived data: excluded from equality, cloned along with the model.
-    reverse: Vec<OnceLock<Stamped<BitMatrix>>>,
     /// Lazily-built CSC (reverse CSR) predecessor lists, parallel to
-    /// `relations` — the sparse counterpart of `reverse`, usable at any
-    /// model size. Derived data, like `reverse`.
+    /// `relations`. Derived data: excluded from equality, cloned along
+    /// with the model.
     reverse_csc: Vec<OnceLock<Stamped<CscAdjacency>>>,
     /// Lazily-built CSC over the union of **all** relations — the shape
     /// the worklist refiner's dirty propagation wants on multi-relation
     /// models (single-relation models reuse `reverse_csc[0]` instead).
-    /// Derived data, like `reverse`.
+    /// Derived data, like `reverse_csc`.
     reverse_csc_combined: OnceLock<Stamped<CscAdjacency>>,
     /// Mutation counter: bumped by every non-empty
     /// [`Kripke::apply_delta`], `0` at construction. Detached caches
@@ -587,7 +562,7 @@ pub struct Kripke {
     empty: Vec<u32>,
 }
 
-// The `reverse` cache is derived from `relations`, so two models are
+// The predecessor caches are derived from `relations`, so two models are
 // equal iff their declared parts are — comparing the cache would make
 // equality depend on evaluation history.
 impl PartialEq for Kripke {
@@ -618,14 +593,23 @@ impl Kripke {
             index_keys.push(index);
             relations.push(CsrRelation::from_pairs(n, &pairs));
         }
-        let reverse = (0..relations.len()).map(|_| OnceLock::new()).collect();
+        Kripke::from_csr(variant, degree, index_keys, relations)
+    }
+
+    /// Wraps finished CSR relations (parallel to the sorted
+    /// `index_keys`) into a version-0 model with empty caches.
+    fn from_csr(
+        variant: ModelVariant,
+        degree: Vec<usize>,
+        index_keys: Vec<ModalIndex>,
+        relations: Vec<CsrRelation>,
+    ) -> Kripke {
         let reverse_csc = (0..relations.len()).map(|_| OnceLock::new()).collect();
         Kripke {
             variant,
             degree,
             index_keys,
             relations,
-            reverse,
             reverse_csc,
             reverse_csc_combined: OnceLock::new(),
             version: 0,
@@ -817,75 +801,25 @@ impl Kripke {
             .collect()
     }
 
-    /// The predecessor bit rows of dense relation `r`: row `w` holds the
-    /// set `{ v : w ∈ successors(v) }`, packed as a bit row directly
-    /// OR-able into a [`portnum_graph::bitset::Bitset`] over the worlds.
-    ///
-    /// Built lazily from the forward CSR on first call and cached for
-    /// the lifetime of the model (a clone carries any already-built
-    /// rows). Costs n²/8 bytes per materialised relation, which is why
-    /// the model checker gates the reverse diamond path on a footprint
-    /// cap before calling this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.relation_count()`.
-    /// # Atomicity
-    ///
-    /// The store is a `OnceLock`: a panic inside the build closure (the
-    /// `dense-build` chaos site below) leaves the lock *uninitialised*,
-    /// not poisoned or torn — the next caller simply rebuilds. Torn
-    /// publication is impossible by construction, which is what lets an
-    /// interrupted query retry bit-identically.
-    pub fn predecessor_rows(&self, r: usize) -> &BitMatrix {
-        let stamped = self.reverse[r].get_or_init(|| {
-            fail::fail_point!("dense-build");
-            let n = self.len();
-            let mut m = BitMatrix::zeros(n, n);
-            let (offsets, targets) = self.relation_rows(r);
-            let mut start = offsets[0];
-            for v in 0..n {
-                let end = offsets[v + 1];
-                for &w in &targets[start..end] {
-                    m.insert(w as usize, v);
-                }
-                start = end;
-            }
-            Stamped { built_at: self.version, value: m }
-        });
-        debug_assert_eq!(
-            stamped.built_at, self.version,
-            "stale dense predecessor cache for relation {r}"
-        );
-        &stamped.value
-    }
-
-    /// Number of `u64` words a predecessor matrix of this model costs
-    /// (per relation) — the quantity the evaluator's reverse-path cap
-    /// compares against, without forcing the build.
-    pub fn predecessor_matrix_words(&self) -> usize {
-        self.len() * self.len().div_ceil(64)
-    }
-
     /// The CSC (reverse CSR) predecessor lists of dense relation `r`:
     /// `row(w)` is the list `{ v : w ∈ successors(v) }`, one entry per
     /// stored edge, sorted ascending.
     ///
-    /// The sparse counterpart of [`Kripke::predecessor_rows`]: `O(n +
-    /// edges)` memory instead of n² bits, so the evaluator's reverse
-    /// diamond path (the CSC gather, including graded counting) works
-    /// at **any** model size — this is what keeps reverse evaluation
-    /// reachable beyond [`REVERSE_WORD_CAP`](crate::plan::REVERSE_WORD_CAP).
-    /// Built lazily from the forward CSR on first call and cached for
+    /// `O(n + edges)` memory, so the evaluator's reverse diamond path
+    /// (the CSC gather, including graded counting) works at **any**
+    /// model size. Built lazily from the forward CSR on first call and cached for
     /// the lifetime of the model (a clone carries any already-built
     /// stores). The worklist refinement engine shares this exact store
     /// for its dirty-frontier propagation, so evaluator and refiner
     /// build the inverse at most once between them.
     ///
-    /// Atomicity is as [`Kripke::predecessor_rows`]: the `OnceLock`
-    /// plus the `csc-build` chaos site inside the builder pin that an
-    /// interrupted build publishes nothing (rebuild on retry, never a
-    /// torn store).
+    /// # Atomicity
+    ///
+    /// The store is a `OnceLock`: a panic inside the build closure (the
+    /// `csc-build` chaos site inside the builder) leaves the lock
+    /// *uninitialised*, not poisoned or torn — the next caller simply
+    /// rebuilds. Torn publication is impossible by construction, which
+    /// is what lets an interrupted query retry bit-identically.
     ///
     /// # Panics
     ///
@@ -951,8 +885,7 @@ impl Kripke {
     /// rejected delta leaves the model and its caches untouched), then
     /// patches the forward CSR rows in place where row lengths permit
     /// (one splice otherwise), **repairs** the already-built derived
-    /// caches instead of dropping them — dense predecessor bits are
-    /// re-checked per edited pair, per-relation CSC rows are patched via
+    /// caches instead of dropping them — per-relation CSC rows are patched via
     /// [`CscAdjacency::apply_edits`], only the multi-relation combined
     /// CSC is invalidated for lazy rebuild — bumps [`Kripke::version`],
     /// and returns the sorted, deduplicated set of **touched worlds**:
@@ -1098,15 +1031,6 @@ impl Kripke {
             // Patch the built caches against the *post-edit* rows; a
             // cache an untouched relation built stays valid, so only
             // its stamp advances.
-            if let Some(st) = self.reverse[r].get_mut() {
-                if edited {
-                    for &(v, w) in adds[r].iter().chain(&removes[r]) {
-                        let present = self.relations[r].row(v as usize).contains(&w);
-                        st.value.set(w as usize, v as usize, present);
-                    }
-                }
-                st.built_at = next_version;
-            }
             if let Some(st) = self.reverse_csc[r].get_mut() {
                 if edited {
                     st.value.apply_edits(&adds[r], &removes[r]);
@@ -1191,19 +1115,7 @@ impl Kripke {
                 b += 1;
             }
         }
-        let reverse = (0..relations.len()).map(|_| OnceLock::new()).collect();
-        let reverse_csc = (0..relations.len()).map(|_| OnceLock::new()).collect();
-        Kripke {
-            variant: self.variant,
-            degree,
-            index_keys,
-            relations,
-            reverse,
-            reverse_csc,
-            reverse_csc_combined: OnceLock::new(),
-            version: 0,
-            empty: Vec::new(),
-        }
+        Kripke::from_csr(self.variant, degree, index_keys, relations)
     }
 
     /// A CSR relation over `n` worlds holding `left`'s rows for worlds
@@ -1353,40 +1265,15 @@ mod tests {
     }
 
     #[test]
-    fn predecessor_rows_invert_the_forward_csr() {
-        let g = generators::figure1_graph();
-        let p = PortNumbering::consistent(&g);
-        for k in [Kripke::k_pp(&g, &p), Kripke::k_mp(&g, &p), Kripke::k_mm(&g)] {
-            for r in 0..k.relation_count() {
-                let m = k.predecessor_rows(r);
-                assert_eq!(m.row_count(), k.len());
-                assert_eq!(m.col_count(), k.len());
-                for v in 0..k.len() {
-                    for w in 0..k.len() {
-                        let forward = k.successors_dense(r, v).contains(&(w as u32));
-                        assert_eq!(m.get(w, v), forward, "relation {r}, edge ({v},{w})");
-                    }
-                }
-            }
-            // The cache survives cloning and does not affect equality.
-            let copy = k.clone();
-            assert_eq!(copy, k);
-            assert_eq!(copy.predecessor_rows(0), k.predecessor_rows(0));
-        }
-    }
-
-    #[test]
     fn csc_rows_invert_the_forward_csr() {
-        // Mirror of `predecessor_rows_invert_the_forward_csr` for the
-        // sparse store: csc.row(w) is exactly { v : w ∈ succ(v) },
-        // sorted ascending, with one entry per stored edge.
+        // csc.row(w) is exactly { v : w ∈ succ(v) }, sorted ascending,
+        // with one entry per stored edge.
         let g = generators::figure1_graph();
         let p = PortNumbering::consistent(&g);
         for k in [Kripke::k_pp(&g, &p), Kripke::k_mp(&g, &p), Kripke::k_mm(&g)] {
             for r in 0..k.relation_count() {
                 let csc = k.predecessors_csc(r);
                 assert_eq!(csc.node_count(), k.len());
-                let dense = k.predecessor_rows(r);
                 for w in 0..k.len() {
                     let mut expect: Vec<u32> = Vec::new();
                     for v in 0..k.len() {
@@ -1396,11 +1283,6 @@ mod tests {
                     }
                     assert_eq!(csc.row(w), expect.as_slice(), "relation {r}, world {w}");
                     assert_eq!(csc.row_len(w), expect.len());
-                    // CSC and dense rows describe the same predecessor
-                    // set (dense collapses multiplicities).
-                    for v in 0..k.len() {
-                        assert_eq!(dense.get(w, v), expect.contains(&(v as u32)));
-                    }
                 }
             }
             // The cache survives cloning and does not affect equality.
@@ -1480,7 +1362,6 @@ mod tests {
             .find_map(|v| k.successors_dense(0, v).first().map(|w| (v, w)))
             .expect("relation 0 has an edge");
         for r in 0..k.relation_count() {
-            k.predecessor_rows(r);
             k.predecessors_csc(r);
         }
         k.combined_predecessors_csc();
@@ -1490,7 +1371,6 @@ mod tests {
         let fresh = rebuilt(&k);
         assert_eq!(k, fresh);
         for r in 0..k.relation_count() {
-            assert_eq!(k.predecessor_rows(r), fresh.predecessor_rows(r), "dense rows, rel {r}");
             assert_eq!(k.predecessors_csc(r), fresh.predecessors_csc(r), "csc rows, rel {r}");
         }
         assert_eq!(k.combined_predecessors_csc(), fresh.combined_predecessors_csc());
@@ -1500,7 +1380,6 @@ mod tests {
     fn apply_delta_crash_isolates_worlds() {
         let mut k = Kripke::k_mm(&generators::star(3));
         // Warm the caches so the crash path exercises cache repair too.
-        k.predecessor_rows(0);
         k.predecessors_csc(0);
         let mut delta = ModelDelta::new();
         delta.crash_world(0).crash_world(0); // duplicate crashes are one crash
@@ -1511,7 +1390,6 @@ mod tests {
             assert_eq!(k.degree(v), 0);
         }
         let fresh = rebuilt(&k);
-        assert_eq!(k.predecessor_rows(0), fresh.predecessor_rows(0));
         assert_eq!(k.predecessors_csc(0), fresh.predecessors_csc(0));
     }
 
@@ -1520,16 +1398,17 @@ mod tests {
         let mut rel = BTreeMap::new();
         rel.insert(ModalIndex::Any, vec![vec![1, 1], vec![]]);
         let mut k = Kripke::from_parts(ModelVariant::MinusMinus, vec![2, 0], rel).unwrap();
-        k.predecessor_rows(0);
+        assert_eq!(k.predecessors_csc(0).row(1), &[0, 0]);
         let mut delta = ModelDelta::new();
         delta.remove_edge(ModalIndex::Any, 0, 1);
         k.apply_delta(&delta).unwrap();
-        // One copy of the double edge remains: the dense bit stays set.
+        // One copy of the double edge remains, in the forward row and
+        // in the patched CSC row alike.
         assert_eq!(k.successors(0, ModalIndex::Any), &[1]);
-        assert!(k.predecessor_rows(0).get(1, 0));
+        assert_eq!(k.predecessors_csc(0).row(1), &[0]);
         k.apply_delta(&delta).unwrap();
         assert!(k.successors(0, ModalIndex::Any).is_empty());
-        assert!(!k.predecessor_rows(0).get(1, 0));
+        assert!(k.predecessors_csc(0).row(1).is_empty());
         // A third removal has nothing left to remove.
         assert_eq!(k.apply_delta(&delta).unwrap_err(), LogicError::EdgeNotPresent);
     }

@@ -41,7 +41,7 @@
 //!
 //! # Diamond strategies
 //!
-//! Diamond instructions have **three** implementations, chosen per
+//! Diamond instructions have **two** implementations, chosen per
 //! instruction at execution time ([`DiamondMode::Auto`]):
 //!
 //! * **forward** — walk the relation's CSR successor rows testing bits
@@ -49,34 +49,27 @@
 //!   strategy; cost ≈ worlds + stored successor pairs — the
 //!   `assign_from_fn` sweep visits every world even when its row is
 //!   empty);
-//! * **dense reverse** — union the relation's predecessor bit rows
-//!   ([`Kripke::predecessor_rows`]) over `iter_ones(‖φ‖)`; cost ≈
-//!   `|‖φ‖| × n/64` word ORs, a large win when `‖φ‖` is sparse. Only
-//!   legal for grade-1 diamonds on models whose n²-bit predecessor
-//!   matrix fits under [`REVERSE_WORD_CAP`];
 //! * **CSC gather** — walk the relation's CSC predecessor lists
 //!   ([`Kripke::predecessors_csc`]) over `iter_ones(‖φ‖)`: `out ∪=
 //!   preds(u)` for grade 1, a counting scatter for grade ≥ 2. Cost ≈
 //!   the predecessor entries of the satisfying worlds; `O(n + edges)`
-//!   storage, so it is legal at **any** model size and any grade — the
-//!   path that keeps reverse evaluation reachable on huge sparse
-//!   models beyond the dense cap.
+//!   storage, so it is legal at **any** model size and any grade — a
+//!   large win when `‖φ‖` is sparse.
 //!
-//! Under [`DiamondMode::Auto`] the three are compared by a measured
+//! Under [`DiamondMode::Auto`] the two are compared by a measured
 //! cost model (in the shared "entry ops" currency):
 //!
 //! * forward: `targets + n` (the sweep visits every world, empty row
 //!   or not — comparing against the pair count alone was a bug: a
 //!   sparse relation over a large universe made the forward walk look
 //!   free when its `O(n)` sweep dominated);
-//! * dense reverse: `|‖φ‖| × row_words`, `∞` when illegal;
 //! * CSC: `|‖φ‖| + Σ_{u ∈ ‖φ‖} |preds(u)|`, plus `n/64` (zeroing) for
 //!   grade 1 or `n` (the counts array) for graded — graded diamonds
 //!   are costed via actual CSC row lengths instead of being forced
 //!   forward.
 //!
-//! Ties break toward forward, then dense. The explicit modes pin one
-//! implementation (tests sweep all four modes in-process).
+//! Ties break toward forward. The explicit modes pin one
+//! implementation (tests sweep all three modes in-process).
 //!
 //! # Fixpoints
 //!
@@ -143,9 +136,7 @@
 //! * **within an instruction** — `Prop` and forward diamonds split the
 //!   world range at 64-aligned, work-weighted boundaries (the CSR
 //!   offsets are the work prefix-sums) and fill disjoint word ranges
-//!   of the output slot; dense reverse diamonds split `iter_ones(‖φ‖)`
-//!   at popcount quantiles into per-chunk partial unions merged with
-//!   [`Bitset::or_assign`]; CSC gathers split the *entry* space at
+//!   of the output slot; CSC gathers split the *entry* space at
 //!   equal-count boundaries that may fall inside a single hub world's
 //!   predecessor row, so one high-degree world can no longer serialise
 //!   a chunk;
@@ -194,56 +185,20 @@ use portnum_graph::pool::WorkerPool;
 use portnum_graph::resilience::{ExecControl, Interrupted};
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Strategy selection for diamond instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DiamondMode {
-    /// Choose per instruction by the three-way cost model (the
+    /// Choose per instruction by the forward-vs-CSC cost model (the
     /// default).
     #[default]
     Auto,
     /// Always walk the forward CSR rows.
     Forward,
-    /// Evaluate through predecessors, picking the denser store when
-    /// legal: the [`BitMatrix`](portnum_graph::bitset::BitMatrix) rows
-    /// for grade-1 diamonds on models under [`REVERSE_WORD_CAP`], the
-    /// CSC gather everywhere else (graded diamonds, over-cap models) —
-    /// the forward sweep is never taken. Check
-    /// [`ExecStats::reverse_diamonds`] / [`ExecStats::csc_diamonds`]
-    /// when pinning this mode for a measurement.
-    Reverse,
     /// Always use the CSC gather ([`Kripke::predecessors_csc`]), any
     /// grade, any model size.
     Csc,
-}
-
-/// Predecessor matrices larger than this many `u64` words (16 MiB) are
-/// never built by the evaluator — beyond it the n²-bit dense reverse
-/// storage stops paying for itself and the reverse diamond path runs
-/// on the `O(n + edges)` CSC store instead ([`DiamondMode::Csc`]'s
-/// implementation, which the cost model and [`DiamondMode::Reverse`]
-/// fall through to).
-pub const REVERSE_WORD_CAP: usize = 1 << 21;
-
-/// The effective dense cap, overridable for tests (differential suites
-/// shrink it so small proptest models exercise the over-cap CSC path).
-static REVERSE_WORD_CAP_OVERRIDE: AtomicUsize = AtomicUsize::new(REVERSE_WORD_CAP);
-
-fn reverse_word_cap() -> usize {
-    REVERSE_WORD_CAP_OVERRIDE.load(Ordering::Relaxed)
-}
-
-/// Shrinks (or restores) the dense predecessor-matrix cap for this
-/// process. Test-only: lets differential suites push proptest-sized
-/// models above the cap so the CSC path actually fires. Affects every
-/// subsequent `Auto`/`Reverse` strategy choice in the process — do not
-/// mix with tests that pin strategy *counts* under the default cap in
-/// the same binary.
-#[doc(hidden)]
-pub fn set_reverse_word_cap_for_tests(words: usize) {
-    REVERSE_WORD_CAP_OVERRIDE.store(words, Ordering::Relaxed);
 }
 
 /// One plan instruction; operands are earlier instruction ids.
@@ -333,16 +288,15 @@ pub struct ExecStats {
     pub executed: usize,
     /// Diamonds evaluated by the forward CSR walk.
     pub forward_diamonds: usize,
-    /// Diamonds evaluated by dense predecessor-row unions
-    /// ([`Kripke::predecessor_rows`]).
+    /// Always 0: the dense predecessor-row engine this counted is gone.
+    /// Kept so existing stats readers still compile.
     pub reverse_diamonds: usize,
     /// Diamonds evaluated by the CSC predecessor gather
-    /// ([`Kripke::predecessors_csc`]) — the reverse path that works
-    /// beyond [`REVERSE_WORD_CAP`] and for graded diamonds.
+    /// ([`Kripke::predecessors_csc`]), any grade, any model size.
     pub csc_diamonds: usize,
     /// Instructions whose per-world loop was split into pool chunks
-    /// (world-range splits for `Prop`/forward diamonds, `iter_ones`
-    /// splits for reverse diamonds).
+    /// (world-range splits for `Prop`/forward diamonds, entry-space
+    /// splits for CSC gathers).
     pub chunked_ops: usize,
     /// Instructions executed concurrently with same-level siblings
     /// (instruction-level parallelism over the plan DAG).
@@ -379,7 +333,6 @@ impl ExecStats {
     fn absorb(&mut self, other: ExecStats) {
         self.executed += other.executed;
         self.forward_diamonds += other.forward_diamonds;
-        self.reverse_diamonds += other.reverse_diamonds;
         self.csc_diamonds += other.csc_diamonds;
         self.chunked_ops += other.chunked_ops;
         self.level_parallel_ops += other.level_parallel_ops;
@@ -1567,11 +1520,10 @@ fn eval_fixpoint_into<'a>(
     Ok(())
 }
 
-/// The three diamond implementations (see the module docs).
+/// The two diamond implementations (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DiamondImpl {
     Forward,
-    Dense,
     Csc,
 }
 
@@ -1586,15 +1538,12 @@ enum DiamondImpl {
 ///   every world even when its CSR row is empty (comparing against
 ///   `targets.len()` alone once made sparse relations over large
 ///   universes wrongly pick the forward path);
-/// * dense reverse: `|‖φ‖| × row_words` word ORs, legal only for
-///   grade 1 under the dense cap;
 /// * CSC gather: `|‖φ‖|` row lookups plus the *actual* predecessor
 ///   entries of the satisfying worlds (read off the CSC bounds — this
 ///   is why the store is built before costing), plus `n/64` for the
 ///   grade-1 zeroing or `n` for the graded counts array.
 ///
-/// Ties break toward forward, then dense; explicit modes are taken
-/// verbatim.
+/// Ties break toward forward; explicit modes are taken verbatim.
 fn diamond_impl(
     model: &Kripke,
     mode: DiamondMode,
@@ -1603,44 +1552,31 @@ fn diamond_impl(
     sat: &Bitset,
     targets_len: usize,
 ) -> DiamondImpl {
-    let dense_legal = grade == 1 && model.predecessor_matrix_words() <= reverse_word_cap();
     match mode {
         DiamondMode::Forward => DiamondImpl::Forward,
         DiamondMode::Csc => DiamondImpl::Csc,
-        DiamondMode::Reverse => {
-            if dense_legal {
-                DiamondImpl::Dense
-            } else {
-                DiamondImpl::Csc
-            }
-        }
         DiamondMode::Auto => {
             let n = model.len();
-            let ones = sat.count_ones();
             let forward_cost = targets_len + n;
-            let dense_cost = if dense_legal { ones * sat.words().len() } else { usize::MAX };
             // CSC cost: the fixed part (row lookups + zeroing or the
             // counts array) plus the actual predecessor entries of the
             // satisfying worlds. The summation stops — and the store is
             // not even built — once the running cost reaches the
-            // cheaper alternative: past that point the winner cannot
-            // change, and a near-full ‖φ‖ would otherwise pay O(|‖φ‖|)
-            // lookups per execution just to re-learn that forward wins.
-            let budget = forward_cost.min(dense_cost);
-            let mut csc_cost = ones + if grade == 1 { n / 64 } else { n };
-            if csc_cost < budget {
+            // forward cost: past that point the winner cannot change,
+            // and a near-full ‖φ‖ would otherwise pay O(|‖φ‖|) lookups
+            // per execution just to re-learn that forward wins.
+            let mut csc_cost = sat.count_ones() + if grade == 1 { n / 64 } else { n };
+            if csc_cost < forward_cost {
                 let csc = model.predecessors_csc(rel);
                 for u in sat.iter_ones() {
                     csc_cost += csc.row_len(u);
-                    if csc_cost >= budget {
+                    if csc_cost >= forward_cost {
                         break;
                     }
                 }
             }
-            if forward_cost <= dense_cost && forward_cost <= csc_cost {
+            if forward_cost <= csc_cost {
                 DiamondImpl::Forward
-            } else if dense_cost <= csc_cost {
-                DiamondImpl::Dense
             } else {
                 DiamondImpl::Csc
             }
@@ -1732,9 +1668,8 @@ fn forward_sweep_blocked(
 }
 
 /// Evaluates one diamond instruction into `out`, choosing the forward
-/// CSR walk, the dense predecessor-row union, or the CSC gather per
-/// the mode and the cost model (see [`diamond_impl`]). Shared by
-/// [`Plan`] and [`ModelChecker`].
+/// CSR walk or the CSC gather per the mode and the cost model (see
+/// [`diamond_impl`]). Shared by [`Plan`] and [`ModelChecker`].
 fn diamond_into(
     model: &Kripke,
     mode: DiamondMode,
@@ -1747,14 +1682,6 @@ fn diamond_into(
     let n = model.len();
     let (offsets, targets) = model.relation_rows(rel);
     match diamond_impl(model, mode, rel, grade, sat, targets.len()) {
-        DiamondImpl::Dense => {
-            stats.reverse_diamonds += 1;
-            let pred = model.predecessor_rows(rel);
-            out.assign_zeros(n);
-            for w in sat.iter_ones() {
-                out.or_words(pred.row(w));
-            }
-        }
         DiamondImpl::Csc => {
             stats.csc_diamonds += 1;
             csc_gather_into(model.predecessors_csc(rel), grade, sat, n, out);
@@ -1828,11 +1755,6 @@ fn eval_op_chunked<'a>(
             let sat = operand(inner);
             let (offsets, targets) = model.relation_rows(rel as usize);
             match diamond_impl(model, mode, rel as usize, grade, sat, targets.len()) {
-                DiamondImpl::Dense => {
-                    stats.reverse_diamonds += 1;
-                    stats.chunked_ops +=
-                        reverse_diamond_chunked(model, rel as usize, sat, out, threads) as usize;
-                }
                 DiamondImpl::Csc => {
                     stats.csc_diamonds += 1;
                     stats.chunked_ops += csc_diamond_chunked(
@@ -1862,76 +1784,6 @@ fn eval_op_chunked<'a>(
         }
         _ => unreachable!("only Prop and Diamond instructions are chunked"),
     }
-}
-
-/// The pool scaffold of the *dense* reverse diamond path:
-/// `iter_ones(‖φ‖)` is split at word boundaries balanced by popcount,
-/// each chunk runs `gather(world, partial)` for its satisfying worlds
-/// into a private partial `Bitset`, and the partials are OR-merged (in
-/// chunk order — though OR makes any order bit-identical). Empty or
-/// single-chunk sets run inline into `out`. Returns whether the work
-/// was actually split. (The CSC path shards finer — at entry
-/// granularity, see [`EntryShards`] — because its per-world cost is a
-/// row walk, not a fixed-width word OR.)
-fn gather_ones_chunked(
-    n: usize,
-    sat: &Bitset,
-    threads: usize,
-    out: &mut Bitset,
-    gather: &(dyn Fn(usize, &mut Bitset) + Sync),
-) -> bool {
-    let sat_words = sat.words();
-    // Popcount prefix over sat's words, the work array of the quantile
-    // split (universe = word indices, not worlds).
-    let wn = sat_words.len();
-    let mut ones_prefix = Vec::with_capacity(wn + 1);
-    ones_prefix.push(0usize);
-    for (i, &w) in sat_words.iter().enumerate() {
-        ones_prefix.push(ones_prefix[i] + w.count_ones() as usize);
-    }
-    let ranges = if ones_prefix[wn] == 0 {
-        Vec::new()
-    } else {
-        quantile_ranges(wn, threads, 1, |i| ones_prefix[i])
-    };
-    if ranges.len() <= 1 {
-        out.assign_zeros(n);
-        for w in sat.iter_ones() {
-            gather(w, out);
-        }
-        return false;
-    }
-    let partials: Vec<Mutex<Bitset>> =
-        (0..ranges.len()).map(|_| Mutex::new(Bitset::zeros(n))).collect();
-    WorkerPool::global().run(ranges.len(), &|i| {
-        let mut acc = partials[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for wi in ranges[i].clone() {
-            let mut word = sat_words[wi];
-            while word != 0 {
-                let w = wi * 64 + word.trailing_zeros() as usize;
-                gather(w, &mut acc);
-                word &= word - 1;
-            }
-        }
-    });
-    out.assign_zeros(n);
-    for partial in &partials {
-        out.or_assign(&partial.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-    }
-    true
-}
-
-/// Dense reverse diamond over the pool: each satisfying world ORs its
-/// whole predecessor bit row into the chunk partial.
-fn reverse_diamond_chunked(
-    model: &Kripke,
-    rel: usize,
-    sat: &Bitset,
-    out: &mut Bitset,
-    threads: usize,
-) -> bool {
-    let pred = model.predecessor_rows(rel);
-    gather_ones_chunked(model.len(), sat, threads, out, &|w, acc| acc.or_words(pred.row(w)))
 }
 
 /// The CSC entry space of one gather, sharded at *entry* (not world)
@@ -2121,11 +1973,11 @@ pub struct CheckerStats {
     pub quotient_computed: usize,
     /// Lowered nodes resolved to an existing instruction.
     pub dedup_hits: usize,
-    /// Diamonds evaluated forward / dense-reverse / CSC-reverse.
+    /// Diamonds evaluated by the forward CSR walk.
     pub forward_diamonds: usize,
-    /// See [`CheckerStats::forward_diamonds`].
+    /// Always 0, as [`ExecStats::reverse_diamonds`].
     pub reverse_diamonds: usize,
-    /// See [`CheckerStats::forward_diamonds`].
+    /// Diamonds evaluated by the CSC predecessor gather.
     pub csc_diamonds: usize,
     /// Kleene iterations executed across all fixpoint instructions
     /// (each fixpoint converges within `n + 1` root evaluations by
@@ -2770,7 +2622,6 @@ impl<'m> ModelChecker<'m> {
         let (mut truths, exec) = plan.execute_with(quotient, self.mode);
         self.quotient_computed += exec.executed;
         self.exec.forward_diamonds += exec.forward_diamonds;
-        self.exec.reverse_diamonds += exec.reverse_diamonds;
         self.exec.csc_diamonds += exec.csc_diamonds;
         let truth = truths.pop().expect("single root");
         Ok(Bitset::from_fn(map.len(), |v| truth.get(map[v])))
@@ -2785,7 +2636,7 @@ impl<'m> ModelChecker<'m> {
             quotient_computed: self.quotient_computed,
             dedup_hits: self.lw.dedup_hits,
             forward_diamonds: self.exec.forward_diamonds,
-            reverse_diamonds: self.exec.reverse_diamonds,
+            reverse_diamonds: 0,
             csc_diamonds: self.exec.csc_diamonds,
             fixpoint_iters: self.exec.fixpoint_iters,
         }
@@ -2939,38 +2790,29 @@ mod tests {
                 .or(&Formula::diamond(index, &Formula::prop(3).not()));
             let plan = Plan::compile(&k, &f).unwrap();
             let (fwd, sf) = plan.execute_with(&k, DiamondMode::Forward);
-            let (rev, sr) = plan.execute_with(&k, DiamondMode::Reverse);
             let (csc, sc) = plan.execute_with(&k, DiamondMode::Csc);
-            assert_eq!(fwd, rev);
             assert_eq!(fwd, csc);
-            assert_eq!(sf.reverse_diamonds + sf.csc_diamonds, 0);
-            assert_eq!(sr.forward_diamonds, 0);
-            assert!(sr.reverse_diamonds > 0);
-            assert_eq!(sc.forward_diamonds + sc.reverse_diamonds, 0);
+            assert_eq!(sf.csc_diamonds, 0);
+            assert!(sf.forward_diamonds > 0);
+            assert_eq!(sc.forward_diamonds, 0);
             assert!(sc.csc_diamonds > 0);
         }
     }
 
     #[test]
     fn graded_diamonds_count_via_csc_under_reverse() {
-        // Dense bit rows cannot count, so a graded diamond pinned to
-        // the reverse path runs the CSC counting gather (before the
-        // CSC store existed it had to fall back to the forward walk).
+        // A graded diamond pinned to the reverse path runs the CSC
+        // counting gather; the forward walk counts too, and both agree
+        // with the recursive engine.
         let k = Kripke::k_mm(&generators::star(4));
         let f = Formula::diamond_geq(ModalIndex::Any, 2, &Formula::prop(1));
         let plan = Plan::compile(&k, &f).unwrap();
-        let (mut out, stats) = plan.execute_with(&k, DiamondMode::Reverse);
+        let (mut out, stats) = plan.execute_with(&k, DiamondMode::Csc);
         assert_eq!(stats.csc_diamonds, 1, "graded reverse counts via CSC: {stats:?}");
         assert_eq!(stats.forward_diamonds, 0);
-        assert_eq!(stats.reverse_diamonds, 0);
         assert_eq!(out.pop().unwrap(), evaluate_packed_recursive(&k, &f).unwrap());
-        // Forward mode still takes the counting walk.
         let (mut out, stats) = plan.execute_with(&k, DiamondMode::Forward);
         assert_eq!(stats.forward_diamonds, 1);
-        assert_eq!(out.pop().unwrap(), evaluate_packed_recursive(&k, &f).unwrap());
-        // And the explicit CSC mode agrees, grade included.
-        let (mut out, stats) = plan.execute_with(&k, DiamondMode::Csc);
-        assert_eq!(stats.csc_diamonds, 1);
         assert_eq!(out.pop().unwrap(), evaluate_packed_recursive(&k, &f).unwrap());
     }
 
@@ -3121,9 +2963,8 @@ mod tests {
         // row or not), so on this model a reverse path (4 satisfying
         // worlds with 20 predecessor entries between them) beats
         // forward (640 + 20). The old comparison against targets.len()
-        // alone wrongly chose the forward path. Under the three-way
-        // model the winner is the CSC gather (4 + 20 + 10 = 34 entry
-        // ops vs. 4 ones × 10 row words = 40 for the dense rows).
+        // alone wrongly chose the forward path. The CSC gather costs
+        // 4 + 20 + 10 = 34 entry ops.
         let k = sparse_relation_model();
         let f = Formula::diamond(ModalIndex::Any, &Formula::prop(7));
         let plan = Plan::compile(&k, &f).unwrap();
@@ -3133,19 +2974,17 @@ mod tests {
         assert_eq!(out.pop().unwrap(), evaluate_packed_recursive(&k, &f).unwrap());
 
         // Control: a dense inner set (⊤ holds everywhere: CSC touches
-        // every stored edge plus every world, dense rows cost 640 ones
-        // × 10 words = 6400 ≫ 660) still picks the forward walk.
+        // every stored edge plus every world, 640 + 20 + 10 > 660)
+        // still picks the forward walk.
         let dense = Formula::diamond(ModalIndex::Any, &Formula::top());
         let plan = Plan::compile(&k, &dense).unwrap();
         let (_, stats) = plan.execute_with(&k, DiamondMode::Auto);
         assert_eq!(stats.forward_diamonds, 1, "dense inner must stay forward: {stats:?}");
-        assert_eq!(stats.reverse_diamonds + stats.csc_diamonds, 0);
+        assert_eq!(stats.csc_diamonds, 0);
     }
 
     /// A hub model: every world points at world 0, which alone carries
-    /// the marker degree. Predecessor rows are maximally dense, so the
-    /// dense bit rows beat both the CSC gather (640 entries) and the
-    /// forward sweep.
+    /// the marker degree, so world 0's CSC row holds all `n` worlds.
     fn hub_model(n: usize) -> Kripke {
         let mut degree = vec![0usize; n];
         degree[0] = 7;
@@ -3156,39 +2995,43 @@ mod tests {
     }
 
     #[test]
-    fn auto_keeps_dense_rows_for_dense_predecessors_under_the_cap() {
-        // One satisfying world with 640 predecessors: dense reverse is
-        // one 10-word row OR (cost 10), the CSC gather walks all 640
-        // entries, the forward sweep visits 640 worlds + 640 pairs.
+    fn auto_prices_hub_predecessors_by_csc_row_length() {
+        // The forward sweep costs 640 worlds + 640 pairs = 1280 entry
+        // ops whatever the inner set. ⟨α⟩q₇: one satisfying world whose
+        // CSC row holds all 640 worlds costs 1 + 640 + 10 = 651, so the
+        // gather wins. ⟨α⟩⊤: 640 lookups + the same 640 entries + 10 =
+        // 1290 tips the choice back to forward.
         let k = hub_model(640);
-        assert!(k.predecessor_matrix_words() <= REVERSE_WORD_CAP);
-        let f = Formula::diamond(ModalIndex::Any, &Formula::prop(7));
-        let plan = Plan::compile(&k, &f).unwrap();
+        let hub = Formula::diamond(ModalIndex::Any, &Formula::prop(7));
+        let plan = Plan::compile(&k, &hub).unwrap();
         let (mut out, stats) = plan.execute_with(&k, DiamondMode::Auto);
-        assert_eq!(stats.reverse_diamonds, 1, "dense predecessors keep BitMatrix: {stats:?}");
-        assert_eq!(stats.forward_diamonds + stats.csc_diamonds, 0);
-        assert_eq!(out.pop().unwrap(), evaluate_packed_recursive(&k, &f).unwrap());
+        assert_eq!(stats.csc_diamonds, 1, "one hub row must gather via CSC: {stats:?}");
+        assert_eq!(stats.forward_diamonds, 0);
+        let truth = out.pop().unwrap();
+        assert_eq!(truth, evaluate_packed_recursive(&k, &hub).unwrap());
+        assert_eq!(truth.count_ones(), 640, "every world sees the hub");
+
+        let all = Formula::diamond(ModalIndex::Any, &Formula::top());
+        let plan = Plan::compile(&k, &all).unwrap();
+        let (mut out, stats) = plan.execute_with(&k, DiamondMode::Auto);
+        assert_eq!(stats.forward_diamonds, 1, "a full inner set stays forward: {stats:?}");
+        assert_eq!(stats.csc_diamonds, 0);
+        assert_eq!(out.pop().unwrap(), evaluate_packed_recursive(&k, &all).unwrap());
     }
 
     #[test]
     fn auto_picks_csc_above_the_dense_cap() {
-        // The acceptance scenario: a sparse model big enough that the
-        // n²-bit predecessor matrix is over the cap, with a sparse
-        // inner set — before the CSC store existed, this diamond was
-        // silently forced onto the forward sweep.
+        // A sparse model big enough that an n²-bit predecessor matrix
+        // would take over 16 MiB, with a sparse inner set: the CSC
+        // gather's O(n + edges) store keeps the reverse path cheap.
         let n = 12_000;
         let k = Kripke::k_mm(&generators::path(n));
-        assert!(
-            k.predecessor_matrix_words() > REVERSE_WORD_CAP,
-            "model must sit above the dense cap: {} words",
-            k.predecessor_matrix_words()
-        );
         // Degree 1 holds exactly at the two path endpoints.
         let f = Formula::diamond(ModalIndex::Any, &Formula::prop(1));
         let plan = Plan::compile(&k, &f).unwrap();
         let (out, stats) = plan.execute_with(&k, DiamondMode::Auto);
-        assert_eq!(stats.csc_diamonds, 1, "above-cap sparse diamond must go CSC: {stats:?}");
-        assert_eq!(stats.forward_diamonds + stats.reverse_diamonds, 0);
+        assert_eq!(stats.csc_diamonds, 1, "huge sparse diamond must go CSC: {stats:?}");
+        assert_eq!(stats.forward_diamonds, 0);
         // Bit-identical to the forward engine on the same plan.
         let (fwd, fwd_stats) = plan.execute_with(&k, DiamondMode::Forward);
         assert_eq!(fwd_stats.forward_diamonds, 1);
@@ -3359,15 +3202,12 @@ mod tests {
             f = Formula::diamond(ModalIndex::Any, &f).or(&Formula::prop(2));
         }
         let plan = Plan::compile(&k, &f).unwrap();
-        for mode in
-            [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Reverse, DiamondMode::Csc]
-        {
+        for mode in [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Csc] {
             let (seq, seq_stats) = execute_pinned(&plan, &k, mode, Parallelism::Off);
             let (par, par_stats) = execute_pinned(&plan, &k, mode, Parallelism::Force);
             assert_eq!(seq, par, "mode {mode:?}");
             assert_eq!(seq_stats.executed, par_stats.executed);
             assert_eq!(seq_stats.forward_diamonds, par_stats.forward_diamonds);
-            assert_eq!(seq_stats.reverse_diamonds, par_stats.reverse_diamonds);
             assert_eq!(seq_stats.csc_diamonds, par_stats.csc_diamonds);
             assert_eq!(seq_stats.chunked_ops, 0, "mode {mode:?}: {seq_stats:?}");
             assert!(par_stats.chunked_ops > 0, "mode {mode:?}: {par_stats:?}");
@@ -3393,34 +3233,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_parallel_reverse_diamonds_split_iter_ones() {
-        // Pin the reverse path: sat bits spread over several words, so
-        // the popcount split produces real chunks whose partial unions
-        // must merge to the sequential answer.
-        let k = Kripke::k_mm(&generators::cycle(200));
-        let f = Formula::diamond(ModalIndex::Any, &Formula::prop(2)); // everything true inside
-        let plan = Plan::compile(&k, &f).unwrap();
-        let (seq, ss) = plan.execute_with(&k, DiamondMode::Reverse);
-        let (par, ps) = execute_pinned(&plan, &k, DiamondMode::Reverse, Parallelism::Force);
-        assert_eq!(seq, par);
-        assert_eq!(ss.reverse_diamonds, 1);
-        assert_eq!(ps.reverse_diamonds, 1);
-        assert!(ps.chunked_ops > 0, "{ps:?}");
-        // An all-false inner set is the empty-union edge case.
-        let none = Formula::diamond(ModalIndex::Any, &Formula::prop(9));
-        let plan = Plan::compile(&k, &none).unwrap();
-        let (seq, _) = plan.execute_with(&k, DiamondMode::Reverse);
-        let (par, _) = execute_pinned(&plan, &k, DiamondMode::Reverse, Parallelism::Force);
-        assert_eq!(seq, par);
-        assert!(seq[0].none());
-    }
-
-    #[test]
     fn forced_parallel_csc_diamonds_shard_the_entry_space() {
-        // The CSC twin of the dense split test: the satisfying worlds
-        // contribute hundreds of predecessor entries, so the
-        // equal-entry shards produce real chunks whose partial gathers
-        // must merge to the sequential answer.
+        // The satisfying worlds contribute hundreds of predecessor
+        // entries, so the equal-entry shards produce real chunks whose
+        // partial gathers must merge to the sequential answer.
         let k = Kripke::k_mm(&generators::cycle(200));
         let f = Formula::diamond(ModalIndex::Any, &Formula::prop(2)); // everything true inside
         let plan = Plan::compile(&k, &f).unwrap();
@@ -3573,9 +3389,7 @@ mod tests {
             for f in fixpoint_suite_with(index) {
                 let plan = Plan::compile(k, &f).unwrap();
                 let want = evaluate_packed_recursive(k, &f).unwrap();
-                for mode in
-                    [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Reverse, DiamondMode::Csc]
-                {
+                for mode in [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Csc] {
                     let (mut got, stats) = plan.execute_with(k, mode);
                     assert_eq!(got.pop().unwrap(), want, "{f} under {mode:?} on {:?}", k.variant());
                     assert!(stats.fixpoints > 0, "{f} lowered without a fixpoint instruction");

@@ -3,7 +3,7 @@
 //!
 //! 1. **no wedge**: after any injected fault, the global pool serves
 //!    the next query;
-//! 2. **no torn cache**: the `OnceLock` CSC/dense stores and the
+//! 2. **no torn cache**: the `OnceLock` CSC stores and the
 //!    checker's `Rc` truth vectors are committed whole or not at all;
 //! 3. **bit-identical retry**: a query retried after a fault returns
 //!    exactly the bits an uninjected run returns.
@@ -56,7 +56,7 @@ fn fixpoint_formula() -> Formula {
 
 /// The query each site is exercised through: a closure running one
 /// complete engine call on a **fresh model** (so lazily built caches
-/// like the CSC/dense reverse stores are rebuilt — and their build
+/// like the CSC reverse stores are rebuilt — and their build
 /// sites hit — on every invocation) and returning a comparable digest.
 type Query = fn(&ExecControl) -> Result<Vec<u64>, LogicError>;
 
@@ -78,13 +78,6 @@ fn run_plan_csc(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     let k = chaos_model();
     let plan = Plan::compile(&k, &query_formula(2))?;
     let (truths, _) = plan.execute_controlled(&k, DiamondMode::Csc, Parallelism::Auto, ctl)?;
-    Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
-}
-
-fn run_plan_dense(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
-    let k = chaos_model();
-    let plan = Plan::compile(&k, &query_formula(2))?;
-    let (truths, _) = plan.execute_controlled(&k, DiamondMode::Reverse, Parallelism::Auto, ctl)?;
     Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
 }
 
@@ -129,7 +122,6 @@ const MATRIX: &[(&str, Query)] = &[
     ("checker-instr", run_checker as Query),
     ("refine-round", run_refine as Query),
     ("csc-build", run_plan_csc as Query),
-    ("dense-build", run_plan_dense as Query),
     ("pool-dispatch", run_plan_pool as Query),
     ("pool-chunk", run_plan_pool as Query),
 ];
@@ -343,24 +335,21 @@ fn fixpoint_panic_mid_iteration_then_bit_identical_retry() {
 fn panicked_cache_build_leaves_oncelock_unset_not_torn() {
     let _g = serial();
     // Same long-lived model across the fault and the retry: the lazy
-    // reverse stores survive, so a torn publication would be visible.
+    // reverse store survives, so a torn publication would be visible.
     let k = chaos_model();
     let f = query_formula(2);
     let plan = Plan::compile(&k, &f).expect("compiles");
-    for (site, mode) in [("csc-build", DiamondMode::Csc), ("dense-build", DiamondMode::Reverse)] {
-        fail::cfg(site, "1*panic(build chaos)").unwrap();
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| plan.execute_with(&k, mode)));
-        assert!(outcome.is_err(), "site {site} must fire during the {mode:?} build");
-        fail::teardown();
-        // Retry on the SAME model rebuilds the store from scratch and
-        // matches a fresh model bit for bit.
-        let (retried, _) = plan.execute_with(&k, mode);
-        let fresh_model = chaos_model();
-        let fresh_plan = Plan::compile(&fresh_model, &f).expect("compiles");
-        let (fresh, _) = fresh_plan.execute_with(&fresh_model, mode);
-        assert_eq!(retried, fresh, "site {site}: torn {mode:?} cache after injected panic");
-    }
+    fail::cfg("csc-build", "1*panic(build chaos)").unwrap();
+    let outcome = catch_unwind(AssertUnwindSafe(|| plan.execute_with(&k, DiamondMode::Csc)));
+    assert!(outcome.is_err(), "csc-build must fire during the CSC build");
+    fail::teardown();
+    // Retry on the SAME model rebuilds the store from scratch and
+    // matches a fresh model bit for bit.
+    let (retried, _) = plan.execute_with(&k, DiamondMode::Csc);
+    let fresh_model = chaos_model();
+    let fresh_plan = Plan::compile(&fresh_model, &f).expect("compiles");
+    let (fresh, _) = fresh_plan.execute_with(&fresh_model, DiamondMode::Csc);
+    assert_eq!(retried, fresh, "torn CSC cache after injected panic");
 }
 
 #[test]

@@ -141,7 +141,6 @@ proptest! {
         mode in prop_oneof![
             Just(DiamondMode::Auto),
             Just(DiamondMode::Forward),
-            Just(DiamondMode::Reverse),
             Just(DiamondMode::Csc),
         ],
         f_pp in arb_formula(ModalIndex::InOut),

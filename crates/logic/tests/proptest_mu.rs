@@ -48,9 +48,7 @@ proptest! {
         for (model, f) in &cases {
             let reference = evaluate_packed_recursive(model, f).unwrap();
             let plan = Plan::compile(model, f).unwrap();
-            for mode in
-                [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Reverse, DiamondMode::Csc]
-            {
+            for mode in [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Csc] {
                 let (mut seq, seq_stats) = plan.execute_with(model, mode);
                 prop_assert_eq!(
                     seq.pop().unwrap(), reference.clone(),
