@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use portnum_bench::workloads;
 use portnum_graph::partition::Parallelism;
-use portnum_logic::bisim::{refine, refine_with, BisimStyle, RefineEngine};
-use portnum_logic::Kripke;
+use portnum_logic::bisim::{refine, refine_fixpoint, refine_with, BisimStyle, RefineEngine};
+use portnum_logic::{minimum_base, Kripke, KripkeBuilder, ModalIndex, ModelVariant};
 use std::time::Duration;
 
 fn bench_refine(c: &mut Criterion) {
@@ -74,6 +74,32 @@ fn bench_symmetric_certificates(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_offline_shape(c: &mut Criterion) {
+    // The refinement half of perfbench's `offline` pass, on a model of
+    // its shape: a stream-built 2^14-world average-degree-3 G(n, p)
+    // K-,-, whose fixpoints are ~93% singleton blocks, so nearly every
+    // signature a round encodes is new to the intern table.
+    let mut group = c.benchmark_group("bisimulation/offline");
+    let n = 1usize << 14;
+    let p = 3.0 / n as f64;
+    let model = KripkeBuilder::new(ModelVariant::MinusMinus, n)
+        .relation(ModalIndex::Any, move || portnum_graph::generators::gnp_edges(n, p, 7))
+        .degrees_from_streams()
+        .build()
+        .expect("gnp stream stays in range");
+    let name = "gnp16384_d3";
+    group.bench_with_input(BenchmarkId::new("graded_fixpoint", name), &model, |b, k| {
+        b.iter(|| refine_fixpoint(k, BisimStyle::Graded))
+    });
+    group.bench_with_input(BenchmarkId::new("plain_fixpoint", name), &model, |b, k| {
+        b.iter(|| refine_fixpoint(k, BisimStyle::Plain))
+    });
+    group.bench_with_input(BenchmarkId::new("minimum_base", name), &model, |b, k| {
+        b.iter(|| minimum_base(k))
+    });
+    group.finish();
+}
+
 fn configure() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -84,6 +110,7 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = bench_refine, bench_worklist_vs_rounds, bench_symmetric_certificates
+    targets = bench_refine, bench_worklist_vs_rounds, bench_symmetric_certificates,
+        bench_offline_shape
 }
 criterion_main!(benches);

@@ -24,22 +24,28 @@
 //! The engine avoids the classic performance traps of signature
 //! refinement:
 //!
-//! * **No per-node allocation.** A signature is encoded as a run of `u64`
-//!   words in a scratch buffer owned by the [`Refiner`]; interning a
-//!   signature allocates only when the signature is *new* (at most once
-//!   per output block per round, not once per node).
-//! * **Cheap hashing.** The intern table is a `HashMap` keyed by the
-//!   encoded word slice under [`FxHasher`], a multiply-xor hash that is
-//!   an order of magnitude cheaper than SipHash on short integer keys and
-//!   needs no DoS resistance here (inputs are our own block ids).
+//! * **No per-signature allocation.** A signature is encoded as a run of
+//!   `u64` words in a scratch buffer owned by the engine, and interning
+//!   allocates no key, not even for a *new* signature. Both engines
+//!   share one hash-chained intern table: a signature's [`FxHasher`]
+//!   hash maps to the first id filed under it, later same-hash ids
+//!   chain behind it, and a hash match is confirmed against text the
+//!   engine already stores — the [`Refiner`]'s per-round word arena,
+//!   the [`WorklistRefiner`]'s per-group row spans. This matters on
+//!   near-discrete inputs (sparse random models), where almost every
+//!   signature a round encodes is new.
+//! * **Cheap hashing.** [`FxHasher`] is a multiply-xor hash an order of
+//!   magnitude cheaper than SipHash on short integer keys, and needs no
+//!   DoS resistance here (inputs are our own block ids).
 //! * **First-seen canonical ids.** Output block ids are assigned in first
 //!   scan order, so a refinement round is a no-op exactly when
 //!   `next == prev` element-wise — stability detection is a memcmp, and
 //!   partitions produced by different front-ends (1-WL, bisimulation) are
 //!   directly comparable.
 //!
-//! The scratch buffers are reused across rounds; a full refinement run
-//! performs O(blocks-per-round) allocations in total.
+//! Tables, arenas and scratch buffers are cleared, not freed, between
+//! rounds, so after the first rounds have grown them a refinement run
+//! allocates only when a round outgrows every earlier one.
 //!
 //! # Parallel rounds
 //!
@@ -68,6 +74,7 @@
 use crate::csc::CscAdjacency;
 use crate::pool::WorkerPool;
 use crate::resilience::{ExecControl, Interrupted};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -140,6 +147,108 @@ pub enum Counting {
     Multiset,
 }
 
+/// Fx hash of an encoded signature: its length, then its words — the
+/// words the `Hash` impl of `[u64]` feeds an [`FxHasher`]. The intern
+/// tables key on it, so equal texts always share a hash and a collision
+/// only costs one extra text comparison.
+#[inline]
+fn hash_words(words: &[u64]) -> u64 {
+    let mut h = FxHasher::default();
+    h.add_word(words.len() as u64);
+    for &w in words {
+        h.add_word(w);
+    }
+    h.hash
+}
+
+/// The one signature intern table behind both engines: maps a
+/// signature's 64-bit hash to the first id filed under it and chains
+/// later same-hash ids. It stores no text — the caller already keeps
+/// every interned signature (the [`Refiner`]'s per-round word arena,
+/// the [`WorklistRefiner`]'s group texts) and resolves a hash match
+/// with its own comparison, so interning allocates no key. Ids are
+/// dense and first-seen: `0, 1, 2, …` in filing order.
+#[derive(Debug, Default)]
+struct InternTable {
+    /// First id filed under each hash.
+    first: FxHashMap<u64, u32>,
+    /// Per id: the next id with the same hash (`NONE_U32` ends the chain).
+    next: Vec<u32>,
+}
+
+impl InternTable {
+    /// Forgets every id, keeping capacity.
+    fn clear(&mut self) {
+        self.first.clear();
+        self.next.clear();
+    }
+
+    /// Number of ids filed so far.
+    fn len(&self) -> usize {
+        self.next.len()
+    }
+
+    /// The id filed under `hash` whose text `same` accepts, or a fresh
+    /// id (`len()` before the call) filed under `hash` if there is none.
+    /// The flag is `true` exactly when the id is fresh, so the caller
+    /// knows to store its text.
+    fn intern(&mut self, hash: u64, mut same: impl FnMut(u32) -> bool) -> (u32, bool) {
+        let fresh = self.next.len() as u32;
+        let link = match self.first.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(fresh);
+                NONE_U32
+            }
+            Entry::Occupied(mut slot) => {
+                let mut id = *slot.get();
+                while id != NONE_U32 {
+                    if same(id) {
+                        return (id, false);
+                    }
+                    id = self.next[id as usize];
+                }
+                slot.insert(fresh)
+            }
+        };
+        self.next.push(link);
+        (fresh, true)
+    }
+}
+
+/// An [`InternTable`] over its own word arena: interned signature `i`
+/// is `words[ends[i - 1]..ends[i]]` (`ends[-1]` = 0). The arena is
+/// cleared, not freed, between rounds, so a new signature costs a copy
+/// into reused storage instead of a boxed key.
+#[derive(Debug, Default)]
+struct SignatureArena {
+    table: InternTable,
+    words: Vec<u64>,
+    ends: Vec<usize>,
+}
+
+impl SignatureArena {
+    fn clear(&mut self) {
+        self.table.clear();
+        self.words.clear();
+        self.ends.clear();
+    }
+
+    /// Interns `sig` under `hash` (normally [`hash_words`] of `sig`).
+    fn intern(&mut self, hash: u64, sig: &[u64]) -> usize {
+        let (words, ends) = (&self.words, &self.ends);
+        let (id, fresh) = self.table.intern(hash, |id| {
+            let id = id as usize;
+            let start = if id == 0 { 0 } else { ends[id - 1] };
+            words[start..ends[id]] == *sig
+        });
+        if fresh {
+            self.words.extend_from_slice(sig);
+            self.ends.push(self.words.len());
+        }
+        id as usize
+    }
+}
+
 /// Reusable state for one partition-refinement run.
 ///
 /// Usage per round: call [`Refiner::begin_round`], then for each node in
@@ -148,7 +257,7 @@ pub enum Counting {
 /// [`Refiner::commit`] to obtain the node's next block id.
 #[derive(Debug, Default)]
 pub struct Refiner {
-    table: FxHashMap<Box<[u64]>, usize>,
+    sigs: SignatureArena,
     scratch: Vec<u64>,
 }
 
@@ -161,25 +270,14 @@ impl Refiner {
     /// Assigns dense first-seen ids to `keys`, producing the initial
     /// partition (one block per distinct key).
     pub fn seed_partition(&mut self, keys: impl Iterator<Item = u64>) -> Vec<usize> {
-        self.table.clear();
-        let table = &mut self.table;
-        keys.map(|key| {
-            // Probe before inserting so repeated keys (the common case)
-            // allocate nothing, matching `commit`.
-            if let Some(&id) = table.get([key].as_slice()) {
-                return id;
-            }
-            let id = table.len();
-            table.insert(Box::from([key]), id);
-            id
-        })
-        .collect()
+        self.sigs.clear();
+        keys.map(|key| self.sigs.intern(hash_words(&[key]), &[key])).collect()
     }
 
     /// Starts a refinement round, forgetting the previous round's interned
-    /// signatures but keeping allocated capacity where possible.
+    /// signatures but keeping allocated capacity.
     pub fn begin_round(&mut self) {
-        self.table.clear();
+        self.sigs.clear();
     }
 
     /// Starts a node's signature with the node's previous block id.
@@ -207,12 +305,7 @@ impl Refiner {
     /// Interns the current signature, returning its dense block id
     /// (first-seen order within the round).
     pub fn commit(&mut self) -> usize {
-        if let Some(&id) = self.table.get(self.scratch.as_slice()) {
-            return id;
-        }
-        let id = self.table.len();
-        self.table.insert(self.scratch.as_slice().into(), id);
-        id
+        self.sigs.intern(hash_words(&self.scratch), &self.scratch)
     }
 
     /// Interns a pre-encoded signature (as produced by a
@@ -220,17 +313,12 @@ impl Refiner {
     /// encoding the same words via
     /// [`begin_signature`](Refiner::begin_signature)/…/[`commit`](Refiner::commit).
     pub fn commit_slice(&mut self, signature: &[u64]) -> usize {
-        if let Some(&id) = self.table.get(signature) {
-            return id;
-        }
-        let id = self.table.len();
-        self.table.insert(signature.into(), id);
-        id
+        self.sigs.intern(hash_words(signature), signature)
     }
 
     /// Number of blocks interned so far this round.
     pub fn block_count(&self) -> usize {
-        self.table.len()
+        self.sigs.table.len()
     }
 }
 
@@ -741,7 +829,9 @@ impl Blocks {
 /// rounds (the table keeps its capacity, groups their backing storage).
 #[derive(Debug, Default)]
 struct RoundScratch {
-    table: FxHashMap<Box<[u64]>, u32>,
+    /// Group ids by signature hash; a group's text is its `block` plus
+    /// its row span in [`Blocks::sig_words`], so the table holds no key.
+    table: InternTable,
     groups: Vec<Group>,
     /// Group of the `i`-th dirty node, parallel to the dirty list.
     group_of: Vec<u32>,
@@ -763,7 +853,7 @@ fn group_one(sig: &[u64], stamp: u32, blocks: &mut Blocks, round: &mut RoundScra
         round.touched.push(b as u32);
     }
     blocks.dirty_count[b] += 1;
-    file_into_group(sig, b, blocks, round);
+    file_into_group(sig, hash_words(sig), blocks, round);
 }
 
 /// [`group_one`] for the all-fresh rounds ([`WorklistRefiner::round`]'s
@@ -775,52 +865,51 @@ fn group_one(sig: &[u64], stamp: u32, blocks: &mut Blocks, round: &mut RoundScra
 /// information. Same filing semantics otherwise (the `stamp` parameter
 /// only exists so both variants share one function-pointer type).
 fn group_one_fresh(sig: &[u64], _stamp: u32, blocks: &mut Blocks, round: &mut RoundScratch) {
-    let b = sig[0] as usize;
-    blocks.dirty_count[b] += 1;
-    file_into_group(sig, b, blocks, round);
+    blocks.dirty_count[sig[0] as usize] += 1;
+    file_into_group(sig, hash_words(sig), blocks, round);
 }
 
 /// The shared tail of [`group_one`]/[`group_one_fresh`]: files the
-/// signature into its signature-equal group, creating the group on
-/// first sight.
+/// signature (hashed to `hash`) into its signature-equal group,
+/// creating the group on first sight. Two signatures share a group iff
+/// their blocks and row texts are equal; the row text is compared
+/// against the span the group already stores, so filing allocates
+/// nothing.
 #[inline]
-fn file_into_group(sig: &[u64], b: usize, blocks: &mut Blocks, round: &mut RoundScratch) {
-    // Probe before inserting: repeated signatures (the common case)
-    // must not allocate a key.
-    let gid = match round.table.get(sig) {
-        Some(&g) => {
-            round.groups[g as usize].size += 1;
-            g
-        }
-        None => {
-            let g = round.groups.len() as u32;
-            round.table.insert(sig.into(), g);
-            let rows = &sig[1..];
-            let stored = blocks.sig_start[b];
-            let matched = stored != SIG_UNSET
-                && blocks.sig_words[stored..stored + blocks.sig_len[b]] == *rows;
-            // Matched groups alias the stored span; only genuinely new
-            // texts are copied (once — new blocks reuse the span).
-            let sig_start = if matched {
-                stored
-            } else {
-                let start = blocks.sig_words.len();
-                blocks.sig_words.extend_from_slice(rows);
-                start
-            };
-            round.groups.push(Group {
-                block: b as u32,
-                sig_start,
-                sig_len: rows.len() as u32,
-                size: 1,
-                next: blocks.head[b],
-                matched,
-                new_id: NONE_U32,
-            });
-            blocks.head[b] = g;
-            g
-        }
-    };
+fn file_into_group(sig: &[u64], hash: u64, blocks: &mut Blocks, round: &mut RoundScratch) {
+    let b = sig[0] as usize;
+    let rows = &sig[1..];
+    let (groups, words) = (&round.groups, &blocks.sig_words);
+    let (gid, fresh) = round.table.intern(hash, |g| {
+        let group = &groups[g as usize];
+        group.block as usize == b && words[group.sig_start..][..group.sig_len as usize] == *rows
+    });
+    if fresh {
+        let stored = blocks.sig_start[b];
+        let matched =
+            stored != SIG_UNSET && blocks.sig_words[stored..stored + blocks.sig_len[b]] == *rows;
+        // Matched groups alias the stored span; only genuinely new
+        // texts are copied (once — new blocks reuse the span).
+        let sig_start = if matched {
+            stored
+        } else {
+            let start = blocks.sig_words.len();
+            blocks.sig_words.extend_from_slice(rows);
+            start
+        };
+        round.groups.push(Group {
+            block: b as u32,
+            sig_start,
+            sig_len: rows.len() as u32,
+            size: 1,
+            next: blocks.head[b],
+            matched,
+            new_id: NONE_U32,
+        });
+        blocks.head[b] = gid;
+    } else {
+        round.groups[gid as usize].size += 1;
+    }
     round.group_of.push(gid);
 }
 
@@ -996,12 +1085,12 @@ impl<'a> WorklistRefiner<'a> {
         seeds: impl Iterator<Item = u64>,
     ) -> WorklistRefiner<'a> {
         // Seed partition: dense first-seen ids per distinct key.
-        let mut table: FxHashMap<Box<[u64]>, u32> = FxHashMap::default();
+        let mut table: FxHashMap<u64, u32> = FxHashMap::default();
         let mut assign = Vec::with_capacity(n);
         let mut blocks = Blocks::default();
         for key in seeds {
             let next = table.len() as u32;
-            let id = *table.entry(Box::from([key])).or_insert(next) as usize;
+            let id = *table.entry(key).or_insert(next) as usize;
             if id == blocks.count() {
                 blocks.push(0, SIG_UNSET, 0);
             }
@@ -1009,11 +1098,10 @@ impl<'a> WorklistRefiner<'a> {
             blocks.size[id] += 1;
         }
         assert_eq!(assign.len(), n, "seed keys must cover every node");
-        table.clear();
 
         // Round 1 re-encodes everything: every block is new.
         let dirty = (0..n as u32).collect();
-        Self::assemble(n, relations, counting, table, assign, blocks, dirty)
+        Self::assemble(n, relations, counting, assign, blocks, dirty)
     }
 
     /// Resumes refinement from a previously **stable** partition after a
@@ -1050,12 +1138,12 @@ impl<'a> WorklistRefiner<'a> {
         dirty: &[u32],
     ) -> WorklistRefiner<'a> {
         assert_eq!(prior.len(), n, "prior partition must cover every node");
-        let mut table: FxHashMap<Box<[u64]>, u32> = FxHashMap::default();
+        let mut table: FxHashMap<(u64, u64), u32> = FxHashMap::default();
         let mut assign = Vec::with_capacity(n);
         let mut blocks = Blocks::default();
         for (v, key) in seeds.enumerate() {
             let next = table.len() as u32;
-            let id = *table.entry(Box::from([prior[v] as u64, key])).or_insert(next) as usize;
+            let id = *table.entry((prior[v] as u64, key)).or_insert(next) as usize;
             if id == blocks.count() {
                 blocks.push(0, SIG_UNSET, 0);
             }
@@ -1063,12 +1151,11 @@ impl<'a> WorklistRefiner<'a> {
             blocks.size[id] += 1;
         }
         assert_eq!(assign.len(), n, "seed keys must cover every node");
-        table.clear();
         let mut dirty = dirty.to_vec();
         dirty.sort_unstable();
         dirty.dedup();
         assert!(dirty.last().is_none_or(|&w| (w as usize) < n), "dirty node out of range");
-        Self::assemble(n, relations, counting, table, assign, blocks, dirty)
+        Self::assemble(n, relations, counting, assign, blocks, dirty)
     }
 
     /// Common tail of [`Self::new`] and [`Self::resume`]: the row index,
@@ -1077,7 +1164,6 @@ impl<'a> WorklistRefiner<'a> {
         n: usize,
         relations: &[RelationCsr<'a>],
         counting: Counting,
-        table: FxHashMap<Box<[u64]>, u32>,
         assign: Vec<usize>,
         blocks: Blocks,
         dirty: Vec<u32>,
@@ -1099,7 +1185,7 @@ impl<'a> WorklistRefiner<'a> {
             shared_preds: None,
             assign,
             blocks,
-            round: RoundScratch { table, ..RoundScratch::default() },
+            round: RoundScratch::default(),
             dirty,
             mark: vec![0; n],
             epoch: 0,
@@ -1521,6 +1607,55 @@ mod tests {
         r.push_blocks(&mut blocks, Counting::Multiset);
         assert!(blocks.is_empty());
         let _ = r.commit();
+    }
+
+    #[test]
+    fn intern_table_resolves_forced_hash_collisions_by_text() {
+        // Every signature under one hash: the chain alone must keep
+        // distinct texts apart and send equal texts to one id.
+        let texts: [&[u64]; 6] = [&[1, 2], &[1, 3], &[1, 2], &[], &[1, 3, 0], &[1, 3]];
+        let mut table = InternTable::default();
+        let mut stored: Vec<&[u64]> = Vec::new();
+        let ids: Vec<u32> = texts
+            .iter()
+            .map(|&text| {
+                let (id, fresh) = table.intern(7, |id| stored[id as usize] == text);
+                if fresh {
+                    stored.push(text);
+                }
+                id
+            })
+            .collect();
+        assert_eq!(ids, vec![0, 1, 0, 2, 3, 1]);
+        assert_eq!(table.len(), 4);
+        // The arena the full-round engine interns through behaves alike.
+        let mut arena = SignatureArena::default();
+        let ids: Vec<usize> = texts.iter().map(|text| arena.intern(0, text)).collect();
+        assert_eq!(ids, vec![0, 1, 0, 2, 3, 1]);
+        arena.clear();
+        assert_eq!(arena.intern(0, &[1, 3]), 0, "a cleared arena starts over");
+    }
+
+    #[test]
+    fn worklist_groups_split_equal_rows_of_different_blocks_under_one_hash() {
+        // `[block, row text…]` signatures filed under one forced hash:
+        // equal row text under different blocks must stay in distinct
+        // groups, equal full signatures must share one.
+        let mut blocks = Blocks::default();
+        blocks.push(3, SIG_UNSET, 0);
+        blocks.push(2, SIG_UNSET, 0);
+        let mut round = RoundScratch::default();
+        for sig in [&[0u64, 5, 1, 3][..], &[1, 5, 1, 3], &[0, 5, 1, 3], &[0, 6], &[1, 5, 1, 3]] {
+            file_into_group(sig, 0, &mut blocks, &mut round);
+        }
+        assert_eq!(round.group_of, vec![0, 1, 0, 2, 1]);
+        let shape: Vec<(u32, u32)> = round.groups.iter().map(|g| (g.block, g.size)).collect();
+        assert_eq!(shape, vec![(0, 2), (1, 2), (0, 1)]);
+        // Each new text was stored once, and a group's span reads back
+        // its own row text.
+        assert_eq!(blocks.sig_words, vec![5, 1, 3, 5, 1, 3, 6]);
+        let g = round.groups[2];
+        assert_eq!(&blocks.sig_words[g.sig_start..][..g.sig_len as usize], &[6]);
     }
 
     #[test]

@@ -41,8 +41,10 @@
 //! block, then for each *nonempty* relation row its dense relation id
 //! followed by the sorted successor blocks (with multiplicities when
 //! graded) — into a scratch buffer reused across worlds and rounds, and
-//! interned to a dense block id with an FxHash-keyed table. Nothing is
-//! allocated per world; new blocks cost one allocation each.
+//! interned to a dense block id through the hash-chained table both
+//! engines share, which keys on the signature's Fx hash and keeps the
+//! text in a per-round word arena. Nothing is allocated per world, new
+//! blocks included.
 //!
 //! Empty rows are skipped entirely: each world's nonempty relation rows
 //! are indexed once per run, which on many-relation models (K₊,₊ stores

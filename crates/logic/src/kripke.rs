@@ -123,18 +123,28 @@ impl CsrRelation {
     }
 
     /// Builds a CSR row set from a **re-runnable** edge stream, without
-    /// ever materialising the pairs: one counting pass sizes the rows,
-    /// one placement pass writes targets straight into their final
-    /// slots. `edges()` must yield the same sequence on both calls
-    /// (the million-world generators are deterministic closures, so
-    /// this is free); pair order is preserved within each source's
-    /// row, exactly as [`CsrRelation::from_pairs`] does.
-    fn from_stream<I>(n: usize, edges: impl Fn() -> I) -> CsrRelation
+    /// ever materialising the pairs: one counting pass sizes the rows
+    /// and range-checks every pair, one placement pass writes targets
+    /// straight into their final slots. `edges()` must yield the same
+    /// sequence on both calls (the million-world generators are
+    /// deterministic closures, so this is free); pair order is
+    /// preserved within each source's row, exactly as
+    /// [`CsrRelation::from_pairs`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`LogicError::WorldOutOfRange`] if a pair mentions a world
+    /// `>= n`, returned from the counting pass before any target is
+    /// placed.
+    fn from_stream<I>(n: usize, edges: impl Fn() -> I) -> Result<CsrRelation, LogicError>
     where
         I: Iterator<Item = (u32, u32)>,
     {
         let mut offsets = vec![0usize; n + 1];
-        for (v, _) in edges() {
+        for (v, w) in edges() {
+            if v as usize >= n || w as usize >= n {
+                return Err(LogicError::WorldOutOfRange);
+            }
             offsets[v as usize + 1] += 1;
         }
         for v in 0..n {
@@ -151,7 +161,7 @@ impl CsrRelation {
             targets[slot] = w;
             cursor[v as usize] = slot + 1;
         }
-        CsrRelation { offsets, targets }
+        Ok(CsrRelation { offsets, targets })
     }
 
     #[inline]
@@ -269,7 +279,8 @@ impl CsrRelation {
 
 /// Type of the edge-stream factories a [`KripkeBuilder`] stores: each
 /// call must replay the same `(source, target)` sequence (the builder
-/// runs one counting and one placement pass per relation).
+/// runs one range-checking counting pass and one placement pass per
+/// relation).
 type EdgeStreamFn<'a> = Box<dyn Fn() -> Box<dyn Iterator<Item = (u32, u32)> + 'a> + 'a>;
 
 /// Streaming [`Kripke`] construction: edges flow from generator
@@ -375,15 +386,8 @@ impl<'a> KripkeBuilder<'a> {
                     found: index.family(),
                 });
             }
-            // Range-check on the counting pass (the placement pass
-            // replays the same stream), so a bad generator fails with
-            // a typed error before any CSR memory is written.
-            let cap = n as u64;
-            if make().any(|(v, w)| u64::from(v) >= cap || u64::from(w) >= cap) {
-                return Err(LogicError::WorldOutOfRange);
-            }
             index_keys.push(index);
-            relations.push(CsrRelation::from_stream(n, make));
+            relations.push(CsrRelation::from_stream(n, make)?);
         }
         let degree = match self.degree {
             Some(degree) => degree,
@@ -615,6 +619,32 @@ impl Kripke {
             version: 0,
             empty: Vec::new(),
         }
+    }
+
+    /// Wraps relations built straight into CSR form: `(index, offsets,
+    /// targets)` triples in ascending index order, each `offsets` of
+    /// length `degree.len() + 1` and every target `< degree.len()`.
+    /// Only debug builds check this — the caller (the quotient
+    /// construction) produces the arrays itself, so there is no
+    /// untrusted input to validate and no edge list to rebuild them from.
+    pub(crate) fn from_csr_rows(
+        variant: ModelVariant,
+        degree: Vec<usize>,
+        rows: Vec<(ModalIndex, Vec<usize>, Vec<u32>)>,
+    ) -> Kripke {
+        let n = degree.len();
+        let mut index_keys = Vec::with_capacity(rows.len());
+        let mut relations = Vec::with_capacity(rows.len());
+        for (index, offsets, targets) in rows {
+            debug_assert_eq!(index.family(), variant.family(), "index outside the variant");
+            debug_assert!(index_keys.last().is_none_or(|&prev| prev < index), "indices ascend");
+            debug_assert_eq!(offsets.len(), n + 1, "offsets need n + 1 entries");
+            debug_assert_eq!(offsets[n], targets.len(), "offsets end at the target count");
+            debug_assert!(targets.iter().all(|&w| (w as usize) < n), "targets in range");
+            index_keys.push(index);
+            relations.push(CsrRelation { offsets, targets });
+        }
+        Kripke::from_csr(variant, degree, index_keys, relations)
     }
 
     fn from_ports(
@@ -1213,6 +1243,46 @@ mod tests {
         bad.insert(ModalIndex::Any, vec![vec![5], vec![0]]);
         assert_eq!(
             Kripke::from_parts(ModelVariant::MinusMinus, vec![1, 1], bad).unwrap_err(),
+            LogicError::WorldOutOfRange
+        );
+    }
+
+    #[test]
+    fn builder_errors_are_typed() {
+        use std::cell::Cell;
+        // A valid `In(0)` relation first, then a bad `In(1)` one. Each
+        // stream is replayed once to count and range-check and once to
+        // place, so the bad one fails on its first replay, before any
+        // of its targets is placed.
+        for bad in [(3u32, 0u32), (0, 3)] {
+            let (first, second) = (Cell::new(0), Cell::new(0));
+            let err = KripkeBuilder::new(ModelVariant::PlusMinus, 3)
+                .relation(ModalIndex::In(0), || {
+                    first.set(first.get() + 1);
+                    [(0u32, 1u32), (1, 2)].into_iter()
+                })
+                .relation(ModalIndex::In(1), || {
+                    second.set(second.get() + 1);
+                    [(2u32, 0u32), bad].into_iter()
+                })
+                .build()
+                .unwrap_err();
+            assert_eq!(err, LogicError::WorldOutOfRange, "pair {bad:?}");
+            assert_eq!((first.get(), second.get()), (2, 1), "pair {bad:?}");
+        }
+        assert_eq!(
+            KripkeBuilder::new(ModelVariant::PlusMinus, 3)
+                .relation(ModalIndex::Out(0), || std::iter::once((0u32, 1u32)))
+                .build()
+                .unwrap_err(),
+            LogicError::FamilyMismatch { expected: IndexFamily::In, found: IndexFamily::Out }
+        );
+        assert_eq!(
+            KripkeBuilder::new(ModelVariant::MinusMinus, 3)
+                .relation(ModalIndex::Any, || std::iter::once((0u32, 1u32)))
+                .degrees(vec![1, 0])
+                .build()
+                .unwrap_err(),
             LogicError::WorldOutOfRange
         );
     }

@@ -14,6 +14,13 @@
 //! successors, and a quotient block stands for many — so requests for a
 //! graded-style partition are rejected.
 //!
+//! Each quotient relation is built straight into its final CSR arrays:
+//! a counting pass sizes every block row by its members' rows, a
+//! placement pass writes their successor blocks, and each row is then
+//! sorted and deduplicated in place. That is two arrays per relation
+//! and none per block, with no edge-list round-trip through
+//! [`Kripke::from_parts`].
+//!
 //! # Examples
 //!
 //! ```
@@ -34,7 +41,6 @@
 
 use crate::bisim::{refine_fixpoint, BisimClasses, BisimStyle};
 use crate::kripke::Kripke;
-use std::collections::BTreeMap;
 
 /// Collapses `model` along a stable plain-bisimulation partition.
 ///
@@ -74,22 +80,54 @@ pub fn quotient(model: &Kripke, classes: &BisimClasses) -> (Kripke, Vec<usize>) 
         }
     }
 
-    let mut relations: BTreeMap<_, Vec<Vec<usize>>> = BTreeMap::new();
+    // Each quotient relation goes straight into CSR: a counting pass
+    // sizes block row `B` as the sum of its members' row lengths, a
+    // placement pass writes every member's successor blocks into it,
+    // then each row is sorted and deduplicated in place and the
+    // target array compacted over the gaps. Two arrays per relation,
+    // none per block.
+    let n = model.len();
+    let mut cursor = vec![0usize; block_count];
+    let mut relations = Vec::with_capacity(model.relation_count());
     for r in 0..model.relation_count() {
-        let mut rows = vec![Vec::new(); block_count];
-        for v in 0..model.len() {
-            let b = level[v];
-            rows[b].extend(model.successors_dense(r, v).iter().map(|&w| level[w as usize]));
+        let (offsets, targets) = model.relation_rows(r);
+        let mut q_offsets = vec![0usize; block_count + 1];
+        for v in 0..n {
+            q_offsets[level[v] + 1] += offsets[v + 1] - offsets[v];
         }
-        for row in &mut rows {
-            row.sort_unstable();
-            row.dedup();
+        for b in 0..block_count {
+            q_offsets[b + 1] += q_offsets[b];
         }
-        relations.insert(model.relation_index(r), rows);
+        cursor.copy_from_slice(&q_offsets[..block_count]);
+        let mut q_targets = vec![0u32; q_offsets[block_count]];
+        for v in 0..n {
+            let slot = &mut cursor[level[v]];
+            for &w in &targets[offsets[v]..offsets[v + 1]] {
+                q_targets[*slot] = level[w as usize] as u32;
+                *slot += 1;
+            }
+        }
+        let mut len = 0;
+        for b in 0..block_count {
+            let (start, end) = (q_offsets[b], q_offsets[b + 1]);
+            q_offsets[b] = len;
+            q_targets[start..end].sort_unstable();
+            let mut prev = None;
+            for i in start..end {
+                let t = q_targets[i];
+                if prev != Some(t) {
+                    q_targets[len] = t;
+                    len += 1;
+                    prev = Some(t);
+                }
+            }
+        }
+        q_offsets[block_count] = len;
+        q_targets.truncate(len);
+        relations.push((model.relation_index(r), q_offsets, q_targets));
     }
 
-    let quotient = Kripke::from_parts(model.variant(), degree, relations)
-        .expect("quotient worlds are in range and indices belong to the variant");
+    let quotient = Kripke::from_csr_rows(model.variant(), degree, relations);
     (quotient, level.to_vec())
 }
 

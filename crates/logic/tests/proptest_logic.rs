@@ -7,15 +7,18 @@ mod common;
 
 use common::{all_variants, arb_formula_with, arb_graph, arb_mu_formula, ungrade};
 use portnum_graph::{Graph, PortNumbering};
-use portnum_logic::bisim::{refine, refine_bounded, BisimStyle};
+use portnum_logic::bisim::{
+    refine, refine_bounded, refine_fixpoint, refine_fixpoint_from, BisimStyle,
+};
 use portnum_logic::plan::ModelChecker;
 use portnum_logic::{
-    characteristic, evaluate, is_nnf, minimum_base, nnf, parse, simplify, Formula, Kripke,
-    ModalIndex,
+    characteristic, evaluate, is_nnf, minimum_base, nnf, parse, quotient, simplify, Formula,
+    Kripke, ModalIndex, ModelDelta,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The single-relation (`K₋,₋`) formula distribution most tests here
 /// use: [`arb_formula_with`] over the `Any` index family.
@@ -23,8 +26,60 @@ fn arb_formula() -> impl Strategy<Value = Formula> {
     arb_formula_with(|_i, _j| ModalIndex::Any)
 }
 
+/// The quotient of `model` along `level`, built without the engine's
+/// CSR code: one `BTreeSet` of successor blocks per block and modality
+/// (read through by-index `successors`), handed to `Kripke::from_parts`.
+fn blockwise_quotient(model: &Kripke, level: &[usize]) -> Kripke {
+    let blocks = level.iter().max().map_or(0, |&b| b + 1);
+    let mut degree = vec![0; blocks];
+    for (v, &b) in level.iter().enumerate() {
+        degree[b] = model.degree(v);
+    }
+    let relations: BTreeMap<ModalIndex, Vec<Vec<usize>>> = model
+        .indices()
+        .map(|index| {
+            let mut sets = vec![BTreeSet::new(); blocks];
+            for (v, &b) in level.iter().enumerate() {
+                sets[b].extend(model.successors(v, index).iter().map(|&w| level[w as usize]));
+            }
+            (index, sets.into_iter().map(|set| set.into_iter().collect()).collect())
+        })
+        .collect();
+    Kripke::from_parts(model.variant(), degree, relations).expect("blocks are in range")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn quotient_equals_blockwise_set_oracle(g in arb_graph(), seed in any::<u64>()) {
+        // All four variants (`K₊,₊` has many relations and empty rows),
+        // on the coarsest partition and, after a delta, on the resumed
+        // partition — stable, and possibly finer than the coarsest.
+        let mut rng = StdRng::seed_from_u64(seed);
+        for mut model in all_variants(&g, seed) {
+            let classes = refine_fixpoint(&model, BisimStyle::Plain);
+            let (q, map) = quotient(&model, &classes);
+            prop_assert_eq!(&map[..], classes.final_level());
+            prop_assert_eq!(q, blockwise_quotient(&model, classes.final_level()));
+
+            let n = model.len() as u32;
+            let mut delta = ModelDelta::new();
+            if model.relation_count() > 0 && rng.random_bool(0.5) {
+                let r = rng.random_range(0..model.relation_count());
+                let (v, w) = (rng.random_range(0..n), rng.random_range(0..n));
+                delta.add_edge(model.relation_index(r), v, w);
+            } else {
+                delta.crash_world(rng.random_range(0..n));
+            }
+            let touched = model.apply_delta(&delta).expect("valid edits");
+            let resumed =
+                refine_fixpoint_from(&model, BisimStyle::Plain, classes.final_level(), &touched);
+            let (q, map) = quotient(&model, &resumed);
+            prop_assert_eq!(&map[..], resumed.final_level());
+            prop_assert_eq!(q, blockwise_quotient(&model, resumed.final_level()));
+        }
+    }
 
     #[test]
     fn check_via_quotient_matches_direct_checking(

@@ -11,13 +11,14 @@
 mod common;
 
 use common::arb_graph;
-use portnum_graph::partition::Parallelism;
+use portnum_graph::generators;
+use portnum_graph::partition::{Counting, Parallelism, WorklistRefiner};
 use portnum_graph::{Graph, PortNumbering};
 use portnum_logic::bisim::{
     refine, refine_bounded, refine_fixpoint, refine_fixpoint_stats, refine_with, BisimStyle,
-    RefineEngine,
+    RefineEngine, RefineStats,
 };
-use portnum_logic::{Kripke, ModalIndex};
+use portnum_logic::{Kripke, KripkeBuilder, ModalIndex, ModelVariant};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -237,6 +238,51 @@ proptest! {
                 prop_assert_eq!(lean.final_level(), free.final_level());
                 prop_assert_eq!(lean.depth(), free.depth());
             }
+        }
+    }
+}
+
+/// The near-discrete regime of the `offline` pass at a quarter of its
+/// size: a 2¹²-world average-degree-3 `G(n, p)` `K₋,₋`, where ~93% of
+/// the fixpoint's blocks are singletons, so almost every encoded
+/// signature is new to its round's intern table. Both fixpoints must be
+/// identical on both engines under both thread-count extremes, and the
+/// worklist engine's counters must equal the values recorded before
+/// its intern tables stopped allocating a key per new signature.
+#[test]
+fn near_discrete_gnp_fixpoints_agree_across_engines_with_pinned_stats() {
+    let n = 1usize << 12;
+    let p = 3.0 / n as f64;
+    let model = KripkeBuilder::new(ModelVariant::MinusMinus, n)
+        .relation(ModalIndex::Any, move || generators::gnp_edges(n, p, 12))
+        .degrees_from_streams()
+        .build()
+        .expect("gnp stream stays in range");
+    let pinned = |rounds, encoded, moved| RefineStats { rounds, encoded, moved, parallel_rounds: 0 };
+    for (style, counting, expect) in [
+        (BisimStyle::Graded, Counting::Multiset, pinned(5, 12700, 6856)),
+        (BisimStyle::Plain, Counting::Distinct, pinned(5, 12854, 7158)),
+    ] {
+        let (lean, stats) = refine_fixpoint_stats(&model, style);
+        assert_eq!(lean.class_count(lean.depth()), 3817, "{style:?}: near-discrete fixpoint");
+        assert_eq!((stats.rounds, stats.encoded, stats.moved), (expect.rounds, expect.encoded, expect.moved));
+        for engine in [RefineEngine::Worklist, RefineEngine::Rounds] {
+            for par in [Parallelism::Off, Parallelism::Force] {
+                let full = refine_with(&model, style, engine, par);
+                assert_eq!(full.depth(), expect.rounds, "{style:?} {engine:?} {par:?}");
+                assert_eq!(full.final_level(), lean.final_level(), "{style:?} {engine:?} {par:?}");
+            }
+        }
+        // Full counters per thread-count extreme, off the engine itself:
+        // every round with a frontier goes to the pool under `Force`.
+        let relations = model.relations_csr();
+        for (par, parallel_rounds) in [(Parallelism::Off, 0), (Parallelism::Force, 5)] {
+            let seeds = (0..n).map(|v| model.degree(v) as u64);
+            let mut refiner = WorklistRefiner::new(n, &relations, counting, seeds);
+            refiner.parallelism(par);
+            refiner.observe_levels(false);
+            while refiner.round() {}
+            assert_eq!(refiner.stats(), RefineStats { parallel_rounds, ..expect }, "{style:?} {par:?}");
         }
     }
 }
