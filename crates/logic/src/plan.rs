@@ -2014,8 +2014,9 @@ pub struct RepairStats {
 /// [`ModelChecker::resume`].
 #[derive(Debug)]
 pub struct CheckerCache {
+    /// Lowering state with an empty pointer memo (see
+    /// [`ModelChecker::detach`]).
     lw: Lowerer,
-    retained: Vec<Formula>,
     results: Vec<Option<Rc<Bitset>>>,
     mode: DiamondMode,
     quotient: Option<Rc<(Kripke, Vec<usize>)>>,
@@ -2357,7 +2358,17 @@ impl<'m> ModelChecker<'m> {
 
     /// Detaches the checker's caches from its model borrow so the
     /// model can be mutated ([`Kripke::apply_delta`]) and the checker
-    /// brought back with [`Self::resume`] — the live-update handshake:
+    /// brought back with [`Self::resume`] — the live-update handshake.
+    ///
+    /// The cache keeps the instruction table, the computed truth
+    /// vectors and the quotient. It drops the pointer memo and the
+    /// checked formulas it kept alive, so its size is bounded by the
+    /// *structurally distinct* subformulas ever checked, not by the
+    /// number of checks: a serving layer that decodes fresh `Formula`
+    /// allocations for every request resumes, lowers and detaches
+    /// without growing. A re-checked formula costs one structural
+    /// hash-cons lookup per node after a resume; within one resumed
+    /// checker the memo works as before.
     ///
     /// ```
     /// use portnum_graph::generators;
@@ -2383,10 +2394,13 @@ impl<'m> ModelChecker<'m> {
     /// assert_ne!(checker.check(&phi)?.to_bools(), before);
     /// # Ok::<(), portnum_logic::LogicError>(())
     /// ```
-    pub fn detach(self) -> CheckerCache {
+    pub fn detach(mut self) -> CheckerCache {
+        // The memo is keyed by the addresses of this checker's formulas,
+        // which die with `retained` here; keeping it would pin every
+        // node of every formula ever checked.
+        self.lw.ptr_memo = FxHashMap::default();
         CheckerCache {
             lw: self.lw,
-            retained: self.retained,
             results: self.results,
             mode: self.mode,
             quotient: self.quotient,
@@ -2445,7 +2459,7 @@ impl<'m> ModelChecker<'m> {
         let mut checker = ModelChecker {
             model,
             lw: cache.lw,
-            retained: cache.retained,
+            retained: Vec::new(),
             results: cache.results,
             mode: cache.mode,
             quotient: cache.quotient,
@@ -2894,6 +2908,60 @@ mod tests {
         ));
         assert!(checker.check(&bad).is_err());
         assert!(checker.retained.len() > retained);
+    }
+
+    /// The serving pattern: every request resumes the detached cache,
+    /// prices and checks *freshly decoded* copies of the same formulas
+    /// (so no pointer is ever seen twice), and detaches again. The
+    /// cache must stop growing after the first request.
+    #[test]
+    fn resume_detach_rounds_on_fresh_formulas_stay_bounded() {
+        let k = Kripke::k_mm(&generators::grid(4, 4));
+        let batch = || {
+            let reach = Formula::mu(
+                "X",
+                &Formula::prop(2).or(&Formula::diamond(ModalIndex::Any, &Formula::var("X"))),
+            )
+            .unwrap();
+            vec![
+                unshared_tower(4),
+                Formula::diamond_geq(ModalIndex::Any, 2, &Formula::prop(3)).not(),
+                reach.and(&Formula::prop(4).not()),
+                Formula::diamond(ModalIndex::Any, &unshared_tower(2)),
+            ]
+        };
+        // Shares its first conjunct with the batch before failing.
+        let bad = || Formula::prop(2).and(&Formula::diamond(ModalIndex::Out(0), &Formula::prop(2)));
+        let expected: Vec<Vec<u64>> = ModelChecker::new(&k)
+            .check_suite(&batch())
+            .unwrap()
+            .iter()
+            .map(|b| b.words().to_vec())
+            .collect();
+
+        let ctl = ExecControl::unrestricted();
+        let mut cache: Option<CheckerCache> = None;
+        let mut sizes = None;
+        for round in 0..1000 {
+            let mut checker = match cache.take() {
+                Some(c) => ModelChecker::resume(&k, c, &[]),
+                None => ModelChecker::new(&k),
+            };
+            let formulas = batch();
+            checker.estimate_work(&formulas).unwrap();
+            let mut got = checker.check_suite_controlled(&formulas[..2], &ctl).unwrap();
+            got.extend(checker.check_suite_controlled(&formulas[2..], &ctl).unwrap());
+            let got: Vec<Vec<u64>> = got.iter().map(|b| b.words().to_vec()).collect();
+            assert_eq!(got, expected, "round {round}");
+            assert!(checker.estimate_work(&[bad()]).is_err());
+            assert!(checker.check_suite_controlled(&[bad()], &ctl).is_err());
+
+            let detached = checker.detach();
+            assert!(detached.lw.ptr_memo.is_empty(), "round {round}");
+            let now = (detached.lw.ops.len(), detached.lw.cons.len(), detached.results.len());
+            assert_eq!(*sizes.get_or_insert(now), now, "round {round}");
+            cache = Some(detached);
+        }
     }
 
     #[test]

@@ -4,14 +4,19 @@
 //! Between requests a shard holds each model as a [`ModelEntry`]: the
 //! [`Kripke`] itself and the [`CheckerCache`] detached from the last
 //! request's [`ModelChecker`](portnum_logic::ModelChecker) — truth
-//! vectors, lowering state, and the bisimulation quotient, all of
-//! which the detach → resume handshake carries across requests (and
-//! across deltas, repaired rather than rebuilt). The entry's footprint
-//! is the model's CSR estimate plus the cache's resident words; the
-//! shard keeps the sum of footprints under its budget slice by
-//! evicting least-recently-used entries wholesale, or — when only the
-//! pinned entry remains — shedding its checker cache while keeping the
-//! model.
+//! vectors, the instruction table they are indexed by, and the
+//! bisimulation quotient, all of which the detach → resume handshake
+//! carries across requests (and across deltas, repaired rather than
+//! rebuilt). The pointer memo does not survive a detach: every request
+//! decodes fresh formula allocations, so keeping it (and the formulas
+//! its keys point into) would grow the cache with every request. The
+//! instruction table grows only with structurally new subformulas.
+//!
+//! The entry's footprint is the model's CSR estimate plus the cache's
+//! resident words; the shard keeps the sum of footprints under its
+//! budget slice by evicting least-recently-used entries wholesale, or
+//! — when only the pinned entry remains — shedding its checker cache
+//! while keeping the model.
 
 use portnum_logic::{CheckerCache, Kripke};
 

@@ -9,6 +9,13 @@
 //! connection continues — the frame boundary is intact. An oversized
 //! length prefix is answered and then the connection closes: past a
 //! corrupt prefix there is no boundary left to trust.
+//!
+//! Accepted sockets set `TCP_NODELAY`. Replies go through a
+//! `BufWriter` of 8 KiB, so a body of 8 KiB or more is written as two
+//! segments: the 4-byte length prefix flushed on its own, then the
+//! body. With Nagle's algorithm on, the body waits for the ACK of the
+//! prefix, and the client delays that ACK (about 40 ms on Linux), so
+//! every large answer would stall for that long.
 
 use crate::config::ServeConfig;
 use crate::framing::{read_frame, write_frame, FrameError};
@@ -118,6 +125,7 @@ fn serve_connection(
     counters: &ServerCounters,
     cfg: &ServeConfig,
 ) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     loop {
