@@ -15,6 +15,16 @@
 //! * **apply_only** — the model patch alone, isolating the storage
 //!   layer's cost from the checker's.
 //!
+//! The `fixpoint_*` rows time the warm fixpoint repair in steady
+//! state: a marked path (`workloads::huge_reachability`, a goal every
+//! 32 worlds) carries a cached reachability µ-formula across a cycle of
+//! deltas, each restoring the previous delta's 10 removed edges and
+//! removing 10 fresh ones — the served live workload's shape.
+//! **fixpoint_repair** times `apply_delta` plus `resume` (which restarts
+//! the fixpoint from the cone the delta invalidated);
+//! **fixpoint_apply_only** the same deltas without a checker, so the
+//! difference is the repair engine's own cost.
+//!
 //! The isolated numbers (untimed setup, repair-vs-rebuild only) are
 //! the `live_update_*` rows of `reproduce`'s `BENCH_eval.json`, which
 //! pins repair ≥ 5× faster than rebuild on `path1024`. This bench
@@ -24,6 +34,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use portnum_bench::workloads;
+use portnum_graph::generators;
 use portnum_logic::plan::ModelChecker;
 use portnum_logic::{Formula, Kripke, ModalIndex, ModelDelta};
 use std::collections::BTreeMap;
@@ -112,6 +123,84 @@ fn bench_live_update(c: &mut Criterion) {
     group.finish();
 }
 
+/// Worlds of the `fixpoint_*` rows' marked path.
+const FIXPOINT_PATH: usize = 1 << 14;
+/// Edge sets the `fixpoint_*` delta cycle rotates through.
+const FIXPOINT_SETS: usize = 16;
+
+/// The `fixpoint_*` rows' delta cycle on `model`: delta `i` restores
+/// edge set `i - 1` (cyclically) and removes edge set `i`, each set 10
+/// distinct undirected edges. The returned start model already misses
+/// the last set, so the cycle returns the model to it after every
+/// `FIXPOINT_SETS` deltas.
+fn fixpoint_delta_cycle(model: &Kripke) -> (Kripke, Vec<ModelDelta>) {
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for v in 0..model.len() {
+        for &w in model.successors_dense(0, v) {
+            if (v as u32) < w {
+                edges.push((v as u32, w));
+            }
+        }
+    }
+    let picks = generators::crash_schedule(edges.len(), 10 * FIXPOINT_SETS, 5);
+    let sets: Vec<&[u32]> = picks.chunks(10).collect();
+    let edit = |d: &mut ModelDelta, set: &[u32], add: bool| {
+        for &e in set {
+            let (v, w) = edges[e as usize];
+            if add {
+                d.add_edge(ModalIndex::Any, v, w).add_edge(ModalIndex::Any, w, v);
+            } else {
+                d.remove_edge(ModalIndex::Any, v, w).remove_edge(ModalIndex::Any, w, v);
+            }
+        }
+    };
+    let deltas = (0..FIXPOINT_SETS)
+        .map(|i| {
+            let mut d = ModelDelta::new();
+            edit(&mut d, sets[(i + FIXPOINT_SETS - 1) % FIXPOINT_SETS], true);
+            edit(&mut d, sets[i], false);
+            d
+        })
+        .collect();
+    let mut start = model.clone();
+    let mut first = ModelDelta::new();
+    edit(&mut first, sets[FIXPOINT_SETS - 1], false);
+    start.apply_delta(&first).expect("sampled edges are stored");
+    (start, deltas)
+}
+
+fn bench_fixpoint_repair(c: &mut Criterion) {
+    let reach = workloads::reachability_formula();
+    let (start, deltas) = fixpoint_delta_cycle(&workloads::huge_reachability(FIXPOINT_PATH, 32));
+    let name = format!("path{FIXPOINT_PATH}");
+    let mut group = c.benchmark_group("live_update");
+    group.bench_function(BenchmarkId::new("fixpoint_repair", &name), |b| {
+        let mut model = start.clone();
+        let mut checker = ModelChecker::new(&model);
+        checker.check(&reach).expect("reachability checks");
+        let mut cache = Some(checker.detach());
+        let mut next = 0;
+        b.iter(|| {
+            let touched = model.apply_delta(&deltas[next]).expect("cycle deltas apply");
+            next = (next + 1) % deltas.len();
+            let checker = ModelChecker::resume(&model, cache.take().expect("cache"), &touched);
+            let warm = checker.last_repair().map_or(0, |r| r.warm_fixpoints);
+            cache = Some(checker.detach());
+            warm
+        })
+    });
+    group.bench_function(BenchmarkId::new("fixpoint_apply_only", &name), |b| {
+        let mut model = start.clone();
+        let mut next = 0;
+        b.iter(|| {
+            let touched = model.apply_delta(&deltas[next]).expect("cycle deltas apply");
+            next = (next + 1) % deltas.len();
+            touched.len()
+        })
+    });
+    group.finish();
+}
+
 fn configure() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -122,6 +211,6 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = bench_live_update
+    targets = bench_live_update, bench_fixpoint_repair
 }
 criterion_main!(benches);

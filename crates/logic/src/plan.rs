@@ -93,6 +93,22 @@
 //!   reachability query totals O(edges) across *all* its iterations
 //!   instead of O(n · iterations).
 //!
+//! Delta repair ([`ModelChecker::resume`]) restarts a cached top-level
+//! fixpoint *warm* instead of from ⊥/⊤. Its first repair rebuilds it
+//! and records the body's per-op values at convergence and a per-world
+//! *rank*: the iteration at which the world entered X (µ) or left it
+//! (ν). A later delta invalidates only a *cone*: the ranked worlds
+//! whose read ball (the body's modal depth along its relations) holds a
+//! touched world, closed upward by "reads a cone world of lower rank".
+//! Every other ranked world keeps a derivation that avoids both the
+//! delta and the cone, so iteration restarts from the old value with
+//! the cone flipped out, and its first pass is a frontier pass seeded
+//! by the cone and the touched worlds together. The answers are
+//! bit-identical to a rebuild. A fixpoint still rebuilds wholesale on
+//! the first repair after a check (checks record no state), when its
+//! cone reaches a quarter of the universe, and when its body nests
+//! another binder (its read ball is unbounded).
+//!
 //! Fixpoint instructions price into the shared work currency at twice
 //! their body's per-iteration work plus an `n/8` flip term (the
 //! flip-once amortization above), which keeps
@@ -122,8 +138,10 @@
 //! instead. Either way it records the worlds that actually flipped, and
 //! these seed the op's consumers, so a change the formula cannot
 //! observe dies out after one ring. The callers keep what differs:
-//! `Var` and nested fixpoints (iteration), fixpoints rebuilt wholesale
-//! after a delta (repair), where values are stored, and their stats.
+//! `Var` and nested fixpoints (iteration), top-level fixpoints after a
+//! delta (repair: a warm restart runs this kernel over the body with
+//! the touched set as its directly read worlds, a rebuild does not),
+//! where values are stored, and their stats.
 //!
 //! # Parallel execution
 //!
@@ -1007,6 +1025,7 @@ impl Plan {
                         &mut stats,
                         ctl,
                         par,
+                        FixStart::Cold,
                     )?;
                     stats.executed += 1;
                     slots[dst] = out;
@@ -1221,6 +1240,7 @@ fn body_dense_pass(
                     stats,
                     ctl,
                     par,
+                    FixStart::Cold,
                 )?;
             }
             _ => {
@@ -1243,10 +1263,12 @@ fn body_dense_pass(
 /// One frontier pass over a fixpoint body: repairs the persistent
 /// per-op values in place through the change-propagation kernel
 /// ([`propagate_op`]), seeded by `x_changed`, the accumulator's flips,
-/// at the `Var` op. The repaired values are bit-identical to a dense
-/// pass — the contract the differential µ suite pins. Flips land in
-/// `changed[i]` (ascending, deduplicated); `changed[body.root]` is the
-/// accumulator's next flip set.
+/// at the `Var` op, and by `direct`, the worlds where the model changed
+/// since the values were computed (a delta's touched set on a warm
+/// restart, empty inside one run). The repaired values are
+/// bit-identical to a dense pass — the contract the differential µ
+/// suite pins. Flips land in `changed[i]` (ascending, deduplicated);
+/// `changed[body.root]` is the accumulator's next flip set.
 #[allow(clippy::too_many_arguments)]
 fn body_frontier_pass(
     model: &Kripke,
@@ -1255,6 +1277,7 @@ fn body_frontier_pass(
     body: &FixBody,
     x: &Bitset,
     x_changed: &[u32],
+    direct: &[u32],
     vals: &mut [Bitset],
     changed: &mut [Vec<u32>],
     stats: &mut ExecStats,
@@ -1278,14 +1301,16 @@ fn body_frontier_pass(
                 flips.extend_from_slice(x_changed);
                 stats.fixpoint_frontier_worlds += x_changed.len();
             }
-            // A nested fixpoint re-runs whenever any of its external
-            // inputs flipped (its own executor starts dense again — its
-            // accumulator restarts from ⊥/⊤, so stale per-iteration
-            // state cannot be reused); the flips its consumers need fall
-            // out of a word diff.
+            // A nested fixpoint re-runs whenever the model or any of its
+            // external inputs changed (its own executor starts dense
+            // again — its accumulator restarts from ⊥/⊤, so stale
+            // per-iteration state cannot be reused); the flips its
+            // consumers need fall out of a word diff.
             Op::Fixpoint(b) => {
                 flips.clear();
-                if bodies[b as usize].args.iter().any(|&a| !prev_changed[a as usize].is_empty()) {
+                if !direct.is_empty()
+                    || bodies[b as usize].args.iter().any(|&a| !prev_changed[a as usize].is_empty())
+                {
                     let mut next = Bitset::default();
                     eval_fixpoint_into(
                         model,
@@ -1297,20 +1322,19 @@ fn body_frontier_pass(
                         stats,
                         ctl,
                         par,
+                        FixStart::Cold,
                     )?;
                     cur.for_each_difference(&next, |v| flips.push(v as u32));
                     *cur = next;
                 }
             }
-            // The model is fixed for the whole run, so no op reads a
-            // changed world directly.
             _ => match propagate_op(
                 model,
                 mode,
                 op,
                 |a| &prev[a as usize],
                 |a| prev_changed[a as usize].as_slice(),
-                &[],
+                direct,
                 || cur,
                 flips,
                 stats,
@@ -1440,10 +1464,174 @@ fn propagate_op<'a, 'c>(
     Propagation::Points(candidates.len())
 }
 
+/// A top-level fixpoint's converged iteration state, recorded by delta
+/// repair ([`ModelChecker::resume`]) so that the next repair can restart
+/// the iteration warm ([`FixStart::Warm`]) instead of from ⊥/⊤.
+///
+/// Call the worlds in X (µ) or outside X (ν) the *ranked* side: the
+/// side a Kleene iteration grows. Every ranked world of rank `r` holds
+/// already by the ranked worlds of rank `< r` in its read ball
+/// ([`BodyReads`]) — Kleene iteration numbers have this property, and
+/// warm repair keeps it. [`fixpoint_cone`] relies on it.
+#[derive(Debug, Default)]
+struct FixState {
+    /// The body's per-op values at convergence (`vals[root]` is the
+    /// fixpoint itself).
+    vals: Vec<Bitset>,
+    /// Per world, the iteration at which it entered X (µ) or left X
+    /// (ν); `u32::MAX` for the worlds that never did.
+    rank: Vec<u32>,
+}
+
+impl FixState {
+    /// Resident `u64` words: the body values plus the ranks.
+    fn words(&self) -> usize {
+        self.vals.iter().map(|b| b.words().len()).sum::<usize>() + self.rank.len().div_ceil(2)
+    }
+}
+
+/// Where [`eval_fixpoint_into`] starts its Kleene iteration.
+enum FixStart<'s> {
+    /// From ⊥ (µ) or ⊤ (ν) with a dense first pass, keeping no state:
+    /// plan execution, checks and nested fixpoints.
+    Cold,
+    /// As [`FixStart::Cold`], recording the converged state.
+    Record(&'s mut FixState),
+    /// From a recorded state after a delta that touched the worlds
+    /// `direct` (ascending): the `cone` ([`fixpoint_cone`]) is flipped
+    /// out of the old value, and the first pass is a frontier pass
+    /// seeded by the cone and the delta together. `reads` is the body's
+    /// read ball, which ranks the worlds that flip.
+    Warm { state: &'s mut FixState, reads: &'s BodyReads, cone: &'s [u32], direct: &'s [u32] },
+}
+
+/// What a fixpoint body reads of the model around a world: the
+/// relations of its diamonds, and its modal depth — the body's value
+/// at a world depends on the model and the accumulator only within
+/// that many steps along those relations (the world's *read ball*).
+struct BodyReads {
+    rels: Vec<u32>,
+    depth: usize,
+}
+
+impl BodyReads {
+    fn of(body: &FixBody) -> BodyReads {
+        let mut depth = vec![0usize; body.ops.len()];
+        let mut rels = Vec::new();
+        for (i, &op) in body.ops.iter().enumerate() {
+            let mut d = 0;
+            op.for_each_operand(|a| d = d.max(depth[a as usize]));
+            if let Op::Diamond { rel, .. } = op {
+                d += 1;
+                rels.push(rel);
+            }
+            depth[i] = d;
+        }
+        rels.sort_unstable();
+        rels.dedup();
+        BodyReads { rels, depth: depth[body.root as usize] }
+    }
+
+    /// Calls `f` on every world within the body's depth of a world of
+    /// `from`: along successors when `forward` (the worlds it reads),
+    /// along the current predecessors otherwise (the worlds that read
+    /// it). A world may be visited more than once; a depth-1 walk
+    /// allocates nothing.
+    fn for_each_in_ball(&self, model: &Kripke, from: &[u32], forward: bool, mut f: impl FnMut(u32)) {
+        let row = |r: u32, v: u32| -> &[u32] {
+            if forward {
+                model.successors_dense(r as usize, v as usize)
+            } else {
+                model.predecessors_csc(r as usize).row(v as usize)
+            }
+        };
+        let mut level: Vec<u32>;
+        let mut cur = from;
+        for step in 1..=self.depth {
+            let last = step == self.depth;
+            let mut next = Vec::new();
+            for &v in cur {
+                f(v);
+                for &r in &self.rels {
+                    if last {
+                        row(r, v).iter().for_each(|&w| f(w));
+                    } else {
+                        next.extend_from_slice(row(r, v));
+                    }
+                }
+            }
+            if last {
+                return;
+            }
+            next.sort_unstable();
+            next.dedup();
+            level = next;
+            cur = &level;
+        }
+        cur.iter().for_each(|&v| f(v));
+    }
+}
+
+/// The worlds of a recorded fixpoint that a delta touching `direct`
+/// may have invalidated, ascending — or `None` once they reach a
+/// quarter of the universe (the dense threshold of [`propagate_op`]),
+/// where rebuilding wholesale is cheaper.
+///
+/// Seeds are the ranked worlds ([`FixState`]) whose read ball contains
+/// a touched world: the post-delta predecessor ball around `direct`
+/// (an edited edge has both endpoints touched, so a path through a
+/// removed edge reaches a touched world over surviving edges first).
+/// The cone then closes upward in rank: a ranked world joins when it
+/// reads a cone world of lower rank, since its derivation may rest on
+/// it. A ranked world outside the cone therefore keeps a derivation
+/// that touches neither the delta nor the cone, so the old value with
+/// the cone flipped out lies on the ranked side of the new fixpoint,
+/// and Kleene iteration from there reaches exactly that fixpoint.
+fn fixpoint_cone(
+    model: &Kripke,
+    body: &FixBody,
+    reads: &BodyReads,
+    state: &FixState,
+    direct: &[u32],
+) -> Option<Vec<u32>> {
+    let n = model.len();
+    let x = &state.vals[body.root as usize];
+    let ranked = |v: u32| x.get(v as usize) != body.greatest;
+    let mut in_cone = Bitset::zeros(n);
+    let mut cone: Vec<u32> = Vec::new();
+    reads.for_each_in_ball(model, direct, false, |v| {
+        if ranked(v) && !in_cone.get(v as usize) {
+            in_cone.insert(v as usize);
+            cone.push(v);
+        }
+    });
+    let mut next = 0;
+    while next < cone.len() {
+        if cone.len() * 4 >= n {
+            return None;
+        }
+        let c = cone[next];
+        next += 1;
+        let below = state.rank[c as usize];
+        reads.for_each_in_ball(model, &[c], false, |w| {
+            if state.rank[w as usize] > below && ranked(w) && !in_cone.get(w as usize) {
+                in_cone.insert(w as usize);
+                cone.push(w);
+            }
+        });
+    }
+    if cone.len() * 4 >= n {
+        return None;
+    }
+    cone.sort_unstable();
+    Some(cone)
+}
+
 /// Iterate-until-stable evaluation of one [`Op::Fixpoint`]
-/// instruction: Kleene iteration of `bodies[b]` from ⊥ (µ) or ⊤ (ν),
-/// with the first iteration dense and every later one a frontier pass
-/// — see the module docs. The accumulator is advanced by applying the
+/// instruction: Kleene iteration of `bodies[b]`, from ⊥ (µ) or ⊤ (ν)
+/// or warm from a recorded state (see [`FixStart`]). A cold first
+/// iteration is dense and every later one a frontier pass — see the
+/// module docs. The accumulator is advanced by applying the
 /// root op's recorded flips, so a frontier iteration costs
 /// O(frontier); the empty flip set is the convergence test. `arg_of` resolves the
 /// body's external inputs in the enclosing context (plan slots,
@@ -1453,7 +1641,15 @@ fn propagate_op<'a, 'c>(
 /// Bit-identical to the naive Kleene reference: every pass computes
 /// exactly `body(Xᵢ)` (ops are deterministic functions of their
 /// operands, and point repair re-evaluates the same function
-/// per world), and both engines stop at the first `Xᵢ₊₁ = Xᵢ`.
+/// per world), and both engines stop at the first `Xᵢ₊₁ = Xᵢ`. A warm
+/// start reaches the same fixpoint from a point on its ranked side
+/// ([`fixpoint_cone`]).
+///
+/// When a state is kept, a world that flips onto the ranked side at
+/// iteration `i` gets rank `i` on a cold start; on a warm one, 1 + the
+/// largest rank among the ranked worlds of its read ball. On a cold
+/// start the two coincide; the local rule ties a warm world's rank to
+/// its neighbourhood rather than to how many repairs came before.
 ///
 /// # Errors
 ///
@@ -1470,13 +1666,46 @@ fn eval_fixpoint_into<'a>(
     stats: &mut ExecStats,
     ctl: &ExecControl,
     par: Parallelism,
+    start: FixStart<'_>,
 ) -> Result<(), Interrupted> {
     let body = &bodies[b as usize];
     let n = model.len();
+    let root = body.root as usize;
+    let greatest = body.greatest;
     let arg_vals: Vec<&Bitset> = body.args.iter().map(|&a| arg_of(a)).collect();
-    let mut vals: Vec<Bitset> = (0..body.ops.len()).map(|_| Bitset::default()).collect();
+    let fresh = || (0..body.ops.len()).map(|_| Bitset::default()).collect::<Vec<Bitset>>();
+    let mut local: Vec<Bitset>;
+    let (vals, mut rank, warm) = match start {
+        FixStart::Cold => {
+            local = fresh();
+            (&mut local, None, None)
+        }
+        FixStart::Record(state) => {
+            state.vals = fresh();
+            state.rank = vec![u32::MAX; n];
+            (&mut state.vals, Some(&mut state.rank), None)
+        }
+        FixStart::Warm { state, reads, cone, direct } => {
+            (&mut state.vals, Some(&mut state.rank), Some((reads, cone, direct)))
+        }
+    };
     let mut changed: Vec<Vec<u32>> = vec![Vec::new(); body.ops.len()];
-    let mut x = if body.greatest { Bitset::ones(n) } else { Bitset::zeros(n) };
+    let mut x = match warm {
+        Some((_, cone, _)) => {
+            let mut x = vals[root].clone();
+            for &v in cone {
+                x.set(v as usize, greatest);
+            }
+            if let Some(rank) = rank.as_deref_mut() {
+                for &v in cone {
+                    rank[v as usize] = u32::MAX;
+                }
+            }
+            x
+        }
+        None if greatest => Bitset::ones(n),
+        None => Bitset::zeros(n),
+    };
     let mut x_changed: Vec<u32> = Vec::new();
     stats.fixpoints += 1;
     let mut iters = 0usize;
@@ -1492,26 +1721,60 @@ fn eval_fixpoint_into<'a>(
         // the accumulator oscillated.
         assert!(iters <= n + 2, "fixpoint failed to converge: body not monotone?");
         stats.fixpoint_iters += 1;
-        if iters == 1 {
-            stats.fixpoint_dense_passes += 1;
-            body_dense_pass(model, mode, bodies, body, &x, &arg_vals, &mut vals, stats, ctl, par)?;
-            x_changed.clear();
-            x.for_each_difference(&vals[body.root as usize], |v| x_changed.push(v as u32));
-        } else {
-            body_frontier_pass(
-                model, mode, bodies, body, &x, &x_changed, &mut vals, &mut changed, stats, ctl,
-                par,
-            )?;
-            x_changed.clear();
-            x_changed.extend_from_slice(&changed[body.root as usize]);
+        match (iters, warm) {
+            (1, None) => {
+                stats.fixpoint_dense_passes += 1;
+                body_dense_pass(model, mode, bodies, body, &x, &arg_vals, vals, stats, ctl, par)?;
+                x_changed.clear();
+                x.for_each_difference(&vals[root], |v| x_changed.push(v as u32));
+            }
+            (1, Some((_, cone, direct))) => {
+                body_frontier_pass(
+                    model, mode, bodies, body, &x, cone, direct, vals, &mut changed, stats, ctl,
+                    par,
+                )?;
+                // The accumulator left the old value at the cone and the
+                // root at its flips; it moves next where the two now
+                // disagree.
+                x_changed.clear();
+                x_changed.extend(cone.iter().chain(&changed[root]));
+                x_changed.sort_unstable();
+                x_changed.dedup();
+                x_changed.retain(|&v| x.get(v as usize) != vals[root].get(v as usize));
+            }
+            _ => {
+                body_frontier_pass(
+                    model, mode, bodies, body, &x, &x_changed, &[], vals, &mut changed, stats, ctl,
+                    par,
+                )?;
+                x_changed.clear();
+                x_changed.extend_from_slice(&changed[root]);
+            }
         }
         if x_changed.is_empty() {
             break;
         }
+        let root_val = &vals[root];
+        if let Some(rank) = rank.as_deref_mut() {
+            for &v in &x_changed {
+                rank[v as usize] = if root_val.get(v as usize) == greatest {
+                    u32::MAX
+                } else if let Some((reads, ..)) = warm {
+                    let mut below = 0;
+                    reads.for_each_in_ball(model, &[v], true, |w| {
+                        if x.get(w as usize) != greatest {
+                            below = below.max(rank[w as usize]);
+                        }
+                    });
+                    below + 1
+                } else {
+                    iters as u32
+                };
+            }
+        }
         // Advance the accumulator by its flips — O(frontier), not
         // O(n), which is what keeps total fixpoint cost proportional
         // to flip volume instead of n × iterations.
-        let root_val = &vals[body.root as usize];
         for &v in &x_changed {
             x.set(v as usize, root_val.get(v as usize));
         }
@@ -1992,17 +2255,24 @@ pub struct CheckerStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairStats {
     /// Cached truth vectors patched world-by-world over their dirty
-    /// frontier.
+    /// frontier (warm fixpoints included).
     pub repaired_vectors: usize,
     /// Total world-bits recomputed across all point repairs (`≤
-    /// repaired_vectors × n`; on a localized delta, `≪`).
+    /// repaired_vectors × n`; on a localized delta, `≪`). A warm
+    /// fixpoint counts its invalidated cone plus the worlds its
+    /// frontier passes re-evaluated.
     pub repaired_worlds: usize,
-    /// Cached truth vectors recomputed wholesale because their dirty
-    /// frontier grew past the dense fallback threshold (a quarter of
-    /// the universe).
+    /// Cached truth vectors recomputed wholesale: their dirty frontier
+    /// grew past the dense fallback threshold (a quarter of the
+    /// universe), or they are fixpoints that could not restart warm.
     pub rebuilt_vectors: usize,
-    /// Size of the largest dirty frontier used by a point repair.
+    /// Size of the largest dirty frontier used by a point repair (for
+    /// a warm fixpoint, its cone plus its frontier passes' worlds).
     pub max_frontier: usize,
+    /// Fixpoint vectors among `repaired_vectors` restarted warm from
+    /// their recorded state, with only the cone the delta invalidated
+    /// flipped out, instead of iterated again from ⊥/⊤.
+    pub warm_fixpoints: usize,
     /// Whether a cached quotient was repaired by resuming refinement
     /// from the prior partition.
     pub quotient_repaired: bool,
@@ -2025,6 +2295,7 @@ pub struct CheckerCache {
     quotient_computed: usize,
     exec: ExecStats,
     published_words: usize,
+    fix_states: FxHashMap<u32, FixState>,
     /// [`Kripke::version`] at detach time; resume debug-asserts the
     /// caller passed a touched set whenever the version moved.
     model_version: u64,
@@ -2032,14 +2303,16 @@ pub struct CheckerCache {
 }
 
 impl CheckerCache {
-    /// Total `u64` words held by the cached truth vectors — the
-    /// detached cache's resident size, which a serving layer adds to
-    /// the model's own footprint when pricing an entry against a
-    /// memory budget. Computed from what is actually cached (repairs
-    /// and budget-gated commits included), not from a running
+    /// Total `u64` words held by the cached truth vectors and by the
+    /// fixpoint states delta repair keeps (body values and per-world
+    /// ranks) — the detached cache's resident size, which a serving
+    /// layer adds to the model's own footprint when pricing an entry
+    /// against a memory budget. Computed from what is actually cached
+    /// (repairs and budget-gated commits included), not from a running
     /// counter.
     pub fn cached_words(&self) -> usize {
-        self.results.iter().flatten().map(|b| b.words().len()).sum()
+        self.results.iter().flatten().map(|b| b.words().len()).sum::<usize>()
+            + self.fix_states.values().map(FixState::words).sum::<usize>()
     }
 
     /// The [`Kripke::version`] this cache was detached at. A serving
@@ -2098,6 +2371,10 @@ pub struct ModelChecker<'m> {
     /// cache-words budget of [`ModelChecker::check_controlled`] prices
     /// publication against.
     published_words: usize,
+    /// Converged state of the cached top-level fixpoints, by
+    /// instruction id, recorded by [`Self::resume`]'s first repair of
+    /// each (checks record none) so later repairs restart them warm.
+    fix_states: FxHashMap<u32, FixState>,
     /// What the latest [`Self::resume`] repair pass did, if any.
     last_repair: Option<RepairStats>,
 }
@@ -2123,6 +2400,7 @@ impl<'m> ModelChecker<'m> {
             quotient_computed: 0,
             exec: ExecStats::default(),
             published_words: 0,
+            fix_states: FxHashMap::default(),
             last_repair: None,
         }
     }
@@ -2326,6 +2604,7 @@ impl<'m> ModelChecker<'m> {
                     &mut exec,
                     ctl,
                     Parallelism::Off,
+                    FixStart::Cold,
                 )?;
             } else {
                 eval_op_into(self.model, self.mode, self.lw.ops[id as usize], operand, &mut out, &mut exec);
@@ -2409,6 +2688,7 @@ impl<'m> ModelChecker<'m> {
             quotient_computed: self.quotient_computed,
             exec: self.exec,
             published_words: self.published_words,
+            fix_states: self.fix_states,
             model_version: self.model.version(),
             n: self.model.len(),
         }
@@ -2430,10 +2710,16 @@ impl<'m> ModelChecker<'m> {
     /// actually reads, and usually much less: only worlds whose operand
     /// values really flipped propagate. A frontier that grows past a
     /// quarter of the universe falls back to recomputing that vector
-    /// wholesale. Fixpoints read the model at unbounded depth and are
-    /// always recomputed. Every path is pinned bit-identical to a fresh
-    /// checker by the differential delta suite, and
-    /// [`Self::last_repair`] reports which path each vector took.
+    /// wholesale. Fixpoints read the model at unbounded depth, so they
+    /// are restarted instead: warm from the state their previous repair
+    /// recorded, with only the cone of worlds the delta may have
+    /// invalidated flipped out (see the module docs). A fixpoint is
+    /// still recomputed wholesale on its first repair after a check
+    /// (which records the state), when its cone reaches a quarter of
+    /// the universe, and when its body nests another binder. Every
+    /// path is pinned bit-identical to a fresh checker by the
+    /// differential delta suites, and [`Self::last_repair`] reports
+    /// which path each vector took.
     ///
     /// A cached quotient is repaired too, by resuming partition
     /// refinement from the prior partition seeded with the dirty
@@ -2468,6 +2754,7 @@ impl<'m> ModelChecker<'m> {
             quotient_computed: cache.quotient_computed,
             exec: cache.exec,
             published_words: cache.published_words,
+            fix_states: cache.fix_states,
             last_repair: None,
         };
         if touched.is_empty() && model.version() == cache.model_version {
@@ -2505,9 +2792,35 @@ impl<'m> ModelChecker<'m> {
             let op = self.lw.ops[id];
             let outcome = if let Op::Fixpoint(b) = op {
                 // A fixpoint reads the model at unbounded modal depth,
-                // so no frontier bound holds after a delta: rebuild it
-                // wholesale (its own executor still iterates by
-                // frontier) and let the word diff drive its consumers.
+                // so no frontier bound holds for its vector. It restarts
+                // warm from its recorded state with only the cone the
+                // delta invalidated flipped out; the first repair after a
+                // check, a cone past the dense threshold, and a body with
+                // nested binders (whose read ball is unbounded) rebuild it
+                // wholesale instead, recording fresh state where a later
+                // repair can use it. Either way the word diff drives its
+                // consumers.
+                let body = &self.lw.bodies[b as usize];
+                let keeps_state = !body.ops.iter().any(|o| matches!(o, Op::Fixpoint(_)));
+                let reads = BodyReads::of(body);
+                let mut state = self.fix_states.remove(&(id as u32)).unwrap_or_default();
+                debug_assert!(
+                    state.rank.is_empty() || state.vals[body.root as usize] == *existing,
+                    "a recorded fixpoint state must match its cached vector"
+                );
+                let cone = if state.rank.is_empty() {
+                    None
+                } else {
+                    fixpoint_cone(model, body, &reads, &state, &d0)
+                };
+                let frontier_before = exec.fixpoint_frontier_worlds;
+                let start = match &cone {
+                    Some(cone) => {
+                        FixStart::Warm { state: &mut state, reads: &reads, cone, direct: &d0 }
+                    }
+                    None if keeps_state => FixStart::Record(&mut state),
+                    None => FixStart::Cold,
+                };
                 let mut out = Bitset::default();
                 eval_fixpoint_into(
                     model,
@@ -2519,11 +2832,23 @@ impl<'m> ModelChecker<'m> {
                     &mut exec,
                     &ExecControl::unrestricted(),
                     Parallelism::Off,
+                    start,
                 )
                 .expect("unrestricted control never interrupts");
+                if keeps_state {
+                    self.fix_states.insert(id as u32, state);
+                }
                 existing.for_each_difference(&out, |v| flips.push(v as u32));
                 existing = Rc::new(out);
-                Propagation::Dense
+                match cone {
+                    Some(cone) => {
+                        stats.warm_fixpoints += 1;
+                        Propagation::Points(
+                            cone.len() + exec.fixpoint_frontier_worlds - frontier_before,
+                        )
+                    }
+                    None => Propagation::Dense,
+                }
             } else {
                 propagate_op(
                     model,
@@ -3565,5 +3890,129 @@ mod tests {
                 "repaired fixpoint diverged on {f}"
             );
         }
+    }
+
+    /// `K₋,₋` of a path whose valuation marks about one world in 32
+    /// `q1` and one in 32 `q3`, every other world `q2`: the sparse `q1`
+    /// goals bound how far reachability iterates.
+    fn marked_path(n: usize, seed: u64) -> Kripke {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let degrees = (0..n)
+            .map(|_| match rng.random_range(0..32u32) {
+                0 => 1,
+                1 => 3,
+                _ => 2,
+            })
+            .collect();
+        crate::KripkeBuilder::new(crate::kripke::ModelVariant::MinusMinus, n)
+            .relation(ModalIndex::Any, move || generators::path_edges(n))
+            .degrees(degrees)
+            .build()
+            .unwrap()
+    }
+
+    /// Drives 1000 deltas of 10 edge flips each through a checker
+    /// caching a µ reachability and a ν safety formula on the `K₋,₋`
+    /// model `k`: each delta restores the 5 edges the previous one
+    /// removed and removes 5 fresh ones, so the model stays near its
+    /// original shape. Asserts that after the first repair (which
+    /// records the fixpoints' state) nothing is rebuilt, that every
+    /// invalidated cone stays within an eighth of the universe, and that
+    /// the largest cone over the last 100 deltas is at most twice the
+    /// largest over the first 100 — warm ranks do not drift. Answers
+    /// are compared with a fresh checker every 97 deltas.
+    fn assert_warm_repair_local_without_drift(name: &str, mut k: Kripke) {
+        use crate::kripke::ModelDelta;
+        use rand::{Rng, SeedableRng};
+        let x = Formula::var("X");
+        let reach =
+            Formula::mu("X", &Formula::prop(1).or(&Formula::diamond(ModalIndex::Any, &x))).unwrap();
+        let safe =
+            Formula::nu("X", &Formula::prop(1).not().and(&Formula::box_(ModalIndex::Any, &x)))
+                .unwrap();
+        let suite = [reach, safe];
+        let n = k.len();
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|v| k.successors_dense(0, v).iter().map(move |&w| (v as u32, w)))
+            .filter(|&(v, w)| v < w)
+            .collect();
+        let mut checker = ModelChecker::new(&k);
+        checker.check_suite(&suite).unwrap();
+        let mut cache = checker.detach();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut removed: Vec<usize> = Vec::new();
+        let mut largest_cones: Vec<usize> = Vec::new();
+        for step in 0..1000 {
+            let mut delta = ModelDelta::new();
+            for &e in &removed {
+                let (v, w) = edges[e];
+                delta.add_edge(ModalIndex::Any, v, w).add_edge(ModalIndex::Any, w, v);
+            }
+            let mut fresh: Vec<usize> = Vec::new();
+            while fresh.len() < 5 {
+                let e = rng.random_range(0..edges.len());
+                if !removed.contains(&e) && !fresh.contains(&e) {
+                    fresh.push(e);
+                }
+            }
+            for &e in &fresh {
+                let (v, w) = edges[e];
+                delta.remove_edge(ModalIndex::Any, v, w).remove_edge(ModalIndex::Any, w, v);
+            }
+            removed = fresh;
+            let touched = k.apply_delta(&delta).unwrap();
+            if step > 0 {
+                // The cones the repair is about to flip out.
+                let mut d0 = touched.clone();
+                d0.sort_unstable();
+                d0.dedup();
+                let mut largest = 0;
+                for (&id, state) in &cache.fix_states {
+                    let Op::Fixpoint(b) = cache.lw.ops[id as usize] else { unreachable!() };
+                    let body = &cache.lw.bodies[b as usize];
+                    let cone = fixpoint_cone(&k, body, &BodyReads::of(body), state, &d0)
+                        .unwrap_or_else(|| panic!("{name}, delta {step}: cone past n/4"));
+                    assert!(cone.len() <= n / 8, "{name}, delta {step}: cone {}", cone.len());
+                    largest = largest.max(cone.len());
+                }
+                largest_cones.push(largest);
+            }
+            let mut checker = ModelChecker::resume(&k, cache, &touched);
+            let stats = *checker.last_repair().expect("repair ran");
+            if step == 0 {
+                assert_eq!(stats.rebuilt_vectors, 2, "{name}: the first repair records state");
+            } else {
+                assert_eq!(stats.rebuilt_vectors, 0, "{name}, delta {step}: {stats:?}");
+                assert_eq!(stats.warm_fixpoints, 2, "{name}, delta {step}: {stats:?}");
+            }
+            if step % 97 == 0 || step == 999 {
+                let got = checker.check_suite(&suite).unwrap();
+                let want = ModelChecker::new(&k).check_suite(&suite).unwrap();
+                assert_eq!(got, want, "{name}, delta {step}: repaired answers diverged");
+            }
+            cache = checker.detach();
+        }
+        let early = largest_cones[..100].iter().max().unwrap();
+        let late = largest_cones[largest_cones.len() - 100..].iter().max().unwrap();
+        assert!(late <= &(2 * early), "{name}: cones drifted from {early} to {late}");
+    }
+
+    #[test]
+    fn warm_fixpoint_repair_stays_local_on_a_marked_path() {
+        assert_warm_repair_local_without_drift("marked path", marked_path(1 << 12, 6));
+    }
+
+    #[test]
+    fn warm_fixpoint_repair_stays_local_on_a_gnp() {
+        // The served live workload's G(n, p): 2¹⁴ worlds of average
+        // degree 4, valued by degree.
+        let n = 1 << 14;
+        let k = crate::KripkeBuilder::new(crate::kripke::ModelVariant::MinusMinus, n)
+            .relation(ModalIndex::Any, move || generators::gnp_edges(n, 4.0 / n as f64, 7))
+            .degrees_from_streams()
+            .build()
+            .unwrap();
+        assert_warm_repair_local_without_drift("gnp", k);
     }
 }

@@ -21,13 +21,27 @@
 //! * the quotient path ([`ModelChecker::check_via_quotient`], repaired
 //!   incrementally from the pre-delta partition) must stay exact for
 //!   ungraded formulas.
+//!
+//! A second property carries cached µ/ν fixpoints — a random one plus
+//! a reachability and a safety formula over every index of the variant,
+//! with goals marked by valuation overrides — across delta scripts on
+//! sparse models large enough against a body's read ball that repair
+//! restarts them warm from their invalidated cone: after *every*
+//! resume, the repaired answers must equal a fresh checker's and the
+//! recursive reference's, bit for bit.
 
 mod common;
 
-use common::{all_variants, arb_formula_with as arb_formula, arb_graph, execute_pinned, ungrade};
+use common::{
+    all_variants, arb_formula_with as arb_formula, arb_graph, arb_mu_formula, execute_pinned,
+    ungrade,
+};
 use portnum_graph::partition::Parallelism;
+use portnum_graph::{generators, Graph};
 use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
-use portnum_logic::{evaluate_packed, Kripke, ModalIndex, ModelDelta};
+use portnum_logic::{
+    evaluate_packed, evaluate_packed_recursive, Formula, Kripke, ModalIndex, ModelDelta,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -130,8 +144,95 @@ fn random_step(rng: &mut StdRng, model: &Kripke, mirror: &mut Mirror) -> ModelDe
     delta
 }
 
+/// Sparse graphs on 48–96 nodes — a path, a cycle, or `G(n, 2.5/n)`:
+/// large against a fixpoint body's read ball, so the cone a one-edit
+/// delta invalidates usually stays under the dense-fallback threshold
+/// and repair takes the warm path.
+fn arb_sparse_graph() -> impl Strategy<Value = Graph> {
+    (48usize..=96, 0u8..3, any::<u64>()).prop_map(|(n, shape, seed)| match shape {
+        0 => generators::path(n),
+        1 => generators::cycle(n),
+        _ => generators::gnp(n, 2.5 / n as f64, &mut StdRng::seed_from_u64(seed)),
+    })
+}
+
+/// Marks about one world in eight with the valuation 3: goals that,
+/// unlike degree-valued `q1` ends, an edge cut neither creates nor
+/// moves, so a cut can strand a whole region from its goal.
+fn mark_goals(rng: &mut StdRng, model: &mut Kripke) {
+    let mut marks = ModelDelta::new();
+    for v in 0..model.len() as u32 {
+        if rng.random_range(0..8u32) == 0 {
+            marks.set_valuation(v, 3);
+        }
+    }
+    model.apply_delta(&marks).unwrap();
+}
+
+/// `f` plus reachability of a `q3` goal and safety from `q3` goals
+/// (`µX. q3 ∨ ⋁⟨α⟩X`, `νX. ¬q3 ∧ ⋀[α]X`) over every index of `model`:
+/// the shapes whose derivations run far along the model, so a delta
+/// invalidates worlds well outside its own neighbourhood.
+fn fixpoint_suite(model: &Kripke, f: &Formula) -> Vec<Formula> {
+    let x = Formula::var("X");
+    let goal = Formula::prop(3);
+    let step = Formula::any_of(model.indices().map(|i| Formula::diamond(i, &x)));
+    let reach = Formula::mu("X", &goal.or(&step)).expect("X occurs only positively");
+    let stay = Formula::all_of(model.indices().map(|i| Formula::box_(i, &x)));
+    let safe = Formula::nu("X", &goal.not().and(&stay)).expect("X occurs only positively");
+    vec![f.clone(), reach, safe]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn fixpoint_repair_matches_fresh_after_every_delta(
+        g in arb_sparse_graph(),
+        seed in any::<u64>(),
+        steps in 3usize..12,
+        mode in prop_oneof![
+            Just(DiamondMode::Auto),
+            Just(DiamondMode::Forward),
+            Just(DiamondMode::Csc),
+        ],
+        f_pp in arb_mu_formula(ModalIndex::InOut),
+        f_mp in arb_mu_formula(|_i, j| ModalIndex::Out(j)),
+        f_pm in arb_mu_formula(|i, _j| ModalIndex::In(i)),
+        f_mm in arb_mu_formula(|_i, _j| ModalIndex::Any),
+    ) {
+        let formulas = [&f_pp, &f_mp, &f_pm, &f_mm];
+        for (model, f) in all_variants(&g, seed).into_iter().zip(formulas) {
+            let suite = fixpoint_suite(&model, f);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x51_7cc1_b727_220a);
+            let mut mirror = Mirror::of(&model);
+            let mut patched = model.clone();
+            mark_goals(&mut rng, &mut patched);
+            let mut checker = ModelChecker::with_mode(&patched, mode);
+            checker.check_suite(&suite).unwrap();
+            let mut cache = checker.detach();
+            for step in 0..steps {
+                let delta = random_step(&mut rng, &model, &mut mirror);
+                let touched = patched.apply_delta(&delta).unwrap();
+                let mut resumed = ModelChecker::resume(&patched, cache, &touched);
+                let got = resumed.check_suite(&suite).unwrap();
+                let fresh = ModelChecker::with_mode(&patched, mode).check_suite(&suite).unwrap();
+                for ((f, got), fresh) in suite.iter().zip(&got).zip(&fresh) {
+                    prop_assert_eq!(
+                        &**got, &**fresh,
+                        "step {}: repaired fixpoint diverged from a fresh checker on {:?} under {:?} with {} (graph {})",
+                        step, patched.variant(), mode, f, g
+                    );
+                    prop_assert_eq!(
+                        &**got, &evaluate_packed_recursive(&patched, f).unwrap(),
+                        "step {}: repaired fixpoint diverged from the reference on {:?} with {}",
+                        step, patched.variant(), f
+                    );
+                }
+                cache = resumed.detach();
+            }
+        }
+    }
 
     #[test]
     fn delta_scripts_match_mirror_and_repair_matches_fresh(

@@ -13,7 +13,9 @@
 //! instruction table grows only with structurally new subformulas.
 //!
 //! The entry's footprint is the model's CSR estimate plus the cache's
-//! resident words; the shard keeps the sum of footprints under its
+//! resident words — truth vectors, and for each cached fixpoint a delta
+//! has repaired, the body values and per-world ranks its next warm
+//! restart reads; the shard keeps the sum of footprints under its
 //! budget slice by evicting least-recently-used entries wholesale, or
 //! — when only the pinned entry remains — shedding its checker cache
 //! while keeping the model.
@@ -44,7 +46,8 @@ pub(crate) fn model_bytes(model: &Kripke) -> usize {
     model.relation_entry_count() * 4 + model.relation_count() * (n + 1) * words + n * words
 }
 
-/// The entry's full footprint: model plus cached truth-vector words.
+/// The entry's full footprint: model plus the checker cache's resident
+/// words ([`CheckerCache::cached_words`]).
 pub(crate) fn entry_bytes(entry: &ModelEntry) -> usize {
     model_bytes(&entry.model) + entry.cache.as_ref().map_or(0, |c| c.cached_words() * 8)
 }
@@ -53,7 +56,7 @@ pub(crate) fn entry_bytes(entry: &ModelEntry) -> usize {
 mod tests {
     use super::*;
     use crate::protocol::ModelSpec;
-    use portnum_logic::{Formula, ModalIndex, ModelChecker};
+    use portnum_logic::{Formula, ModalIndex, ModelChecker, ModelDelta};
 
     #[test]
     fn footprint_grows_with_the_checker_cache() {
@@ -67,5 +70,34 @@ mod tests {
         assert!(cache.cached_words() > 0);
         entry.cache = Some(cache);
         assert!(entry_bytes(&entry) > cold);
+    }
+
+    #[test]
+    fn footprint_prices_the_fixpoint_state_repair_keeps() {
+        // A cached µ-formula's first delta repair records the body's
+        // values and a rank per world for the next warm restart; the
+        // footprint must carry them, not just the truth vectors.
+        let mut model = ModelSpec::Path { n: 256 }.build().unwrap();
+        let reach = Formula::mu(
+            "X",
+            &Formula::prop(1).or(&Formula::diamond(ModalIndex::Any, &Formula::var("X"))),
+        )
+        .unwrap();
+        let mut checker = ModelChecker::new(&model);
+        checker.check(&reach).unwrap();
+        let cache = checker.detach();
+        let checked = cache.cached_words();
+        let mut delta = ModelDelta::new();
+        delta.remove_edge(ModalIndex::Any, 100, 101).remove_edge(ModalIndex::Any, 101, 100);
+        let touched = model.apply_delta(&delta).unwrap();
+        let cache = ModelChecker::resume(&model, cache, &touched).detach();
+        // Four body values (q1, X, ⟨*,*⟩X, the disjunction) of 4 words
+        // each, and 256 ranks of 4 bytes.
+        assert_eq!(cache.cached_words(), checked + 4 * 4 + 256 / 2);
+        let mut entry = ModelEntry { model, cache: Some(cache), bytes: 0, last_used: 0 };
+        let before = model_bytes(&entry.model) + checked * 8;
+        assert_eq!(entry_bytes(&entry), before + (4 * 4 + 256 / 2) * 8);
+        entry.cache = None;
+        assert_eq!(entry_bytes(&entry), model_bytes(&entry.model));
     }
 }
