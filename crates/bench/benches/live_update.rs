@@ -17,9 +17,11 @@
 //!
 //! The `fixpoint_*` rows time the warm fixpoint repair in steady
 //! state: a marked path (`workloads::huge_reachability`, a goal every
-//! 32 worlds) carries a cached reachability µ-formula across a cycle of
-//! deltas, each restoring the previous delta's 10 removed edges and
-//! removing 10 fresh ones — the served live workload's shape.
+//! 32 worlds) and a 2¹⁴-world G(n, p) of average degree 4 valued by
+//! degree (shaped like the served live workload's gnp, where every
+//! world has several parents) each carry a cached reachability µ-formula across
+//! a cycle of deltas, each restoring the previous delta's 10 removed
+//! edges and removing 10 fresh ones — the served live workload's shape.
 //! **fixpoint_repair** times `apply_delta` plus `resume` (which restarts
 //! the fixpoint from the cone the delta invalidated);
 //! **fixpoint_apply_only** the same deltas without a checker, so the
@@ -36,7 +38,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use portnum_bench::workloads;
 use portnum_graph::generators;
 use portnum_logic::plan::ModelChecker;
-use portnum_logic::{Formula, Kripke, ModalIndex, ModelDelta};
+use portnum_logic::{Formula, Kripke, KripkeBuilder, ModalIndex, ModelDelta, ModelVariant};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -125,6 +127,8 @@ fn bench_live_update(c: &mut Criterion) {
 
 /// Worlds of the `fixpoint_*` rows' marked path.
 const FIXPOINT_PATH: usize = 1 << 14;
+/// Worlds of the `fixpoint_*` rows' G(n, p), average degree 4.
+const FIXPOINT_GNP: usize = 1 << 14;
 /// Edge sets the `fixpoint_*` delta cycle rotates through.
 const FIXPOINT_SETS: usize = 16;
 
@@ -171,33 +175,45 @@ fn fixpoint_delta_cycle(model: &Kripke) -> (Kripke, Vec<ModelDelta>) {
 
 fn bench_fixpoint_repair(c: &mut Criterion) {
     let reach = workloads::reachability_formula();
-    let (start, deltas) = fixpoint_delta_cycle(&workloads::huge_reachability(FIXPOINT_PATH, 32));
-    let name = format!("path{FIXPOINT_PATH}");
+    let gnp = KripkeBuilder::new(ModelVariant::MinusMinus, FIXPOINT_GNP)
+        .relation(ModalIndex::Any, || {
+            generators::gnp_edges(FIXPOINT_GNP, 4.0 / FIXPOINT_GNP as f64, 7)
+        })
+        .degrees_from_streams()
+        .build()
+        .expect("gnp stream stays in range");
+    let models = [
+        (format!("path{FIXPOINT_PATH}"), workloads::huge_reachability(FIXPOINT_PATH, 32)),
+        (format!("gnp{FIXPOINT_GNP}"), gnp),
+    ];
     let mut group = c.benchmark_group("live_update");
-    group.bench_function(BenchmarkId::new("fixpoint_repair", &name), |b| {
-        let mut model = start.clone();
-        let mut checker = ModelChecker::new(&model);
-        checker.check(&reach).expect("reachability checks");
-        let mut cache = Some(checker.detach());
-        let mut next = 0;
-        b.iter(|| {
-            let touched = model.apply_delta(&deltas[next]).expect("cycle deltas apply");
-            next = (next + 1) % deltas.len();
-            let checker = ModelChecker::resume(&model, cache.take().expect("cache"), &touched);
-            let warm = checker.last_repair().map_or(0, |r| r.warm_fixpoints);
-            cache = Some(checker.detach());
-            warm
-        })
-    });
-    group.bench_function(BenchmarkId::new("fixpoint_apply_only", &name), |b| {
-        let mut model = start.clone();
-        let mut next = 0;
-        b.iter(|| {
-            let touched = model.apply_delta(&deltas[next]).expect("cycle deltas apply");
-            next = (next + 1) % deltas.len();
-            touched.len()
-        })
-    });
+    for (name, model) in &models {
+        let (start, deltas) = fixpoint_delta_cycle(model);
+        group.bench_function(BenchmarkId::new("fixpoint_repair", name), |b| {
+            let mut model = start.clone();
+            let mut checker = ModelChecker::new(&model);
+            checker.check(&reach).expect("reachability checks");
+            let mut cache = Some(checker.detach());
+            let mut next = 0;
+            b.iter(|| {
+                let touched = model.apply_delta(&deltas[next]).expect("cycle deltas apply");
+                next = (next + 1) % deltas.len();
+                let checker = ModelChecker::resume(&model, cache.take().expect("cache"), &touched);
+                let warm = checker.last_repair().map_or(0, |r| r.warm_fixpoints);
+                cache = Some(checker.detach());
+                warm
+            })
+        });
+        group.bench_function(BenchmarkId::new("fixpoint_apply_only", name), |b| {
+            let mut model = start.clone();
+            let mut next = 0;
+            b.iter(|| {
+                let touched = model.apply_delta(&deltas[next]).expect("cycle deltas apply");
+                next = (next + 1) % deltas.len();
+                touched.len()
+            })
+        });
+    }
     group.finish();
 }
 

@@ -97,17 +97,22 @@
 //! fixpoint *warm* instead of from ⊥/⊤. Its first repair rebuilds it
 //! and records the body's per-op values at convergence and a per-world
 //! *rank*: the iteration at which the world entered X (µ) or left it
-//! (ν). A later delta invalidates only a *cone*: the ranked worlds
-//! whose read ball (the body's modal depth along its relations) holds a
-//! touched world, closed upward by "reads a cone world of lower rank".
-//! Every other ranked world keeps a derivation that avoids both the
-//! delta and the cone, so iteration restarts from the old value with
-//! the cone flipped out, and its first pass is a frontier pass seeded
-//! by the cone and the touched worlds together. The answers are
-//! bit-identical to a rebuild. A fixpoint still rebuilds wholesale on
-//! the first repair after a check (checks record no state), when its
-//! cone reaches a quarter of the universe, and when its body nests
-//! another binder (its read ball is unbounded).
+//! (ν). A later delta invalidates only a *cone*, found by
+//! delete-and-rederive: the ranked worlds whose read ball (the body's
+//! modal depth along its relations) holds a touched world are checked
+//! in ascending rank, each against the post-delta model and the kept
+//! worlds of strictly lower rank. A world joins the cone only when it
+//! has lost every such derivation, and only then are the higher-ranked
+//! worlds that read it checked. Every ranked world outside the cone
+//! keeps a derivation that avoids both the delta and the cone, so
+//! iteration restarts from the old value with the cone flipped out, and
+//! its first pass is a frontier pass seeded by the cone and the touched
+//! worlds together. The answers are bit-identical to a rebuild. A
+//! fixpoint still rebuilds wholesale on the first repair after a check
+//! (checks record no state), when its cone reaches a quarter of the
+//! universe or its support checks scan what a dense body pass scans,
+//! and when its body nests another binder (its read ball is
+//! unbounded).
 //!
 //! Fixpoint instructions price into the shared work currency at twice
 //! their body's per-iteration work plus an `n/8` flip term (the
@@ -141,7 +146,10 @@
 //! `Var` and nested fixpoints (iteration), top-level fixpoints after a
 //! delta (repair: a warm restart runs this kernel over the body with
 //! the touched set as its directly read worlds, a rebuild does not),
-//! where values are stored, and their stats.
+//! where values are stored, and their stats. Since the cone of a warm
+//! restart holds only the worlds that lost every derivation, the first
+//! pass's candidates stay near the delta even where every world has
+//! several parents, below the dense fallback.
 //!
 //! # Parallel execution
 //!
@@ -201,6 +209,8 @@ use portnum_graph::csc::CscAdjacency;
 use portnum_graph::partition::{encode_threads, quantile_ranges, FxHashMap, Parallelism};
 use portnum_graph::pool::WorkerPool;
 use portnum_graph::resilience::{ExecControl, Interrupted};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Mutex;
@@ -1469,10 +1479,16 @@ fn propagate_op<'a, 'c>(
 /// the iteration warm ([`FixStart::Warm`]) instead of from ⊥/⊤.
 ///
 /// Call the worlds in X (µ) or outside X (ν) the *ranked* side: the
-/// side a Kleene iteration grows. Every ranked world of rank `r` holds
-/// already by the ranked worlds of rank `< r` in its read ball
-/// ([`BodyReads`]) — Kleene iteration numbers have this property, and
-/// warm repair keeps it. [`fixpoint_cone`] relies on it.
+/// side a Kleene iteration grows. The invariant: every ranked world of
+/// rank `r` is derived by the ranked worlds of rank `< r` in its read
+/// ball ([`BodyReads`]) alone — the body holds at it (µ) when `Var` is
+/// true exactly at those worlds, or fails at it (ν) when `Var` is false
+/// exactly there. Kleene iteration numbers have this property. Warm repair
+/// keeps it: [`fixpoint_cone`] keeps a ranked world's rank only when
+/// the delta left it outside the world's read ball or the world was
+/// re-derived on the new model from kept worlds of lower rank, and a
+/// world that flips onto the ranked side ranks above every ranked
+/// world it reads. [`fixpoint_cone`] relies on it.
 #[derive(Debug, Default)]
 struct FixState {
     /// The body's per-op values at convergence (`vals[root]` is the
@@ -1573,20 +1589,33 @@ impl BodyReads {
 }
 
 /// The worlds of a recorded fixpoint that a delta touching `direct`
-/// may have invalidated, ascending — or `None` once they reach a
-/// quarter of the universe (the dense threshold of [`propagate_op`]),
-/// where rebuilding wholesale is cheaper.
+/// invalidated, ascending — or `None` when rebuilding wholesale is
+/// cheaper: once they reach a quarter of the universe (the dense
+/// threshold of [`propagate_op`]), or once their support checks have
+/// scanned what one dense body pass scans (`n` plus the stored entries
+/// of every diamond's relation).
 ///
-/// Seeds are the ranked worlds ([`FixState`]) whose read ball contains
-/// a touched world: the post-delta predecessor ball around `direct`
-/// (an edited edge has both endpoints touched, so a path through a
-/// removed edge reaches a touched world over surviving edges first).
-/// The cone then closes upward in rank: a ranked world joins when it
-/// reads a cone world of lower rank, since its derivation may rest on
-/// it. A ranked world outside the cone therefore keeps a derivation
-/// that touches neither the delta nor the cone, so the old value with
-/// the cone flipped out lies on the ranked side of the new fixpoint,
-/// and Kleene iteration from there reaches exactly that fixpoint.
+/// This is delete-and-rederive over the Kleene ranks ([`FixState`]).
+/// The candidates are the ranked worlds whose read ball holds a touched
+/// world: the post-delta predecessor ball around `direct` (an edited
+/// edge has both endpoints touched, so a path through a removed edge
+/// reaches a touched world over surviving edges first). They are
+/// checked in ascending rank: a candidate `w` of rank `r` is evaluated
+/// on the post-delta model with `Var` true exactly at the ranked worlds
+/// of rank `< r` outside the cone (for ν, false exactly there). A µ
+/// world that still holds, or a ν world that still fails, keeps its
+/// rank. Only a world that lost every such derivation joins the cone,
+/// and only then are the ranked worlds of higher rank that read it
+/// queued as candidates.
+///
+/// Ranks pushed are strictly above the rank popped, so every member of
+/// the cone below `r` is final when `w` is checked. A ranked world kept
+/// outside the cone was either never queued, so its derivation touches
+/// neither the delta nor the cone, or it was just re-derived from kept
+/// worlds of lower rank. By induction on rank the old value with the
+/// cone flipped out lies on the ranked side of the new fixpoint, Kleene
+/// iteration from there reaches exactly that fixpoint, and the kept
+/// ranks still satisfy the [`FixState`] invariant.
 fn fixpoint_cone(
     model: &Kripke,
     body: &FixBody,
@@ -1596,35 +1625,92 @@ fn fixpoint_cone(
 ) -> Option<Vec<u32>> {
     let n = model.len();
     let x = &state.vals[body.root as usize];
-    let ranked = |v: u32| x.get(v as usize) != body.greatest;
+    let ranked = |v: usize| x.get(v) != body.greatest;
+    let mut budget = n + body
+        .ops
+        .iter()
+        .map(|&op| match op {
+            Op::Diamond { rel, .. } => model.relation_rows(rel as usize).1.len(),
+            _ => 0,
+        })
+        .sum::<usize>();
     let mut in_cone = Bitset::zeros(n);
-    let mut cone: Vec<u32> = Vec::new();
+    let mut queued = Bitset::zeros(n);
+    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
     reads.for_each_in_ball(model, direct, false, |v| {
-        if ranked(v) && !in_cone.get(v as usize) {
-            in_cone.insert(v as usize);
-            cone.push(v);
+        if ranked(v as usize) && !queued.get(v as usize) {
+            queued.insert(v as usize);
+            heap.push(Reverse((state.rank[v as usize], v)));
         }
     });
-    let mut next = 0;
-    while next < cone.len() {
+    let mut cone: Vec<u32> = Vec::new();
+    while let Some(Reverse((r, w))) = heap.pop() {
+        budget = budget.checked_sub(1)?;
+        let support =
+            |u: usize| body.greatest != (ranked(u) && state.rank[u] < r && !in_cone.get(u));
+        let holds = holds_at(model, &body.ops, body.root, w as usize, &support, &mut budget)?;
+        if holds != body.greatest {
+            continue;
+        }
+        in_cone.insert(w as usize);
+        cone.push(w);
         if cone.len() * 4 >= n {
             return None;
         }
-        let c = cone[next];
-        next += 1;
-        let below = state.rank[c as usize];
-        reads.for_each_in_ball(model, &[c], false, |w| {
-            if state.rank[w as usize] > below && ranked(w) && !in_cone.get(w as usize) {
-                in_cone.insert(w as usize);
-                cone.push(w);
+        reads.for_each_in_ball(model, &[w], false, |u| {
+            if state.rank[u as usize] > r && ranked(u as usize) && !queued.get(u as usize) {
+                queued.insert(u as usize);
+                heap.push(Reverse((state.rank[u as usize], u)));
             }
         });
     }
-    if cone.len() * 4 >= n {
-        return None;
-    }
     cone.sort_unstable();
     Some(cone)
+}
+
+/// Whether body op `op` holds at world `v` of the current model, with
+/// `Var` read through `var`: the value [`eval_op_into`] would give at
+/// `v`, computed from `v`'s read ball alone. It serves only
+/// [`fixpoint_cone`]'s support checks, whose bodies are closed and
+/// binder-free. Every successor entry scanned is charged to `budget`;
+/// `None` once it runs out.
+fn holds_at(
+    model: &Kripke,
+    ops: &[Op],
+    op: u32,
+    v: usize,
+    var: &impl Fn(usize) -> bool,
+    budget: &mut usize,
+) -> Option<bool> {
+    Some(match ops[op as usize] {
+        Op::Top => true,
+        Op::Bottom => false,
+        Op::Prop(d) => model.degree(v) == d,
+        Op::Not(a) => !holds_at(model, ops, a, v, var, budget)?,
+        Op::And(a, b) => {
+            holds_at(model, ops, a, v, var, budget)? && holds_at(model, ops, b, v, var, budget)?
+        }
+        Op::Or(a, b) => {
+            holds_at(model, ops, a, v, var, budget)? || holds_at(model, ops, b, v, var, budget)?
+        }
+        Op::Diamond { rel, grade, inner } => {
+            let mut found = 0;
+            for &w in model.successors_dense(rel as usize, v) {
+                *budget = budget.checked_sub(1)?;
+                if holds_at(model, ops, inner, w as usize, var, budget)? {
+                    found += 1;
+                    if found == grade {
+                        return Some(true);
+                    }
+                }
+            }
+            false
+        }
+        Op::Var => var(v),
+        Op::Arg(_) | Op::Fixpoint(_) => {
+            unreachable!("warm fixpoint bodies are closed and binder-free")
+        }
+    })
 }
 
 /// Iterate-until-stable evaluation of one [`Op::Fixpoint`]
@@ -2712,11 +2798,12 @@ impl<'m> ModelChecker<'m> {
     /// quarter of the universe falls back to recomputing that vector
     /// wholesale. Fixpoints read the model at unbounded depth, so they
     /// are restarted instead: warm from the state their previous repair
-    /// recorded, with only the cone of worlds the delta may have
-    /// invalidated flipped out (see the module docs). A fixpoint is
-    /// still recomputed wholesale on its first repair after a check
-    /// (which records the state), when its cone reaches a quarter of
-    /// the universe, and when its body nests another binder. Every
+    /// recorded, with only the cone of worlds that lost every
+    /// derivation below their rank flipped out (see the module docs). A
+    /// fixpoint is still recomputed wholesale on its first repair after
+    /// a check (which records the state), when its cone reaches a
+    /// quarter of the universe or the search for it scans what a dense
+    /// body pass scans, and when its body nests another binder. Every
     /// path is pinned bit-identical to a fresh checker by the
     /// differential delta suites, and [`Self::last_repair`] reports
     /// which path each vector took.
@@ -2795,8 +2882,9 @@ impl<'m> ModelChecker<'m> {
                 // so no frontier bound holds for its vector. It restarts
                 // warm from its recorded state with only the cone the
                 // delta invalidated flipped out; the first repair after a
-                // check, a cone past the dense threshold, and a body with
-                // nested binders (whose read ball is unbounded) rebuild it
+                // check, a cone past the dense threshold or the search
+                // budget, and a body with nested binders (whose read
+                // ball is unbounded) rebuild it
                 // wholesale instead, recording fresh state where a later
                 // repair can use it. Either way the word diff drives its
                 // consumers.
@@ -3921,8 +4009,9 @@ mod tests {
     /// invalidated cone stays within an eighth of the universe, and that
     /// the largest cone over the last 100 deltas is at most twice the
     /// largest over the first 100 — warm ranks do not drift. Answers
-    /// are compared with a fresh checker every 97 deltas.
-    fn assert_warm_repair_local_without_drift(name: &str, mut k: Kripke) {
+    /// are compared with a fresh checker every 97 deltas. Returns the
+    /// largest cone of every delta after the first.
+    fn assert_warm_repair_local_without_drift(name: &str, mut k: Kripke) -> Vec<usize> {
         use crate::kripke::ModelDelta;
         use rand::{Rng, SeedableRng};
         let x = Formula::var("X");
@@ -3996,6 +4085,7 @@ mod tests {
         let early = largest_cones[..100].iter().max().unwrap();
         let late = largest_cones[largest_cones.len() - 100..].iter().max().unwrap();
         assert!(late <= &(2 * early), "{name}: cones drifted from {early} to {late}");
+        largest_cones
     }
 
     #[test]
@@ -4013,6 +4103,105 @@ mod tests {
             .degrees_from_streams()
             .build()
             .unwrap();
-        assert_warm_repair_local_without_drift("gnp", k);
+        let cones = assert_warm_repair_local_without_drift("gnp", k);
+        // Every world here has several parents, and a world is evicted
+        // only once it has lost all of them below its rank.
+        let largest = *cones.iter().max().unwrap();
+        assert!(largest <= n / 64, "gnp: largest cone {largest}");
+    }
+
+    /// A goal with two neighbours of equal rank that read each other:
+    /// once the goal's edges are cut, neither may keep the other, since
+    /// a derivation only rests on worlds of strictly lower rank.
+    #[test]
+    fn warm_repair_evicts_equal_rank_neighbours_that_read_each_other() {
+        use crate::kripke::ModelDelta;
+        // Goal 0 (valued 9) is adjacent to 1 and 2, which are adjacent
+        // to each other; 3 hangs off 1. Ranks: 0 → 1, 1 and 2 → 2, 3 → 3.
+        // Twelve isolated worlds keep the cone below the n/4 fallback.
+        let edges = [(0, 1), (0, 2), (1, 2), (1, 3)];
+        let mut degrees = vec![0; 16];
+        degrees[..4].copy_from_slice(&[9, 3, 2, 1]);
+        let mut k = crate::KripkeBuilder::new(crate::kripke::ModelVariant::MinusMinus, 16)
+            .relation(ModalIndex::Any, move || {
+                edges.into_iter().flat_map(|(v, w)| [(v, w), (w, v)])
+            })
+            .degrees(degrees)
+            .build()
+            .unwrap();
+        let x = Formula::var("X");
+        let reach =
+            Formula::mu("X", &Formula::prop(9).or(&Formula::diamond(ModalIndex::Any, &x))).unwrap();
+        let safe =
+            Formula::nu("X", &Formula::prop(9).not().and(&Formula::box_(ModalIndex::Any, &x)))
+                .unwrap();
+        let suite = [reach, safe];
+        let mut checker = ModelChecker::new(&k);
+        checker.check_suite(&suite).unwrap();
+        let cache = checker.detach();
+        // The first repair after a check records the ranks.
+        let mut delta = ModelDelta::new();
+        delta.set_valuation(3, 1);
+        let touched = k.apply_delta(&delta).unwrap();
+        let cache = ModelChecker::resume(&k, cache, &touched).detach();
+        let mut delta = ModelDelta::new();
+        for w in [1, 2] {
+            delta.remove_edge(ModalIndex::Any, 0, w).remove_edge(ModalIndex::Any, w, 0);
+        }
+        delta.set_valuation(0, 9);
+        let touched = k.apply_delta(&delta).unwrap();
+        let mut d0 = touched.clone();
+        d0.sort_unstable();
+        d0.dedup();
+        for (&id, state) in &cache.fix_states {
+            let Op::Fixpoint(b) = cache.lw.ops[id as usize] else { unreachable!() };
+            let body = &cache.lw.bodies[b as usize];
+            let cone = fixpoint_cone(&k, body, &BodyReads::of(body), state, &d0).unwrap();
+            assert_eq!(cone, [1, 2, 3], "greatest = {}", body.greatest);
+        }
+        let mut checker = ModelChecker::resume(&k, cache, &touched);
+        let stats = *checker.last_repair().expect("repair ran");
+        assert_eq!(stats.warm_fixpoints, 2, "{stats:?}");
+        let got = checker.check_suite(&suite).unwrap();
+        assert_eq!(got, ModelChecker::new(&k).check_suite(&suite).unwrap());
+        assert_eq!(got[0].iter_ones().collect::<Vec<_>>(), [0]);
+    }
+
+    /// A support check walks the body's read ball world by world, which
+    /// on a deep body over a dense relation costs more than recomputing
+    /// the fixpoint: the cone search stops once it has scanned what one
+    /// dense body pass scans, and the fixpoint is rebuilt instead.
+    #[test]
+    fn warm_repair_rebuilds_once_support_checks_outspend_a_dense_pass() {
+        use crate::kripke::ModelDelta;
+        // Average degree 32; four goals (valued 1) among 1024 worlds.
+        let n = 1024;
+        let mut k = crate::KripkeBuilder::new(crate::kripke::ModelVariant::MinusMinus, n)
+            .relation(ModalIndex::Any, move || generators::gnp_edges(n, 32.0 / n as f64, 3))
+            .degrees((0..n).map(|v| if v % 256 == 0 { 1 } else { 2 }).collect())
+            .build()
+            .unwrap();
+        let mut body = Formula::var("X");
+        for _ in 0..6 {
+            body = Formula::diamond(ModalIndex::Any, &body);
+        }
+        let f = Formula::mu("X", &Formula::prop(1).or(&body)).unwrap();
+        let mut checker = ModelChecker::new(&k);
+        checker.check(&f).unwrap();
+        let mut cache = checker.detach();
+        for step in 0..2 {
+            let (v, w) = (5 + step, k.successors_dense(0, 5 + step)[0]);
+            let mut delta = ModelDelta::new();
+            delta.remove_edge(ModalIndex::Any, v as u32, w).set_valuation(v as u32, 2);
+            let touched = k.apply_delta(&delta).unwrap();
+            let mut checker = ModelChecker::resume(&k, cache, &touched);
+            let stats = *checker.last_repair().expect("repair ran");
+            assert_eq!(stats.rebuilt_vectors, 1, "delta {step}: {stats:?}");
+            assert_eq!(stats.warm_fixpoints, 0, "delta {step}: {stats:?}");
+            let got = checker.check(&f).unwrap();
+            assert_eq!(*got, *ModelChecker::new(&k).check(&f).unwrap(), "delta {step}");
+            assert_eq!(*got, crate::evaluate_packed_recursive(&k, &f).unwrap(), "delta {step}");
+            cache = checker.detach();
+        }
     }
 }
