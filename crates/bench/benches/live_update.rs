@@ -25,14 +25,16 @@
 //! **fixpoint_repair** times `apply_delta` plus `resume` (which restarts
 //! the fixpoint from the cone the delta invalidated);
 //! **fixpoint_apply_only** the same deltas without a checker, so the
-//! difference is the repair engine's own cost.
+//! difference is the repair engine's own cost. Neither builds a CSC;
+//! **fixpoint_apply_csc** applies the same cycle to a 2¹⁶-world marked
+//! path whose CSC is built, the served live workload's connection-0
+//! shape, where every delta patches the forward rows and the CSC.
 //!
 //! The isolated numbers (untimed setup, repair-vs-rebuild only) are
 //! the `live_update_*` rows of `reproduce`'s `BENCH_eval.json`, which
 //! pins repair ≥ 5× faster than rebuild on `path1024`. This bench
-//! streams the flips as individual deltas (each built cache is spliced
-//! once per delta); `reproduce` merges them into one arrival batch
-//! (`workloads::edge_flip_batch`) so the splices are paid once.
+//! streams the flips as individual deltas; `reproduce` applies them as
+//! one arrival batch (`workloads::edge_flip_batch`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use portnum_bench::workloads;
@@ -129,6 +131,8 @@ fn bench_live_update(c: &mut Criterion) {
 const FIXPOINT_PATH: usize = 1 << 14;
 /// Worlds of the `fixpoint_*` rows' G(n, p), average degree 4.
 const FIXPOINT_GNP: usize = 1 << 14;
+/// Worlds of the `fixpoint_apply_csc` row's marked path.
+const FIXPOINT_CSC_PATH: usize = 1 << 16;
 /// Edge sets the `fixpoint_*` delta cycle rotates through.
 const FIXPOINT_SETS: usize = 16;
 
@@ -214,6 +218,23 @@ fn bench_fixpoint_repair(c: &mut Criterion) {
             })
         });
     }
+    // Connection 0 of the served live workload: the 2¹⁶-world marked
+    // path with its CSC built, so every delta patches both stores.
+    let path = workloads::huge_reachability(FIXPOINT_CSC_PATH, 32);
+    let (start, deltas) = fixpoint_delta_cycle(&path);
+    group.bench_function(
+        BenchmarkId::new("fixpoint_apply_csc", format!("path{FIXPOINT_CSC_PATH}")),
+        |b| {
+            let mut model = start.clone();
+            model.predecessors_csc(0);
+            let mut next = 0;
+            b.iter(|| {
+                let touched = model.apply_delta(&deltas[next]).expect("cycle deltas apply");
+                next = (next + 1) % deltas.len();
+                touched.len()
+            })
+        },
+    );
     group.finish();
 }
 

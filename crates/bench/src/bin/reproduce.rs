@@ -545,8 +545,8 @@ fn bench_eval_snapshot(failed: &mut Vec<String>) {
     }
     // Live-update rows: apply a batch of 10 localized edge flips under
     // traffic and re-answer a small formula suite. `live_update_repair`
-    // patches the model in place (`Kripke::apply_delta`, one merged
-    // batch so each built cache is spliced once) and repairs the
+    // patches the model in place (`Kripke::apply_delta`, one arrival
+    // batch) and repairs the
     // checker's cached truth vectors over the dirty frontier
     // (`ModelChecker::detach`/`resume`); `live_update_rebuild` rebuilds
     // the post-delta model from its rows and checks with a fresh
@@ -564,8 +564,8 @@ fn bench_eval_snapshot(failed: &mut Vec<String>) {
             .collect();
         for w in &sweeps {
             let base = Kripke::k_mm(&w.graph);
-            // The same flips as the per-delta sequence, merged into one
-            // arrival batch so every built cache is spliced once.
+            // The same flips as the per-delta sequence, as one arrival
+            // batch: one apply, one version bump.
             let batch = workloads::edge_flip_batch(&base, flips, 77);
             // The expected post-delta answers, computed once.
             let mut final_model = base.clone();

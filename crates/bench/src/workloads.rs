@@ -220,6 +220,42 @@ pub fn gnp_sweep(sizes: &[usize], p: f64, seed: u64) -> Vec<Workload> {
 /// Panics if the model is not `K₋,₋` or stores fewer than `k`
 /// undirected edges.
 pub fn edge_flip_deltas(model: &Kripke, k: usize, seed: u64) -> Vec<ModelDelta> {
+    let flips = flipped_edges(model, k, seed);
+    let mut deltas = Vec::with_capacity(k);
+    for (i, &(v, w)) in flips.iter().enumerate() {
+        let mut d = ModelDelta::new();
+        d.remove_edge(ModalIndex::Any, v, w).remove_edge(ModalIndex::Any, w, v);
+        if i > 0 {
+            let (pv, pw) = flips[i - 1];
+            d.add_edge(ModalIndex::Any, pv, pw).add_edge(ModalIndex::Any, pw, pv);
+        }
+        deltas.push(d);
+    }
+    deltas
+}
+
+/// The same `k` edge flips as [`edge_flip_deltas`] as one arrival
+/// batch: every sampled edge is removed and all but the last re-added,
+/// which is exactly what the per-flip sequence composes to. Applying
+/// the batch bumps the model's version once instead of once per flip —
+/// the serving pattern the `live_update_repair` rows of `reproduce`
+/// measure.
+pub fn edge_flip_batch(model: &Kripke, k: usize, seed: u64) -> ModelDelta {
+    let flips = flipped_edges(model, k, seed);
+    let mut batch = ModelDelta::new();
+    for &(v, w) in &flips {
+        batch.remove_edge(ModalIndex::Any, v, w).remove_edge(ModalIndex::Any, w, v);
+    }
+    for &(v, w) in flips.iter().take(k.saturating_sub(1)) {
+        batch.add_edge(ModalIndex::Any, v, w).add_edge(ModalIndex::Any, w, v);
+    }
+    batch
+}
+
+/// The `k` distinct undirected edges `(v, w)`, `v < w`, that
+/// [`edge_flip_deltas`] flips in turn, sampled by a seeded partial
+/// shuffle of the model's edge list.
+fn flipped_edges(model: &Kripke, k: usize, seed: u64) -> Vec<(u32, u32)> {
     assert_eq!(model.variant(), ModelVariant::MinusMinus, "edge flips target K₋,₋ models");
     let mut edges: Vec<(u32, u32)> = Vec::new();
     for v in 0..model.len() {
@@ -231,33 +267,7 @@ pub fn edge_flip_deltas(model: &Kripke, k: usize, seed: u64) -> Vec<ModelDelta> 
     }
     assert!(k <= edges.len(), "cannot flip {k} of {} undirected edges", edges.len());
     let picks = generators::crash_schedule(edges.len(), k, seed);
-    let mut deltas = Vec::with_capacity(k);
-    for (i, &e) in picks.iter().enumerate() {
-        let (v, w) = edges[e as usize];
-        let mut d = ModelDelta::new();
-        d.remove_edge(ModalIndex::Any, v, w).remove_edge(ModalIndex::Any, w, v);
-        if i > 0 {
-            let (pv, pw) = edges[picks[i - 1] as usize];
-            d.add_edge(ModalIndex::Any, pv, pw).add_edge(ModalIndex::Any, pw, pv);
-        }
-        deltas.push(d);
-    }
-    deltas
-}
-
-/// The same `k` edge flips as [`edge_flip_deltas`], merged into one
-/// arrival batch: every sampled edge is removed and all but the last
-/// re-added, which is exactly what the per-flip sequence composes to.
-/// Applying the batch patches each of the model's built caches once
-/// instead of once per flip — the serving pattern the
-/// `live_update_repair` rows of `reproduce` measure.
-pub fn edge_flip_batch(model: &Kripke, k: usize, seed: u64) -> ModelDelta {
-    let mut batch = ModelDelta::new();
-    let deltas = edge_flip_deltas(model, k, seed);
-    for d in &deltas {
-        batch.merge(d);
-    }
-    batch
+    picks.iter().map(|&e| edges[e as usize]).collect()
 }
 
 /// `k` crash-failure deltas: each crashes one distinct world (sampled
@@ -321,7 +331,7 @@ mod tests {
         assert_eq!(k.relation_entry_count(), entries - 2);
         assert_eq!(edge_flip_deltas(&k, 8, 9).len(), 8);
 
-        // The merged batch composes to the same model as the sequence.
+        // The net batch composes to the same model as the sequence.
         let base = Kripke::k_mm(&generators::path(64));
         let mut batched = base.clone();
         batched.apply_delta(&edge_flip_batch(&base, 8, 9)).expect("batch applies");

@@ -21,6 +21,7 @@
 //! is what lets graded (counting) consumers use the rows directly.
 
 use crate::partition::RelationCsr;
+use crate::splice::splice_rows;
 
 /// Reverse (CSC) adjacency over `n` nodes: predecessors of node `w`
 /// are `preds()[bounds()[w]..bounds()[w + 1]]`, as `u32` node ids.
@@ -106,14 +107,14 @@ impl CscAdjacency {
 
     /// Patches a **single-relation** store in place after a batch of
     /// forward-edge edits, instead of re-inverting the whole relation:
-    /// `added` / `removed` are `(source, target)` pairs. Touched
-    /// predecessor rows are recomputed and kept sorted ascending by
-    /// source (the [`CscAdjacency::from_csr`] invariant, multiplicities
-    /// preserved), so the patched store is `Eq`-identical to a fresh
-    /// inversion of the patched forward CSR. When every touched row
-    /// keeps its length the entries are overwritten in place; otherwise
-    /// the entry array is spliced once, copying untouched row spans
-    /// wholesale. Returns `true` when the patch was in place.
+    /// `added` / `removed` are `(source, target)` pairs. Each touched
+    /// predecessor row becomes the sorted merge of its old entries
+    /// minus the removals and the added sources (the
+    /// [`CscAdjacency::from_csr`] invariant, multiplicities preserved),
+    /// so the patched store is `Eq`-identical to a fresh inversion of
+    /// the patched forward CSR. The rows are rewritten by the shared
+    /// in-place kernel ([`crate::splice::splice_rows`]): a rejected
+    /// batch leaves the store untouched.
     ///
     /// Not valid for multi-relation union stores
     /// ([`CscAdjacency::from_relations`]): their rows are relation-major
@@ -124,13 +125,10 @@ impl CscAdjacency {
     /// Panics if an edit names a node `>= node_count()`, or if a removed
     /// edge has no stored entry (callers validate the batch against the
     /// forward CSR before patching the inverse).
-    pub fn apply_edits(&mut self, added: &[(u32, u32)], removed: &[(u32, u32)]) -> bool {
+    pub fn apply_edits(&mut self, added: &[(u32, u32)], removed: &[(u32, u32)]) {
         let n = self.node_count();
         for &(v, w) in added.iter().chain(removed) {
             assert!((v as usize) < n && (w as usize) < n, "CSC edit ({v}, {w}) out of range");
-        }
-        if added.is_empty() && removed.is_empty() {
-            return true;
         }
         // Flat `(target, source)` edit lists, fully sorted — the store's
         // rows are sorted ascending by source, so each touched row's
@@ -142,34 +140,8 @@ impl CscAdjacency {
         add_sorted.sort_unstable();
         let mut rm_sorted: Vec<(u32, u32)> = removed.iter().map(|&(v, w)| (w, v)).collect();
         rm_sorted.sort_unstable();
-        // Touched rows ascending, each with its edit sub-ranges.
-        let mut rows: Vec<(u32, core::ops::Range<usize>, core::ops::Range<usize>)> = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < add_sorted.len() || j < rm_sorted.len() {
-            let row = match (add_sorted.get(i), rm_sorted.get(j)) {
-                (Some(&(a, _)), Some(&(r, _))) => a.min(r),
-                (Some(&(a, _)), None) => a,
-                (None, Some(&(r, _))) => r,
-                (None, None) => unreachable!("loop condition"),
-            };
-            let (ai, ri) = (i, j);
-            while i < add_sorted.len() && add_sorted[i].0 == row {
-                i += 1;
-            }
-            while j < rm_sorted.len() && rm_sorted[j].0 == row {
-                j += 1;
-            }
-            rows.push((row, ai..i, ri..j));
-        }
-        // Reused scratch: the patched row = merge(old minus removals,
-        // adds), all three sorted, so one linear three-way walk.
-        let mut out: Vec<u32> = Vec::new();
-        let patch_row = |out: &mut Vec<u32>,
-                         old: &[u32],
-                         row_adds: &[(u32, u32)],
-                         row_rms: &[(u32, u32)],
-                         w: u32| {
-            out.clear();
+        let (bounds, preds) = (&mut self.bounds, &mut self.preds);
+        splice_rows(bounds, preds, &add_sorted, &rm_sorted, |w, old, row_adds, row_rms, out| {
             let (mut r, mut a) = (0usize, 0usize);
             for &p in old {
                 if r < row_rms.len() && row_rms[r].1 < p {
@@ -189,47 +161,7 @@ impl CscAdjacency {
                 panic!("removed edge ({}, {w}) has no stored CSC entry", row_rms[r].1);
             }
             out.extend(row_adds[a..].iter().map(|&(_, v)| v));
-        };
-        let in_place = rows.iter().all(|(_, a, rm)| a.len() == rm.len());
-        if in_place {
-            for &(w, ref ar, ref rr) in &rows {
-                let (start, end) = (self.bounds[w as usize], self.bounds[w as usize + 1]);
-                let old = &self.preds[start..end];
-                patch_row(&mut out, old, &add_sorted[ar.clone()], &rm_sorted[rr.clone()], w);
-                self.preds[start..end].copy_from_slice(&out);
-            }
-            return true;
-        }
-        let grown = added.len().saturating_sub(removed.len());
-        let mut bounds = Vec::with_capacity(n + 1);
-        let mut preds = Vec::with_capacity(self.preds.len() + grown);
-        bounds.push(0);
-        let mut next = 0;
-        let mut w = 0;
-        while w < n {
-            if next < rows.len() && rows[next].0 as usize == w {
-                let (_, ref ar, ref rr) = rows[next];
-                let old = &self.preds[self.bounds[w]..self.bounds[w + 1]];
-                patch_row(&mut out, old, &add_sorted[ar.clone()], &rm_sorted[rr.clone()], w as u32);
-                preds.extend_from_slice(&out);
-                bounds.push(preds.len());
-                next += 1;
-                w += 1;
-            } else {
-                // Copy the whole untouched span up to the next touched
-                // row in one shot; its bounds shift by a constant.
-                let span_end = rows.get(next).map_or(n, |&(t, _, _)| t as usize);
-                let shift = preds.len() as isize - self.bounds[w] as isize;
-                preds.extend_from_slice(&self.preds[self.bounds[w]..self.bounds[span_end]]);
-                for v in w..span_end {
-                    bounds.push((self.bounds[v + 1] as isize + shift) as usize);
-                }
-                w = span_end;
-            }
-        }
-        self.bounds = bounds;
-        self.preds = preds;
-        false
+        });
     }
 
     /// Number of nodes of the underlying universe.
@@ -337,25 +269,43 @@ mod tests {
     #[test]
     fn apply_edits_in_place_when_row_lengths_hold() {
         // 0 → {1, 2}, 1 → {2}, 2 → {0}. Re-source the edge into node 1
-        // from 0 to 2: its predecessor row keeps its length.
+        // from 0 to 2: its predecessor row keeps its length, so the
+        // entry array stays where it is.
         let (offsets, targets) = csr(&[&[1, 2], &[2], &[0]]);
         let mut csc = CscAdjacency::from_csr(3, &offsets, &targets);
-        assert!(csc.apply_edits(&[(2, 1)], &[(0, 1)]));
+        let ptr = csc.row(0).as_ptr();
+        csc.apply_edits(&[(2, 1)], &[(0, 1)]);
         let (po, pt) = csr(&[&[2], &[2], &[0, 1]]);
         assert_eq!(csc, CscAdjacency::from_csr(3, &po, &pt));
+        assert_eq!(csc.row(0).as_ptr(), ptr);
     }
 
     #[test]
     fn apply_edits_splices_and_matches_fresh_inversion() {
-        // Grow node 1's predecessor row and shrink node 2's: the splice
-        // path, pinned against re-inverting the patched CSR.
+        // Grow node 1's predecessor row and shrink node 2's: the rows
+        // between them move, pinned against re-inverting the patched
+        // CSR.
         let (offsets, targets) = csr(&[&[1, 2], &[2], &[], &[1]]);
         let mut csc = CscAdjacency::from_csr(4, &offsets, &targets);
-        assert!(!csc.apply_edits(&[(2, 1), (2, 1)], &[(0, 2)]));
+        csc.apply_edits(&[(2, 1), (2, 1)], &[(0, 2)]);
         let (po, pt) = csr(&[&[1], &[2], &[1, 1], &[1]]);
         assert_eq!(csc, CscAdjacency::from_csr(4, &po, &pt));
         // Rows stay sorted ascending with multiplicity.
         assert_eq!(csc.row(1), &[0, 2, 2, 3]);
+    }
+
+    #[test]
+    fn apply_edits_panicking_on_a_missing_removal_leaves_the_store() {
+        // Row 1 would grow and row 2's removal has no entry: the patch
+        // panics after row 1 was computed, before anything is written.
+        let (offsets, targets) = csr(&[&[1], &[], &[1]]);
+        let mut csc = CscAdjacency::from_csr(3, &offsets, &targets);
+        let before = csc.clone();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            csc.apply_edits(&[(1, 1)], &[(0, 2)]);
+        }));
+        assert!(result.is_err());
+        assert_eq!(csc, before);
     }
 
     #[test]

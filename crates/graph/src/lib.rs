@@ -34,6 +34,9 @@
 //! * [`resilience`] — the cooperative execution control plane
 //!   (`CancelToken`, `Deadline`, `ExecBudget`) threaded through every
 //!   long-running engine loop here and in `portnum-logic`;
+//! * [`splice`] — the in-place row-splice kernel that patches every
+//!   CSR-shaped store (forward relations, CSC predecessor rows) after
+//!   a model delta;
 //! * [`properties`] — connectivity, regularity, bipartiteness, Eulerian
 //!   tests.
 //!
@@ -101,6 +104,7 @@ mod ports;
 pub mod properties;
 pub mod refinement;
 pub mod resilience;
+pub mod splice;
 pub mod views;
 
 pub use error::{GraphError, LiftError, MatchingError, PortError};

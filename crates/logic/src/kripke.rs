@@ -54,9 +54,9 @@ use crate::error::LogicError;
 use crate::formula::{IndexFamily, ModalIndex};
 use portnum_graph::csc::CscAdjacency;
 use portnum_graph::partition::RelationCsr;
+use portnum_graph::splice::splice_rows;
 use portnum_graph::{Graph, Port, PortNumbering};
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Which of the four canonical model variants a [`Kripke`] model is.
@@ -169,57 +169,24 @@ impl CsrRelation {
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// Applies a **validated** batch of edge edits. Each touched row
-    /// becomes its old contents minus one occurrence per removal (first
-    /// match, order preserved) with added targets appended in batch
-    /// order — a canonical row a differential mirror can reproduce, so
-    /// a patched relation is `Eq`-identical to one rebuilt from the
-    /// edited rows. Rows whose length is unchanged are patched in
-    /// place; otherwise the target array is spliced once, untouched row
-    /// spans copied wholesale.
-    fn apply_edits(&mut self, n: usize, adds: &[(u32, u32)], removes: &[(u32, u32)]) {
-        if adds.is_empty() && removes.is_empty() {
-            return;
-        }
-        // Flat sorted edit lists — batch apply is on the serving hot
-        // path, so the cost per touched row must stay allocation-free
-        // (a per-row map of per-row `Vec`s dominates the splice for
-        // realistic batches). The stable sort keeps adds in batch order
-        // within each row; removal order within a row is immaterial
-        // (first-occurrence consumption yields the same row either way).
+    /// Applies a **validated** batch of edge edits through the shared
+    /// in-place kernel ([`splice_rows`]). Each touched row becomes its
+    /// old contents minus one occurrence per removal (first match,
+    /// order preserved) with added targets appended in batch order — a
+    /// canonical row a differential mirror can reproduce, so a patched
+    /// relation is `Eq`-identical to one rebuilt from the edited rows.
+    fn apply_edits(&mut self, adds: &[(u32, u32)], removes: &[(u32, u32)]) {
+        // The stable sort keeps adds in batch order within each row;
+        // removal order within a row is immaterial (first-occurrence
+        // consumption yields the same row either way).
         let mut add_sorted = adds.to_vec();
         add_sorted.sort_by_key(|&(v, _)| v);
         let mut rm_sorted = removes.to_vec();
         rm_sorted.sort_unstable_by_key(|&(v, _)| v);
-        // Touched rows ascending, each with its edit sub-ranges.
-        let mut rows: Vec<(u32, Range<usize>, Range<usize>)> = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < add_sorted.len() || j < rm_sorted.len() {
-            let row = match (add_sorted.get(i), rm_sorted.get(j)) {
-                (Some(&(a, _)), Some(&(r, _))) => a.min(r),
-                (Some(&(a, _)), None) => a,
-                (None, Some(&(r, _))) => r,
-                (None, None) => unreachable!("loop condition"),
-            };
-            let (ai, ri) = (i, j);
-            while i < add_sorted.len() && add_sorted[i].0 == row {
-                i += 1;
-            }
-            while j < rm_sorted.len() && rm_sorted[j].0 == row {
-                j += 1;
-            }
-            rows.push((row, ai..i, ri..j));
-        }
-        // Scratch buffers reused across rows: the patched row contents
-        // and one consumed-flag per removal in the row.
-        let mut out: Vec<u32> = Vec::new();
+        // One consumed-flag per removal in the row, reused across rows.
         let mut used: Vec<bool> = Vec::new();
-        let patch_row = |out: &mut Vec<u32>,
-                         used: &mut Vec<bool>,
-                         old: &[u32],
-                         row_adds: &[(u32, u32)],
-                         row_rms: &[(u32, u32)]| {
-            out.clear();
+        let (offsets, targets) = (&mut self.offsets, &mut self.targets);
+        splice_rows(offsets, targets, &add_sorted, &rm_sorted, |_, old, row_adds, row_rms, out| {
             used.clear();
             used.resize(row_rms.len(), false);
             for &t in old {
@@ -228,52 +195,9 @@ impl CsrRelation {
                     None => out.push(t),
                 }
             }
-            debug_assert!(
-                used.iter().all(|&u| u),
-                "removal validated against the stored row"
-            );
+            debug_assert!(used.iter().all(|&u| u), "removal validated against the stored row");
             out.extend(row_adds.iter().map(|&(_, w)| w));
-        };
-        let in_place = rows.iter().all(|(_, a, rm)| a.len() == rm.len());
-        if in_place {
-            for &(v, ref ar, ref rr) in &rows {
-                let (start, end) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
-                // `out` is built from a copy-free read of the old row,
-                // then written back over it.
-                let old = &self.targets[start..end];
-                patch_row(&mut out, &mut used, old, &add_sorted[ar.clone()], &rm_sorted[rr.clone()]);
-                self.targets[start..end].copy_from_slice(&out);
-            }
-            return;
-        }
-        let grown = adds.len().saturating_sub(removes.len());
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(self.targets.len() + grown);
-        offsets.push(0);
-        let (mut next, mut v) = (0usize, 0usize);
-        while v < n {
-            if next < rows.len() && rows[next].0 as usize == v {
-                let (_, ref ar, ref rr) = rows[next];
-                let old = &self.targets[self.offsets[v]..self.offsets[v + 1]];
-                patch_row(&mut out, &mut used, old, &add_sorted[ar.clone()], &rm_sorted[rr.clone()]);
-                targets.extend_from_slice(&out);
-                offsets.push(targets.len());
-                next += 1;
-                v += 1;
-            } else {
-                // Copy the whole untouched span up to the next touched
-                // row in one shot; its offsets shift by a constant.
-                let span_end = rows.get(next).map_or(n, |&(s, _, _)| s as usize);
-                let shift = targets.len() as isize - self.offsets[v] as isize;
-                targets.extend_from_slice(&self.targets[self.offsets[v]..self.offsets[span_end]]);
-                for u in v..span_end {
-                    offsets.push((self.offsets[u + 1] as isize + shift) as usize);
-                }
-                v = span_end;
-            }
-        }
-        self.offsets = offsets;
-        self.targets = targets;
+        });
     }
 }
 
@@ -484,27 +408,6 @@ impl ModelDelta {
     /// rejected at apply time.
     pub fn crash_world(&mut self, v: u32) -> &mut ModelDelta {
         self.crash.push(v);
-        self
-    }
-
-    /// Appends every edit of `other` to this delta, preserving order.
-    ///
-    /// Batching matters under traffic: [`Kripke::apply_delta`] patches
-    /// each built cache once per call with an O(edges) splice, so one
-    /// merged batch costs one splice where a sequence of small deltas
-    /// costs one per delta. Applying the merged batch is equivalent to
-    /// applying the sequence **provided every removal (and crash)
-    /// targets an edge stored before the whole batch** — a removal
-    /// aimed at an edge an earlier delta in the sequence added would
-    /// instead be validated against the pre-batch rows and rejected —
-    /// **and no valuation override precedes an edge edit on the same
-    /// source world**: overrides land after the batch's net degree
-    /// adjustment, where the sequence would bump the overridden value.
-    pub fn merge(&mut self, other: &ModelDelta) -> &mut ModelDelta {
-        self.add.extend_from_slice(&other.add);
-        self.remove.extend_from_slice(&other.remove);
-        self.valuation.extend_from_slice(&other.valuation);
-        self.crash.extend_from_slice(&other.crash);
         self
     }
 
@@ -913,14 +816,22 @@ impl Kripke {
 
     /// Applies `delta` atomically: validates every edit up front (a
     /// rejected delta leaves the model and its caches untouched), then
-    /// patches the forward CSR rows in place where row lengths permit
-    /// (one splice otherwise), **repairs** the already-built derived
-    /// caches instead of dropping them — per-relation CSC rows are patched via
+    /// rewrites the edited forward CSR rows in their own arrays,
+    /// **repairs** the already-built derived caches instead of dropping
+    /// them — per-relation CSC rows are patched via
     /// [`CscAdjacency::apply_edits`], only the multi-relation combined
     /// CSC is invalidated for lazy rebuild — bumps [`Kripke::version`],
     /// and returns the sorted, deduplicated set of **touched worlds**:
     /// every endpoint of an edited edge, every world whose recorded
     /// degree changed or was explicitly set, and every crashed world.
+    ///
+    /// Both stores go through one in-place kernel
+    /// ([`portnum_graph::splice::splice_rows`]): the touched rows are
+    /// rewritten, the untouched spans between them move by their
+    /// running shift (a `memmove`, skipped where the shift is zero),
+    /// and an array is reallocated only when it grows past its
+    /// capacity. A delta that keeps every row's length writes only
+    /// the touched rows.
     ///
     /// The touched set is the contract consumed by the repair layers:
     /// a world outside it has its exact pre-delta valuation and forward
@@ -1056,7 +967,7 @@ impl Kripke {
         for r in 0..rel_count {
             let edited = !(adds[r].is_empty() && removes[r].is_empty());
             if edited {
-                self.relations[r].apply_edits(n, &adds[r], &removes[r]);
+                self.relations[r].apply_edits(&adds[r], &removes[r]);
             }
             // Patch the built caches against the *post-edit* rows; a
             // cache an untouched relation built stays valid, so only
@@ -1444,6 +1355,41 @@ mod tests {
             assert_eq!(k.predecessors_csc(r), fresh.predecessors_csc(r), "csc rows, rel {r}");
         }
         assert_eq!(k.combined_predecessors_csc(), fresh.combined_predecessors_csc());
+    }
+
+    #[test]
+    fn net_zero_deltas_keep_storage_in_place() {
+        // The served delta cycle: every delta after the first restores
+        // the three path edges the previous one removed and removes
+        // three fresh ones. Rows grow and shrink, but neither array
+        // changes length, so the in-place kernel never reallocates.
+        let mut k = Kripke::k_mm(&generators::path(256));
+        k.predecessors_csc(0);
+        let edit = |d: &mut ModelDelta, set: u32, add: bool| {
+            for v in (0..3).map(|j| 20 * set + 7 * j) {
+                if add {
+                    d.add_edge(ModalIndex::Any, v, v + 1).add_edge(ModalIndex::Any, v + 1, v);
+                } else {
+                    d.remove_edge(ModalIndex::Any, v, v + 1).remove_edge(ModalIndex::Any, v + 1, v);
+                }
+            }
+        };
+        let mut first = ModelDelta::new();
+        edit(&mut first, 0, false);
+        k.apply_delta(&first).unwrap();
+        let ptrs =
+            |k: &Kripke| (k.relation_rows(0).1.as_ptr(), k.predecessors_csc(0).row(0).as_ptr());
+        let before = ptrs(&k);
+        for set in 1..12 {
+            let mut d = ModelDelta::new();
+            edit(&mut d, set - 1, true);
+            edit(&mut d, set, false);
+            k.apply_delta(&d).unwrap();
+            assert_eq!(ptrs(&k), before, "delta {set} moved a store");
+            let fresh = rebuilt(&k);
+            assert_eq!(k, fresh);
+            assert_eq!(k.predecessors_csc(0), fresh.predecessors_csc(0));
+        }
     }
 
     #[test]

@@ -1883,10 +1883,14 @@ enum DiamondImpl {
 ///
 /// The `Auto` cost model compares, in "entry ops":
 ///
-/// * forward: `targets.len() + n` — the `assign_from_fn` sweep visits
-///   every world even when its CSR row is empty (comparing against
-///   `targets.len()` alone once made sparse relations over large
-///   universes wrongly pick the forward path);
+/// * forward: `n + min(targets.len(), g·n²/|‖φ‖|)` — the
+///   `assign_from_fn` sweep visits every world even when its CSR row
+///   is empty (comparing against `targets.len()` alone once made
+///   sparse relations over large universes wrongly pick the forward
+///   path), and a row's walk stops at its `g`-th satisfying successor,
+///   which takes about `g·n/|‖φ‖|` reads when successors satisfy `φ`
+///   at `‖φ‖`'s density (pricing every stored entry once made a dense
+///   `‖φ‖` wrongly pick the gather);
 /// * CSC gather: `|‖φ‖|` row lookups plus the *actual* predecessor
 ///   entries of the satisfying worlds (read off the CSC bounds — this
 ///   is why the store is built before costing), plus `n/64` for the
@@ -1906,7 +1910,9 @@ fn diamond_impl(
         DiamondMode::Csc => DiamondImpl::Csc,
         DiamondMode::Auto => {
             let n = model.len();
-            let forward_cost = targets_len + n;
+            let sat_count = sat.count_ones();
+            let early_exit = grade.saturating_mul(n).saturating_mul(n) / sat_count.max(1);
+            let forward_cost = n + targets_len.min(early_exit);
             // CSC cost: the fixed part (row lookups + zeroing or the
             // counts array) plus the actual predecessor entries of the
             // satisfying worlds. The summation stops — and the store is
@@ -1914,7 +1920,7 @@ fn diamond_impl(
             // forward cost: past that point the winner cannot change,
             // and a near-full ‖φ‖ would otherwise pay O(|‖φ‖|) lookups
             // per execution just to re-learn that forward wins.
-            let mut csc_cost = sat.count_ones() + if grade == 1 { n / 64 } else { n };
+            let mut csc_cost = sat_count + if grade == 1 { n / 64 } else { n };
             if csc_cost < forward_cost {
                 let csc = model.predecessors_csc(rel);
                 for u in sat.iter_ones() {
@@ -3519,6 +3525,36 @@ mod tests {
         assert_eq!(out, fwd);
         // ⟨α⟩q₁ holds exactly at the endpoints' neighbours.
         assert_eq!(out[0].iter_ones().collect::<Vec<_>>(), vec![1, n - 2]);
+    }
+
+    #[test]
+    fn auto_credits_the_forward_walks_early_exit() {
+        // A 2¹⁴-world G(n, p) of average degree 4. ‖¬q₀‖ holds at all
+        // but the ~2% isolated worlds, so a forward row walk almost
+        // always stops at its first successor: n + n²/|‖¬q₀‖| ≈ 2n
+        // entry ops, against a gather that reads nearly every stored
+        // entry (≈ 5n). Pricing the forward walk at n + targets once
+        // picked the gather here.
+        use crate::kripke::{KripkeBuilder, ModelVariant};
+        let n = 1 << 14;
+        let k = KripkeBuilder::new(ModelVariant::MinusMinus, n)
+            .relation(ModalIndex::Any, || generators::gnp_edges(n, 4.0 / n as f64, 7))
+            .degrees_from_streams()
+            .build()
+            .unwrap();
+        let dense = Formula::diamond(ModalIndex::Any, &Formula::prop(0).not());
+        // A sparse inner set (degree 8: ~3% of worlds) still gathers.
+        let sparse = Formula::diamond(ModalIndex::Any, &Formula::prop(8));
+        for (f, forward) in [(dense, true), (sparse, false)] {
+            let plan = Plan::compile(&k, &f).unwrap();
+            let (out, stats) = plan.execute_with(&k, DiamondMode::Auto);
+            assert_eq!(stats.forward_diamonds, forward as usize, "{f}: {stats:?}");
+            assert_eq!(stats.csc_diamonds, !forward as usize, "{f}: {stats:?}");
+            for mode in [DiamondMode::Forward, DiamondMode::Csc] {
+                assert_eq!(plan.execute_with(&k, mode).0, out, "{f} under {mode:?}");
+            }
+            assert_eq!(out[0], evaluate_packed_recursive(&k, &f).unwrap());
+        }
     }
 
     /// A small suite exercising every op: atoms, boolean structure,

@@ -29,6 +29,12 @@
 //! restarts them warm from their invalidated cone: after *every*
 //! resume, the repaired answers must equal a fresh checker's and the
 //! recursive reference's, bit for bit.
+//!
+//! A third property drives the storage layer's in-place splice kernel
+//! alone through sequences of 60 deltas (growing, shrinking and
+//! net-zero batches, edits on the first and last rows, duplicate
+//! edges) and compares the forward store and every built CSC with
+//! fresh builds after each one.
 
 mod common;
 
@@ -36,11 +42,13 @@ use common::{
     all_variants, arb_formula_with as arb_formula, arb_graph, arb_mu_formula, execute_pinned,
     ungrade,
 };
+use portnum_graph::csc::CscAdjacency;
 use portnum_graph::partition::Parallelism;
 use portnum_graph::{generators, Graph};
 use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
 use portnum_logic::{
     evaluate_packed, evaluate_packed_recursive, Formula, Kripke, ModalIndex, ModelDelta,
+    ModelVariant,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -313,10 +321,10 @@ proptest! {
         seed in any::<u64>(),
         steps in 1usize..8,
     ) {
-        // Merging additive steps into one batch (`ModelDelta::merge`)
-        // must agree with applying them one at a time. The script stays
-        // inside the equivalence fragment `merge` documents: removals
-        // and crashes are validated against pre-batch rows (so none are
+        // Pushing the edits of additive steps into one batch must
+        // agree with applying the steps one at a time. The script stays
+        // inside the fragment where the two mean the same: removals and
+        // crashes are validated against pre-batch rows (so none are
         // generated), and valuation overrides never precede edge edits
         // on the same source (adds first, overrides after).
         for model in all_variants(&g, seed) {
@@ -327,24 +335,30 @@ proptest! {
             let mut overrides = Vec::new();
             let mut endpoints: Vec<u32> = Vec::new();
             for _ in 0..steps {
-                let mut d = ModelDelta::new();
                 if rels > 0 && rng.random_bool(0.7) {
                     let (v, w) = (rng.random_range(0..n), rng.random_range(0..n));
-                    d.add_edge(model.relation_index(rng.random_range(0..rels)), v, w);
+                    adds.push((model.relation_index(rng.random_range(0..rels)), v, w));
                     endpoints.push(v);
                     endpoints.push(w);
-                    adds.push(d);
                 } else {
                     let v = rng.random_range(0..n);
-                    d.set_valuation(v, rng.random_range(0..5usize));
+                    overrides.push((v, rng.random_range(0..5usize)));
                     endpoints.push(v);
-                    overrides.push(d);
                 }
             }
-            let deltas: Vec<ModelDelta> = adds.into_iter().chain(overrides).collect();
             let mut batch = ModelDelta::new();
-            for d in &deltas {
-                batch.merge(d);
+            let mut deltas: Vec<ModelDelta> = Vec::new();
+            for &(index, v, w) in &adds {
+                batch.add_edge(index, v, w);
+                let mut d = ModelDelta::new();
+                d.add_edge(index, v, w);
+                deltas.push(d);
+            }
+            for &(v, d) in &overrides {
+                batch.set_valuation(v, d);
+                let mut step = ModelDelta::new();
+                step.set_valuation(v, d);
+                deltas.push(step);
             }
             let mut sequential = model.clone();
             for d in &deltas {
@@ -357,6 +371,160 @@ proptest! {
             // The batch's touched set covers every edited endpoint.
             for &v in &endpoints {
                 prop_assert!(touched.binary_search(&v).is_ok());
+            }
+        }
+    }
+}
+
+/// A world for a splice edit, biased to the first and last rows (the
+/// kernel's span arithmetic has its edge cases there).
+fn edge_world(rng: &mut StdRng, n: usize) -> usize {
+    match rng.random_range(0..4u8) {
+        0 => 0,
+        1 => n - 1,
+        _ => rng.random_range(0..n),
+    }
+}
+
+/// One random batch for the splice property, applied to `rows` and
+/// `degree` by the canonical row rule (first-occurrence removal, adds
+/// appended in batch order, net out-degree adjustment saturating at
+/// zero). `shape` 0 grows the store, 1 shrinks it, 2 keeps every
+/// relation's entry count.
+fn splice_batch(
+    rng: &mut StdRng,
+    indices: &[ModalIndex],
+    rows: &mut [Vec<Vec<u32>>],
+    degree: &mut [usize],
+    shape: u8,
+) -> ModelDelta {
+    let n = degree.len();
+    let k = rng.random_range(1..5usize);
+    let (adds, rms) = match shape {
+        0 => (k, rng.random_range(0..k)),
+        1 => (rng.random_range(0..k), k),
+        _ => (0, k),
+    };
+    let mut delta = ModelDelta::new();
+    let mut net = vec![0isize; n];
+    // Removals are drawn from a pending copy of the rows, so a batch
+    // never removes more copies of an edge than are stored.
+    let mut pending = rows.to_vec();
+    let mut removed: Vec<(usize, usize, u32)> = Vec::new();
+    for _ in 0..rms {
+        let (r, v) = (rng.random_range(0..indices.len()), edge_world(rng, n));
+        let (r, v) = if pending[r][v].is_empty() {
+            let stored: Vec<(usize, usize)> = (0..indices.len())
+                .flat_map(|r| (0..n).map(move |v| (r, v)))
+                .filter(|&(r, v)| !pending[r][v].is_empty())
+                .collect();
+            match stored.get(rng.random_range(0..stored.len().max(1))) {
+                Some(&rv) => rv,
+                None => break,
+            }
+        } else {
+            (r, v)
+        };
+        let at = rng.random_range(0..pending[r][v].len());
+        let w = pending[r][v].remove(at);
+        delta.remove_edge(indices[r], v as u32, w);
+        removed.push((r, v, w));
+        net[v] -= 1;
+    }
+    // A net-zero batch adds one edge per removal in the same relation.
+    let add_rels: Vec<usize> = if shape == 2 {
+        removed.iter().map(|&(r, _, _)| r).collect()
+    } else {
+        (0..adds).map(|_| rng.random_range(0..indices.len())).collect()
+    };
+    let mut added: Vec<(usize, usize, u32)> = Vec::new();
+    for r in add_rels {
+        let v = edge_world(rng, n);
+        // Duplicates: a target the row already stores, or the same add
+        // twice in one batch (net-zero batches keep one add per removal).
+        let w = match rows[r][v].first() {
+            Some(&w) if rng.random_bool(0.3) => w,
+            _ => edge_world(rng, n) as u32,
+        };
+        let copies = if shape != 2 && rng.random_bool(0.2) { 2 } else { 1 };
+        for _ in 0..copies {
+            delta.add_edge(indices[r], v as u32, w);
+            added.push((r, v, w));
+            net[v] += 1;
+        }
+    }
+    for (r, v, w) in removed {
+        let at = rows[r][v].iter().position(|&t| t == w).expect("drawn from the stored row");
+        rows[r][v].remove(at);
+    }
+    for (r, v, w) in added {
+        rows[r][v].push(w);
+    }
+    for (d, change) in degree.iter_mut().zip(net) {
+        *d = (*d as isize + change).max(0) as usize;
+    }
+    delta
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn splice_sequences_keep_stores_equal_to_fresh_builds(seed in any::<u64>()) {
+        // Long delta sequences through the in-place splice kernel, on
+        // random multi-relation models with empty rows and duplicate
+        // edges: after every delta the forward store equals a fresh
+        // build of the mirrored rows, and every built CSC (per
+        // relation and, once rebuilt, the combined one) equals a fresh
+        // inversion of the patched forward rows.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.random_range(1..24usize);
+        let indices: Vec<ModalIndex> =
+            (0..rng.random_range(1..4usize)).map(ModalIndex::Out).collect();
+        let mut rows: Vec<Vec<Vec<u32>>> = indices
+            .iter()
+            .map(|_| {
+                (0..n)
+                    .map(|_| {
+                        let len = if rng.random_bool(0.3) { 0 } else { rng.random_range(1..5) };
+                        (0..len).map(|_| rng.random_range(0..n as u32)).collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut degree: Vec<usize> = (0..n).map(|_| rng.random_range(0..5)).collect();
+        let build = |rows: &[Vec<Vec<u32>>], degree: &[usize]| {
+            let relations: BTreeMap<ModalIndex, Vec<Vec<usize>>> = indices
+                .iter()
+                .zip(rows)
+                .map(|(&i, rows)| {
+                    (i, rows.iter().map(|row| row.iter().map(|&w| w as usize).collect()).collect())
+                })
+                .collect();
+            Kripke::from_parts(ModelVariant::MinusPlus, degree.to_vec(), relations)
+                .expect("mirrored rows build")
+        };
+        let mut model = build(&rows, &degree);
+        let with_csc = rng.random_bool(0.5);
+        if with_csc {
+            for r in 0..indices.len() {
+                model.predecessors_csc(r);
+            }
+            model.combined_predecessors_csc();
+        }
+        for step in 0..60 {
+            let shape = rng.random_range(0..3u8);
+            let delta = splice_batch(&mut rng, &indices, &mut rows, &mut degree, shape);
+            model.apply_delta(&delta).unwrap();
+            prop_assert_eq!(&model, &build(&rows, &degree), "step {} (shape {})", step, shape);
+            if with_csc {
+                for r in 0..indices.len() {
+                    let (offsets, targets) = model.relation_rows(r);
+                    let fresh = CscAdjacency::from_csr(n, offsets, targets);
+                    prop_assert_eq!(model.predecessors_csc(r), &fresh, "step {} rel {}", step, r);
+                }
+                let fresh = CscAdjacency::from_relations(n, &model.relations_csr());
+                prop_assert_eq!(model.combined_predecessors_csc(), &fresh, "step {}", step);
             }
         }
     }
