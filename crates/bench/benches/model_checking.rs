@@ -1,5 +1,6 @@
 //! Model checking scaling: formula depth sweep, shared-subformula
-//! memoisation, compiled-plan suites, and diamond strategies.
+//! memoisation, compiled-plan suites, diamond strategies, and the
+//! warm-hit cost of a served check batch.
 //!
 //! Three engines are compared: the plan engine behind
 //! [`evaluate_packed`] (hash-consed IR, slot recycling, forward/reverse
@@ -16,8 +17,12 @@ use portnum_graph::partition::Parallelism;
 use portnum_graph::resilience::ExecControl;
 use portnum_logic::plan::DiamondMode;
 use portnum_logic::{
-    evaluate_packed, evaluate_packed_recursive, Formula, FormulaKind, Kripke, Plan,
+    evaluate_packed, evaluate_packed_recursive, parse, CheckerCache, Formula, FormulaKind, Kripke,
+    ModelChecker, Plan,
 };
+use portnum_serve::ModelSpec;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
@@ -216,6 +221,61 @@ fn bench_fixpoint_reachability(c: &mut Criterion) {
     }
 }
 
+fn bench_checker_warm_hit(c: &mut Criterion) {
+    // `serve_hot`'s batch shape on a warm cache, every answer cached:
+    // 16 `hot_formula`s on gnp512, through a shard's sequence of resume
+    // → resolve → estimate → both check halves → detach. `text`
+    // resolves the wire texts through the cache's text memo, as a
+    // served check does. `formula` parses every text, then prices and
+    // checks the ASTs, as a served check did before the memo and as
+    // perfbench's replay still does.
+    let k = ModelSpec::gnp(512, 0.05, 5).build().expect("gnp512 builds");
+    let mut rng = StdRng::seed_from_u64(16);
+    let texts: Vec<String> =
+        (0..16).map(|_| workloads::hot_formula(&mut rng).to_string()).collect();
+    let ctl = ExecControl::unrestricted();
+    let by_text = |cache: CheckerCache| {
+        let mut checker = ModelChecker::resume(&k, cache, &[]);
+        let batch = checker.resolve_texts(texts.iter().map(String::as_str)).unwrap();
+        let (first, second) = batch.roots.split_at(texts.len() / 2);
+        let mut truths = checker.check_roots_controlled(first, &ctl).unwrap();
+        truths.extend(checker.check_roots_controlled(second, &ctl).unwrap());
+        assert_eq!(batch.estimate, 0, "every answer is cached");
+        (checker.detach(), truths.len())
+    };
+    let by_formula = |cache: CheckerCache| {
+        let formulas: Vec<Formula> = texts.iter().map(|t| parse(t).unwrap()).collect();
+        let mut checker = ModelChecker::resume(&k, cache, &[]);
+        let estimate = checker.estimate_work(&formulas).unwrap();
+        let (first, second) = formulas.split_at(formulas.len() / 2);
+        let mut truths = checker.check_suite_controlled(first, &ctl).unwrap();
+        truths.extend(checker.check_suite_controlled(second, &ctl).unwrap());
+        assert_eq!(estimate, 0, "every answer is cached");
+        (checker.detach(), truths.len())
+    };
+    // Warm the cache, its text memo included, outside the timed loop.
+    let mut warm = ModelChecker::new(&k);
+    let batch = warm.resolve_texts(texts.iter().map(String::as_str)).unwrap();
+    warm.check_roots_controlled(&batch.roots, &ctl).unwrap();
+    let mut slot = Some(warm.detach());
+    let mut group = c.benchmark_group("checker_warm_hit");
+    group.bench_function(BenchmarkId::new("text", texts.len()), |b| {
+        b.iter(|| {
+            let (cache, answered) = by_text(slot.take().unwrap());
+            slot = Some(cache);
+            answered
+        })
+    });
+    group.bench_function(BenchmarkId::new("formula", texts.len()), |b| {
+        b.iter(|| {
+            let (cache, answered) = by_formula(slot.take().unwrap());
+            slot = Some(cache);
+            answered
+        })
+    });
+    group.finish();
+}
+
 fn configure() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -227,6 +287,7 @@ criterion_group! {
     name = benches;
     config = configure();
     targets = bench_depth_sweep, bench_shared_subformulas, bench_formula_suite,
-        bench_diamond_strategies, bench_parallel_execution, bench_fixpoint_reachability
+        bench_diamond_strategies, bench_parallel_execution, bench_fixpoint_reachability,
+        bench_checker_warm_hit
 }
 criterion_main!(benches);

@@ -18,6 +18,18 @@ pub fn nested_diamonds(depth: usize) -> Formula {
     f
 }
 
+/// A depth-3 formula of `serve_hot`'s fixed shape over `K₋,₋`,
+/// `⟨*,*⟩≥g (qa ∧ ¬⟨*,*⟩(qb ∨ ⟨*,*⟩qc)) ∨ qd`, with random atoms
+/// `a, b, c, d < 4` and grade `1 ≤ g ≤ 3`.
+pub fn hot_formula(rng: &mut StdRng) -> Formula {
+    use rand::Rng;
+    let mut atom = || Formula::prop(rng.random_range(0..4usize));
+    let (a, b, c, d) = (atom(), atom(), atom(), atom());
+    let inner = b.or(&Formula::diamond(ModalIndex::Any, &c));
+    let body = a.and(&Formula::diamond(ModalIndex::Any, &inner).not());
+    Formula::diamond_geq(ModalIndex::Any, rng.random_range(1..4usize), &body).or(&d)
+}
+
 /// `f_{n+1} = f_n ∧ f_n` iterated `levels` times over a diamond seed:
 /// an exponential formula tree that is a linear DAG, exercising the
 /// evaluator's shared-subformula memoisation.

@@ -19,6 +19,9 @@
 //! * [`cover`] — bipartite double covers;
 //! * [`views`] — Yamashita–Kameda view equivalence;
 //! * [`refinement`] — colour refinement (1-WL);
+//! * [`intern`] — the hash-chained intern table both refinement engines
+//!   file signatures through, and `portnum-logic`'s checker cache files
+//!   formula wire texts through;
 //! * [`partition`] — the partition-refinement engines (incremental
 //!   Paige–Tarjan-style worklist, plus the full-round interned-signature
 //!   reference it is tested against) shared by colour refinement and
@@ -96,6 +99,7 @@ pub mod csc;
 mod error;
 pub mod generators;
 mod graph;
+pub mod intern;
 pub mod lifts;
 pub mod matching;
 pub mod partition;

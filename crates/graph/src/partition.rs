@@ -27,7 +27,7 @@
 //! * **No per-signature allocation.** A signature is encoded as a run of
 //!   `u64` words in a scratch buffer owned by the engine, and interning
 //!   allocates no key, not even for a *new* signature. Both engines
-//!   share one hash-chained intern table: a signature's [`FxHasher`]
+//!   share one hash-chained [`InternTable`]: a signature's [`FxHasher`]
 //!   hash maps to the first id filed under it, later same-hash ids
 //!   chain behind it, and a hash match is confirmed against text the
 //!   engine already stores — the [`Refiner`]'s per-round word arena,
@@ -72,9 +72,9 @@
 //! ([`encode_threads`]).
 
 use crate::csc::CscAdjacency;
+use crate::intern::{hash_words, InternArena, InternTable};
 use crate::pool::WorkerPool;
 use crate::resilience::{ExecControl, Interrupted};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -147,108 +147,6 @@ pub enum Counting {
     Multiset,
 }
 
-/// Fx hash of an encoded signature: its length, then its words — the
-/// words the `Hash` impl of `[u64]` feeds an [`FxHasher`]. The intern
-/// tables key on it, so equal texts always share a hash and a collision
-/// only costs one extra text comparison.
-#[inline]
-fn hash_words(words: &[u64]) -> u64 {
-    let mut h = FxHasher::default();
-    h.add_word(words.len() as u64);
-    for &w in words {
-        h.add_word(w);
-    }
-    h.hash
-}
-
-/// The one signature intern table behind both engines: maps a
-/// signature's 64-bit hash to the first id filed under it and chains
-/// later same-hash ids. It stores no text — the caller already keeps
-/// every interned signature (the [`Refiner`]'s per-round word arena,
-/// the [`WorklistRefiner`]'s group texts) and resolves a hash match
-/// with its own comparison, so interning allocates no key. Ids are
-/// dense and first-seen: `0, 1, 2, …` in filing order.
-#[derive(Debug, Default)]
-struct InternTable {
-    /// First id filed under each hash.
-    first: FxHashMap<u64, u32>,
-    /// Per id: the next id with the same hash (`NONE_U32` ends the chain).
-    next: Vec<u32>,
-}
-
-impl InternTable {
-    /// Forgets every id, keeping capacity.
-    fn clear(&mut self) {
-        self.first.clear();
-        self.next.clear();
-    }
-
-    /// Number of ids filed so far.
-    fn len(&self) -> usize {
-        self.next.len()
-    }
-
-    /// The id filed under `hash` whose text `same` accepts, or a fresh
-    /// id (`len()` before the call) filed under `hash` if there is none.
-    /// The flag is `true` exactly when the id is fresh, so the caller
-    /// knows to store its text.
-    fn intern(&mut self, hash: u64, mut same: impl FnMut(u32) -> bool) -> (u32, bool) {
-        let fresh = self.next.len() as u32;
-        let link = match self.first.entry(hash) {
-            Entry::Vacant(slot) => {
-                slot.insert(fresh);
-                NONE_U32
-            }
-            Entry::Occupied(mut slot) => {
-                let mut id = *slot.get();
-                while id != NONE_U32 {
-                    if same(id) {
-                        return (id, false);
-                    }
-                    id = self.next[id as usize];
-                }
-                slot.insert(fresh)
-            }
-        };
-        self.next.push(link);
-        (fresh, true)
-    }
-}
-
-/// An [`InternTable`] over its own word arena: interned signature `i`
-/// is `words[ends[i - 1]..ends[i]]` (`ends[-1]` = 0). The arena is
-/// cleared, not freed, between rounds, so a new signature costs a copy
-/// into reused storage instead of a boxed key.
-#[derive(Debug, Default)]
-struct SignatureArena {
-    table: InternTable,
-    words: Vec<u64>,
-    ends: Vec<usize>,
-}
-
-impl SignatureArena {
-    fn clear(&mut self) {
-        self.table.clear();
-        self.words.clear();
-        self.ends.clear();
-    }
-
-    /// Interns `sig` under `hash` (normally [`hash_words`] of `sig`).
-    fn intern(&mut self, hash: u64, sig: &[u64]) -> usize {
-        let (words, ends) = (&self.words, &self.ends);
-        let (id, fresh) = self.table.intern(hash, |id| {
-            let id = id as usize;
-            let start = if id == 0 { 0 } else { ends[id - 1] };
-            words[start..ends[id]] == *sig
-        });
-        if fresh {
-            self.words.extend_from_slice(sig);
-            self.ends.push(self.words.len());
-        }
-        id as usize
-    }
-}
-
 /// Reusable state for one partition-refinement run.
 ///
 /// Usage per round: call [`Refiner::begin_round`], then for each node in
@@ -257,7 +155,7 @@ impl SignatureArena {
 /// [`Refiner::commit`] to obtain the node's next block id.
 #[derive(Debug, Default)]
 pub struct Refiner {
-    sigs: SignatureArena,
+    sigs: InternArena<u64>,
     scratch: Vec<u64>,
 }
 
@@ -271,7 +169,7 @@ impl Refiner {
     /// partition (one block per distinct key).
     pub fn seed_partition(&mut self, keys: impl Iterator<Item = u64>) -> Vec<usize> {
         self.sigs.clear();
-        keys.map(|key| self.sigs.intern(hash_words(&[key]), &[key])).collect()
+        keys.map(|key| self.sigs.intern(hash_words(&[key]), &[key]).0 as usize).collect()
     }
 
     /// Starts a refinement round, forgetting the previous round's interned
@@ -305,7 +203,7 @@ impl Refiner {
     /// Interns the current signature, returning its dense block id
     /// (first-seen order within the round).
     pub fn commit(&mut self) -> usize {
-        self.sigs.intern(hash_words(&self.scratch), &self.scratch)
+        self.sigs.intern(hash_words(&self.scratch), &self.scratch).0 as usize
     }
 
     /// Interns a pre-encoded signature (as produced by a
@@ -313,12 +211,12 @@ impl Refiner {
     /// encoding the same words via
     /// [`begin_signature`](Refiner::begin_signature)/…/[`commit`](Refiner::commit).
     pub fn commit_slice(&mut self, signature: &[u64]) -> usize {
-        self.sigs.intern(hash_words(signature), signature)
+        self.sigs.intern(hash_words(signature), signature).0 as usize
     }
 
     /// Number of blocks interned so far this round.
     pub fn block_count(&self) -> usize {
-        self.sigs.table.len()
+        self.sigs.len()
     }
 }
 
@@ -1629,11 +1527,11 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 0, 2, 3, 1]);
         assert_eq!(table.len(), 4);
         // The arena the full-round engine interns through behaves alike.
-        let mut arena = SignatureArena::default();
-        let ids: Vec<usize> = texts.iter().map(|text| arena.intern(0, text)).collect();
+        let mut arena = InternArena::<u64>::default();
+        let ids: Vec<u32> = texts.iter().map(|text| arena.intern(0, text).0).collect();
         assert_eq!(ids, vec![0, 1, 0, 2, 3, 1]);
         arena.clear();
-        assert_eq!(arena.intern(0, &[1, 3]), 0, "a cleared arena starts over");
+        assert_eq!(arena.intern(0, &[1, 3]), (0, true), "a cleared arena starts over");
     }
 
     #[test]

@@ -87,7 +87,10 @@ mod transform;
 pub use characteristic::{characteristic, characteristic_formula, CharacteristicFormulas};
 pub use error::{CompileError, LogicError, ParseError};
 pub use eval::{evaluate, evaluate_packed, evaluate_packed_recursive, extension, satisfies};
-pub use plan::{CheckerCache, DiamondMode, ModelChecker, Plan, RepairStats};
+pub use plan::{
+    CheckerCache, DiamondMode, FormulaRoot, ModelChecker, Plan, RepairStats, ResolvedBatch,
+    TextError,
+};
 pub use formula::{Formula, FormulaKind, IndexFamily, ModalIndex};
 pub use kripke::{Kripke, KripkeBuilder, ModelDelta, ModelVariant};
 pub use parser::parse;

@@ -199,13 +199,25 @@
 //! model's bisimulation quotient alive across `check` calls, so a
 //! formula suite arriving one formula at a time (the compiler's
 //! emission order) still pays for each distinct subformula once.
+//!
+//! A served check names its formulas by their wire text, so the cache
+//! also memoises each text it has lowered, mapped to its root
+//! instruction ([`ModelChecker::resolve_texts`]): a text seen before
+//! costs one hash lookup, with no parse and no lowering, and
+//! [`ModelChecker::check_roots_controlled`] evaluates the roots. The
+//! memo lives as long as the instruction table its roots index (across
+//! detach, resume and delta repair), which is sound because lowering
+//! reads only the model's variant and which relations it stores, and a
+//! delta changes neither ([`LogicError::NoSuchRelation`]).
 
-use crate::error::LogicError;
+use crate::error::{LogicError, ParseError};
 use crate::formula::{Formula, FormulaKind};
 use crate::kripke::Kripke;
+use crate::parser::parse;
 use portnum_graph::bitset::{fill_words_from_fn, Bitset};
 use portnum_graph::blocking;
 use portnum_graph::csc::CscAdjacency;
+use portnum_graph::intern::{hash_bytes, InternArena};
 use portnum_graph::partition::{encode_threads, quantile_ranges, FxHashMap, Parallelism};
 use portnum_graph::pool::WorkerPool;
 use portnum_graph::resilience::{ExecControl, Interrupted};
@@ -2312,6 +2324,81 @@ fn csc_diamond_chunked(
     true
 }
 
+/// A formula lowered into a [`ModelChecker`]'s instruction table: the
+/// id of its root instruction. A root stays valid for the checker that
+/// resolved it and for every resume of that checker's detached cache,
+/// deltas included; it means nothing to any other cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FormulaRoot(u32);
+
+/// A batch of wire texts resolved by [`ModelChecker::resolve_texts`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResolvedBatch {
+    /// One root per text, in input order.
+    pub roots: Vec<FormulaRoot>,
+    /// The batch's price: what [`ModelChecker::estimate_work`] returns
+    /// for the parsed formulas.
+    pub estimate: usize,
+}
+
+/// Why [`ModelChecker::resolve_texts`] refused a batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TextError {
+    /// The first text of the batch that does not parse. Every text is
+    /// parsed before any is lowered, so this wins over a lowering error
+    /// anywhere in the batch.
+    Parse {
+        /// Position of the text in the batch.
+        index: usize,
+        /// What the parser reported.
+        error: ParseError,
+    },
+    /// Every text parsed, but lowering one failed
+    /// ([`LogicError::FamilyMismatch`]): the first such text in batch
+    /// order.
+    Logic(LogicError),
+}
+
+impl std::fmt::Display for TextError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TextError::Parse { index, error } => write!(f, "text {index}: {error}"),
+            TextError::Logic(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for TextError {}
+
+/// The wire texts a checker has lowered, each mapped to its root: text
+/// `i` of the arena lowers to `roots[i]`.
+#[derive(Debug, Default)]
+struct TextMemo {
+    texts: InternArena<u8>,
+    roots: Vec<u32>,
+}
+
+impl TextMemo {
+    /// The root memoised for `text` (hashed to `hash`), if any.
+    fn get(&self, hash: u64, text: &[u8]) -> Option<u32> {
+        self.texts.find(hash, text).map(|id| self.roots[id as usize])
+    }
+
+    /// Memoises `text` (hashed to `hash`) as lowering to `root`; a text
+    /// already memoised keeps its entry.
+    fn insert(&mut self, hash: u64, text: &[u8], root: u32) {
+        if self.texts.intern(hash, text).1 {
+            self.roots.push(root);
+        }
+    }
+
+    /// Resident size: the arena's, and 4 bytes per root. Lookups never
+    /// change it.
+    fn bytes(&self) -> usize {
+        self.texts.bytes() + self.roots.len() * 4
+    }
+}
+
 /// Cumulative statistics of a [`ModelChecker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckerStats {
@@ -2379,6 +2466,9 @@ pub struct CheckerCache {
     /// Lowering state with an empty pointer memo (see
     /// [`ModelChecker::detach`]).
     lw: Lowerer,
+    /// Wire texts lowered so far, by root (see
+    /// [`ModelChecker::resolve_texts`]).
+    texts: TextMemo,
     results: Vec<Option<Rc<Bitset>>>,
     mode: DiamondMode,
     quotient: Option<Rc<(Kripke, Vec<usize>)>>,
@@ -2395,16 +2485,20 @@ pub struct CheckerCache {
 }
 
 impl CheckerCache {
-    /// Total `u64` words held by the cached truth vectors and by the
+    /// Total `u64` words held by the cached truth vectors, by the
     /// fixpoint states delta repair keeps (body values and per-world
-    /// ranks) — the detached cache's resident size, which a serving
-    /// layer adds to the model's own footprint when pricing an entry
-    /// against a memory budget. Computed from what is actually cached
-    /// (repairs and budget-gated commits included), not from a running
-    /// counter.
+    /// ranks) and by the wire-text memo of
+    /// [`ModelChecker::resolve_texts`] (every text's bytes, 16 bytes per
+    /// text for its end offset, root and chain link, and 16 per distinct
+    /// text hash; rounded up to whole words) — the detached cache's
+    /// resident size, which a serving layer adds to the model's own
+    /// footprint when pricing an entry against a memory budget.
+    /// Computed from what is actually cached (repairs and budget-gated
+    /// commits included), not from a running counter.
     pub fn cached_words(&self) -> usize {
         self.results.iter().flatten().map(|b| b.words().len()).sum::<usize>()
             + self.fix_states.values().map(FixState::words).sum::<usize>()
+            + self.texts.bytes().div_ceil(8)
     }
 
     /// The [`Kripke::version`] this cache was detached at. A serving
@@ -2444,6 +2538,8 @@ impl CheckerCache {
 pub struct ModelChecker<'m> {
     model: &'m Kripke,
     lw: Lowerer,
+    /// Wire texts lowered so far, by root; survives [`Self::detach`].
+    texts: TextMemo,
     /// Checked formulas, kept alive so the pointer memo in `lw` can
     /// never observe a recycled allocation.
     retained: Vec<Formula>,
@@ -2483,6 +2579,7 @@ impl<'m> ModelChecker<'m> {
         ModelChecker {
             model,
             lw: Lowerer::default(),
+            texts: TextMemo::default(),
             retained: Vec::new(),
             results: Vec::new(),
             mode,
@@ -2534,10 +2631,7 @@ impl<'m> ModelChecker<'m> {
     ) -> Result<Rc<Bitset>, LogicError> {
         let root = self.lower_retaining(formula)?;
         self.results.resize(self.lw.ops.len(), None);
-        if let Some(cached) = &self.results[root as usize] {
-            return Ok(Rc::clone(cached));
-        }
-        let mut out = self.eval_needed(&[root], ctl)?;
+        let mut out = self.eval_needed(&[FormulaRoot(root)], ctl)?;
         Ok(out.pop().expect("one root in, one vector out"))
     }
 
@@ -2564,12 +2658,32 @@ impl<'m> ModelChecker<'m> {
         formulas: &[Formula],
         ctl: &ExecControl,
     ) -> Result<Vec<Rc<Bitset>>, LogicError> {
-        let mut roots = Vec::with_capacity(formulas.len());
-        for formula in formulas {
-            roots.push(self.lower_retaining(formula)?);
-        }
-        self.results.resize(self.lw.ops.len(), None);
+        let roots = self.lower_all(formulas)?;
         Ok(self.eval_needed(&roots, ctl)?)
+    }
+
+    /// [`check_suite_controlled`](Self::check_suite_controlled) for
+    /// formulas already lowered into this checker, by
+    /// [`resolve_texts`](Self::resolve_texts): no parse and no lowering.
+    /// A batch whose roots are all cached costs one lookup per root and
+    /// allocates only its answer list.
+    ///
+    /// # Errors
+    ///
+    /// [`LogicError::Interrupted`] when `ctl` trips; nothing is
+    /// committed then, as in
+    /// [`check_controlled`](Self::check_controlled).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a root was not resolved by this checker or by an
+    /// earlier resume of its cache.
+    pub fn check_roots_controlled(
+        &mut self,
+        roots: &[FormulaRoot],
+        ctl: &ExecControl,
+    ) -> Result<Vec<Rc<Bitset>>, LogicError> {
+        Ok(self.eval_needed(roots, ctl)?)
     }
 
     /// Unrestricted [`check_suite_controlled`](Self::check_suite_controlled).
@@ -2597,13 +2711,87 @@ impl<'m> ModelChecker<'m> {
     ///
     /// [`LogicError::FamilyMismatch`] as lowering does.
     pub fn estimate_work(&mut self, formulas: &[Formula]) -> Result<usize, LogicError> {
-        let mut roots = Vec::with_capacity(formulas.len());
-        for formula in formulas {
-            roots.push(self.lower_retaining(formula)?);
+        let roots = self.lower_all(formulas)?;
+        Ok(self.price(&roots))
+    }
+
+    /// Resolves a batch of formula wire texts (the [`Display`]
+    /// rendering [`parse`] reads back) to roots of the instruction
+    /// table and prices it, as [`estimate_work`](Self::estimate_work)
+    /// would price the parsed formulas. A text this cache has lowered
+    /// before costs one hash lookup: no parse, no lowering. Only a new
+    /// text is parsed and lowered, and then memoised.
+    ///
+    /// The memo maps each text to its root for as long as the
+    /// instruction table lives: it survives [`detach`](Self::detach),
+    /// [`resume`](Self::resume) and delta repair, and is counted in
+    /// [`CheckerCache::cached_words`]. Lowering reads only the model's
+    /// variant and which relations it stores, and a delta changes
+    /// neither, so a memoised root never goes stale. Texts are compared
+    /// byte for byte: two renderings of one formula are two entries
+    /// sharing one root.
+    ///
+    /// Every new text is parsed before any is lowered, so a text that
+    /// does not parse wins over a lowering error anywhere in the batch,
+    /// as when the batch is parsed up front. Texts lowered before a
+    /// failing one stay memoised.
+    ///
+    /// # Errors
+    ///
+    /// [`TextError::Parse`] for the first text that does not parse,
+    /// else [`TextError::Logic`] for the first that does not lower
+    /// ([`LogicError::FamilyMismatch`]).
+    ///
+    /// [`Display`]: std::fmt::Display
+    pub fn resolve_texts<'t>(
+        &mut self,
+        texts: impl IntoIterator<Item = &'t str>,
+    ) -> Result<ResolvedBatch, TextError> {
+        let mut roots = Vec::new();
+        let mut misses = Vec::new();
+        for (index, text) in texts.into_iter().enumerate() {
+            let hash = hash_bytes(text.as_bytes());
+            match self.texts.get(hash, text.as_bytes()) {
+                Some(root) => roots.push(FormulaRoot(root)),
+                None => {
+                    let formula = parse(text).map_err(|error| TextError::Parse { index, error })?;
+                    roots.push(FormulaRoot(u32::MAX));
+                    misses.push((index, hash, text, formula));
+                }
+            }
+        }
+        for (index, hash, text, formula) in misses {
+            let root = self.lower_retaining(&formula).map_err(TextError::Logic)?;
+            self.texts.insert(hash, text.as_bytes(), root);
+            roots[index] = FormulaRoot(root);
         }
         self.results.resize(self.lw.ops.len(), None);
+        let estimate = self.price(&roots);
+        Ok(ResolvedBatch { roots, estimate })
+    }
+
+    /// Lowers every formula, in order, and sizes the result table to
+    /// the grown instruction table.
+    fn lower_all(&mut self, formulas: &[Formula]) -> Result<Vec<FormulaRoot>, LogicError> {
+        let mut roots = Vec::with_capacity(formulas.len());
+        for formula in formulas {
+            roots.push(FormulaRoot(self.lower_retaining(formula)?));
+        }
+        self.results.resize(self.lw.ops.len(), None);
+        Ok(roots)
+    }
+
+    /// The pricing core behind [`estimate_work`](Self::estimate_work)
+    /// and [`resolve_texts`](Self::resolve_texts): the summed work of
+    /// every uncached instruction the roots reach. Cached roots price at
+    /// zero without a table-sized visited set.
+    fn price(&self, roots: &[FormulaRoot]) -> usize {
+        let mut stack: Vec<u32> =
+            roots.iter().map(|r| r.0).filter(|&id| self.results[id as usize].is_none()).collect();
+        if stack.is_empty() {
+            return 0;
+        }
         let mut visited = vec![false; self.lw.ops.len()];
-        let mut stack = roots;
         let mut work = 0usize;
         while let Some(id) = stack.pop() {
             if std::mem::replace(&mut visited[id as usize], true)
@@ -2614,7 +2802,7 @@ impl<'m> ModelChecker<'m> {
             work += op_work_for(self.model, &self.lw.bodies, self.lw.ops[id as usize]);
             self.lw.ops[id as usize].for_each_operand(|a| stack.push(a));
         }
-        Ok(work)
+        work
     }
 
     /// Lowers `formula`, pinning it in `retained` iff lowering recorded
@@ -2642,22 +2830,28 @@ impl<'m> ModelChecker<'m> {
     /// and leaves the cache exactly as the previous check left it —
     /// never a partially-published check. With several roots (a
     /// coalesced suite) the batch commits as one unit.
+    ///
+    /// Roots that are all cached skip the walk, and with it the
+    /// table-sized visited set.
     fn eval_needed(
         &mut self,
-        roots: &[u32],
+        roots: &[FormulaRoot],
         ctl: &ExecControl,
     ) -> Result<Vec<Rc<Bitset>>, Interrupted> {
         let mut needed: Vec<u32> = Vec::new();
-        let mut visited = vec![false; self.lw.ops.len()];
-        let mut stack = roots.to_vec();
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut visited[id as usize], true)
-                || self.results[id as usize].is_some()
-            {
-                continue;
+        let mut stack: Vec<u32> =
+            roots.iter().map(|r| r.0).filter(|&id| self.results[id as usize].is_none()).collect();
+        if !stack.is_empty() {
+            let mut visited = vec![false; self.lw.ops.len()];
+            while let Some(id) = stack.pop() {
+                if std::mem::replace(&mut visited[id as usize], true)
+                    || self.results[id as usize].is_some()
+                {
+                    continue;
+                }
+                needed.push(id);
+                self.lw.ops[id as usize].for_each_operand(|a| stack.push(a));
             }
-            needed.push(id);
-            self.lw.ops[id as usize].for_each_operand(|a| stack.push(a));
         }
         needed.sort_unstable();
         let mut staged: Vec<(u32, Rc<Bitset>)> = Vec::with_capacity(needed.len());
@@ -2705,7 +2899,7 @@ impl<'m> ModelChecker<'m> {
         }
         let root_vecs = roots
             .iter()
-            .map(|&root| match staged.binary_search_by_key(&root, |&(id, _)| id) {
+            .map(|&FormulaRoot(root)| match staged.binary_search_by_key(&root, |&(id, _)| id) {
                 Ok(at) => Rc::clone(&staged[at].1),
                 Err(_) => Rc::clone(
                     self.results[root as usize].as_ref().expect("root cached by an earlier check"),
@@ -2732,14 +2926,16 @@ impl<'m> ModelChecker<'m> {
     /// brought back with [`Self::resume`] — the live-update handshake.
     ///
     /// The cache keeps the instruction table, the computed truth
-    /// vectors and the quotient. It drops the pointer memo and the
+    /// vectors, the quotient and the wire-text memo of
+    /// [`Self::resolve_texts`]. It drops the pointer memo and the
     /// checked formulas it kept alive, so its size is bounded by the
-    /// *structurally distinct* subformulas ever checked, not by the
-    /// number of checks: a serving layer that decodes fresh `Formula`
-    /// allocations for every request resumes, lowers and detaches
-    /// without growing. A re-checked formula costs one structural
-    /// hash-cons lookup per node after a resume; within one resumed
-    /// checker the memo works as before.
+    /// *structurally distinct* subformulas and the distinct texts ever
+    /// checked, not by the number of checks: a caller that builds fresh
+    /// `Formula` allocations for every request resumes, lowers and
+    /// detaches without growing. After a resume a re-checked `Formula`
+    /// costs one structural hash-cons lookup per node (within one
+    /// resumed checker the pointer memo works as before), and a
+    /// re-resolved text costs one hash lookup in all.
     ///
     /// ```
     /// use portnum_graph::generators;
@@ -2772,6 +2968,7 @@ impl<'m> ModelChecker<'m> {
         self.lw.ptr_memo = FxHashMap::default();
         CheckerCache {
             lw: self.lw,
+            texts: self.texts,
             results: self.results,
             mode: self.mode,
             quotient: self.quotient,
@@ -2838,6 +3035,7 @@ impl<'m> ModelChecker<'m> {
         let mut checker = ModelChecker {
             model,
             lw: cache.lw,
+            texts: cache.texts,
             retained: Vec::new(),
             results: cache.results,
             mode: cache.mode,
@@ -3380,6 +3578,164 @@ mod tests {
             let now = (detached.lw.ops.len(), detached.lw.cons.len(), detached.results.len());
             assert_eq!(*sizes.get_or_insert(now), now, "round {round}");
             cache = Some(detached);
+        }
+    }
+
+    /// One served check through the text path: resume (or start),
+    /// resolve, both check halves, detach.
+    fn serve_texts<'k>(
+        k: &'k Kripke,
+        cache: Option<CheckerCache>,
+        texts: &[String],
+    ) -> (ModelChecker<'k>, usize, Vec<Vec<u64>>) {
+        let mut checker = match cache {
+            Some(c) => ModelChecker::resume(k, c, &[]),
+            None => ModelChecker::new(k),
+        };
+        let ctl = ExecControl::unrestricted();
+        let batch = checker.resolve_texts(texts.iter().map(String::as_str)).unwrap();
+        let (first, second) = batch.roots.split_at(texts.len() / 2);
+        let mut got = checker.check_roots_controlled(first, &ctl).unwrap();
+        got.extend(checker.check_roots_controlled(second, &ctl).unwrap());
+        (checker, batch.estimate, got.iter().map(|b| b.words().to_vec()).collect())
+    }
+
+    #[test]
+    fn warm_text_hits_lower_nothing_and_keep_the_memo_size() {
+        let k = Kripke::k_mm(&generators::grid(6, 6));
+        let reach = Formula::mu(
+            "X",
+            &Formula::prop(2).or(&Formula::diamond(ModalIndex::Any, &Formula::var("X"))),
+        )
+        .unwrap();
+        let texts: Vec<String> = (0..16)
+            .map(|i| {
+                let f = Formula::diamond_geq(ModalIndex::Any, 1 + i % 3, &Formula::prop(i % 5))
+                    .or(&unshared_tower(i % 4));
+                if i % 5 == 0 { f.and(&reach) } else { f }.to_string()
+            })
+            .collect();
+        let formulas: Vec<Formula> = texts.iter().map(|t| parse(t).unwrap()).collect();
+        let expected: Vec<Vec<u64>> = ModelChecker::new(&k)
+            .check_suite(&formulas)
+            .unwrap()
+            .iter()
+            .map(|b| b.words().to_vec())
+            .collect();
+
+        let (checker, cold, got) = serve_texts(&k, None, &texts);
+        assert!(cold > 0, "a cold batch has a price");
+        assert_eq!(got, expected);
+        let warm = checker.stats();
+        let mut cache = Some(checker.detach());
+        let memo = cache.as_ref().unwrap().texts.bytes();
+        let words = cache.as_ref().unwrap().cached_words();
+        assert!(memo >= texts.iter().map(String::len).sum::<usize>());
+        for round in 0..1000 {
+            let (checker, estimate, got) = serve_texts(&k, cache.take(), &texts);
+            assert_eq!(estimate, 0, "round {round}: a warm hit is free");
+            assert_eq!(got, expected, "round {round}");
+            let stats = checker.stats();
+            assert_eq!(stats.ast_nodes, warm.ast_nodes, "round {round}: nothing was lowered");
+            assert_eq!(stats.instructions, warm.instructions, "round {round}");
+            assert_eq!(stats.computed, warm.computed, "round {round}");
+            let detached = checker.detach();
+            assert_eq!(detached.texts.bytes(), memo, "round {round}");
+            assert_eq!(detached.cached_words(), words, "round {round}");
+            cache = Some(detached);
+        }
+    }
+
+    #[test]
+    fn resolve_texts_parses_every_text_before_lowering_any() {
+        let k = Kripke::k_mm(&generators::path(8));
+        let mismatch = Formula::diamond(ModalIndex::InOut(1, 1), &Formula::prop(2)).to_string();
+        let mut checker = ModelChecker::new(&k);
+        // A text that does not parse wins over an earlier family
+        // mismatch, and nothing is lowered.
+        let err = checker.resolve_texts(["q1", mismatch.as_str(), "mu X . !X"]).unwrap_err();
+        assert!(matches!(err, TextError::Parse { index: 2, .. }), "{err:?}");
+        assert_eq!(checker.stats().ast_nodes, 0);
+        assert!(checker.texts.roots.is_empty());
+        // A mismatch fails the batch; the text lowered before it stays
+        // memoised, the one after it is never reached.
+        let err = checker.resolve_texts(["q1", mismatch.as_str(), "q3"]).unwrap_err();
+        assert!(matches!(err, TextError::Logic(LogicError::FamilyMismatch { .. })), "{err:?}");
+        assert_eq!(checker.texts.roots.len(), 1);
+        let nodes = checker.stats().ast_nodes;
+        let hit = checker.resolve_texts(["q1"]).unwrap();
+        assert_eq!(checker.stats().ast_nodes, nodes, "a memoised text is not lowered again");
+        // A new text twice in one batch is memoised once, with one root;
+        // another rendering of the same formula is its own entry.
+        let twice = checker.resolve_texts(["<*,*>q1", "<*,*>q1", "<*,*> q1", "q1"]).unwrap();
+        assert_eq!(twice.roots[0], twice.roots[1]);
+        assert_eq!(twice.roots[0], twice.roots[2]);
+        assert_eq!(twice.roots[3], hit.roots[0]);
+        assert_eq!(checker.texts.roots.len(), 3);
+        let before = checker.texts.bytes();
+        checker.resolve_texts(["<*,*>q1"]).unwrap();
+        assert_eq!(checker.texts.bytes(), before);
+        // Three texts, each with its end (8 bytes), root (4) and chain
+        // link (4), under three distinct hashes (16 each).
+        assert_eq!(before, ("q1".len() + "<*,*>q1".len() + "<*,*> q1".len()) + 3 * 16 + 3 * 16);
+    }
+
+    #[test]
+    fn deltas_never_change_a_memoised_root() {
+        use crate::kripke::ModelDelta;
+        // Lowering reads the variant and which relations the model
+        // stores. A delta cannot add a relation, so a diamond over a
+        // missing one stays ⊥, and every memoised root stays what a
+        // fresh lowering of its text gives.
+        let g = generators::cycle(12);
+        let mut k = Kripke::k_pp(&g, &PortNumbering::consistent(&g));
+        let alpha = k.indices().next().unwrap();
+        let missing = ModalIndex::InOut(7, 7);
+        assert_eq!(k.relation_id(missing), None);
+        let texts: Vec<String> = [
+            Formula::diamond(missing, &Formula::prop(2)),
+            Formula::diamond(alpha, &Formula::prop(2)).or(&Formula::diamond(missing, &Formula::top())),
+            Formula::diamond(alpha, &Formula::diamond(alpha, &Formula::prop(1))).not(),
+        ]
+        .iter()
+        .map(Formula::to_string)
+        .collect();
+        let mut checker = ModelChecker::new(&k);
+        let roots = checker.resolve_texts(texts.iter().map(String::as_str)).unwrap().roots;
+        assert_eq!(checker.lw.ops[roots[0].0 as usize], Op::Bottom);
+        let mut cache = checker.detach();
+
+        let version = k.version();
+        let err = k.apply_delta(ModelDelta::new().add_edge(missing, 0, 1)).unwrap_err();
+        assert_eq!(err, LogicError::NoSuchRelation);
+        assert_eq!(k.version(), version, "a rejected delta leaves the model");
+
+        let rel = k.relation_id(alpha).unwrap();
+        for step in 0..4u32 {
+            let v = step * 3;
+            let mut delta = ModelDelta::new();
+            match k.successors_dense(rel, v as usize).first() {
+                Some(&w) => delta.remove_edge(alpha, v, w),
+                None => delta.set_valuation(v, 1),
+            };
+            let touched = k.apply_delta(&delta).unwrap();
+            let mut checker = ModelChecker::resume(&k, cache, &touched);
+            let again = checker.resolve_texts(texts.iter().map(String::as_str)).unwrap().roots;
+            assert_eq!(again, roots, "step {step}");
+            let mut fresh = ModelChecker::new(&k);
+            for (text, root) in texts.iter().zip(&roots) {
+                let formula = parse(text).unwrap();
+                let relowered = checker.lower_retaining(&formula).unwrap();
+                assert_eq!(relowered, root.0, "step {step}: {text}");
+                assert_eq!(
+                    checker.check_roots_controlled(&[*root], &ExecControl::unrestricted())
+                        .unwrap()[0]
+                        .to_bools(),
+                    fresh.check(&formula).unwrap().to_bools(),
+                    "step {step}: {text}"
+                );
+            }
+            cache = checker.detach();
         }
     }
 

@@ -5,9 +5,10 @@
 //! work-words estimate the Auto execution gate compares against the
 //! pool's calibrated
 //! [`dispatch_cost_ns`](portnum_graph::pool::WorkerPool::dispatch_cost_ns)
-//! — via [`ModelChecker::estimate_work`], which charges only the
+//! — via [`ModelChecker::resolve_texts`], which prices a batch as
+//! [`ModelChecker::estimate_work`] does: it charges only the
 //! instructions the batch would actually evaluate (cached subresults
-//! are free). Requests priced over [`ServeConfig::max_cost`] are shed
+//! are free, so a batch of warm hits prices at zero). Requests priced over [`ServeConfig::max_cost`] are shed
 //! with an `Overloaded` error frame before any work happens; admitted
 //! requests run under an [`ExecControl`] carrying the configured
 //! deadline, the same cost cap as an in-flight work budget, and a
@@ -16,6 +17,7 @@
 //! commit guarantees the cache part).
 //!
 //! [`ModelChecker::estimate_work`]: portnum_logic::ModelChecker::estimate_work
+//! [`ModelChecker::resolve_texts`]: portnum_logic::ModelChecker::resolve_texts
 
 use crate::config::ServeConfig;
 use portnum_graph::partition::parallel_floor_words;

@@ -3,22 +3,37 @@
 //!
 //! Between requests a shard holds each model as a [`ModelEntry`]: the
 //! [`Kripke`] itself and the [`CheckerCache`] detached from the last
-//! request's [`ModelChecker`](portnum_logic::ModelChecker) — truth
-//! vectors, the instruction table they are indexed by, and the
-//! bisimulation quotient, all of which the detach → resume handshake
-//! carries across requests (and across deltas, repaired rather than
-//! rebuilt). The pointer memo does not survive a detach: every request
-//! decodes fresh formula allocations, so keeping it (and the formulas
-//! its keys point into) would grow the cache with every request. The
-//! instruction table grows only with structurally new subformulas.
+//! request's [`ModelChecker`] — truth vectors, the instruction table
+//! they are indexed by, the bisimulation quotient, and the text memo,
+//! all of which the detach → resume handshake carries across requests
+//! (and across deltas, repaired rather than rebuilt). The instruction
+//! table grows only with structurally new subformulas.
+//!
+//! The text memo maps each formula wire text the model has been checked
+//! with to its root instruction ([`ModelChecker::resolve_texts`]). A
+//! Check frame reaches the shard with its texts unparsed, so a text the
+//! memo holds costs one hash lookup: no parse and no lowering. Only a
+//! new text is parsed, on the shard, and a text that does not parse is
+//! answered there with the `Protocol`/`BadFormula` frame the connection
+//! layer used to answer, before any lowering and also when the model is
+//! not loaded. The memo holds each distinct text once, in one byte
+//! arena, and costs its bytes plus 32 bytes per text (end offset, root,
+//! chain link, hash entry); it grows only with texts never seen, and is
+//! dropped with the rest of the cache on a trim or an eviction. The
+//! pointer memo does not survive a detach: a caller building fresh
+//! formula allocations for every request would grow it (and the
+//! formulas its keys point into) with every request.
 //!
 //! The entry's footprint is the model's CSR estimate plus the cache's
-//! resident words — truth vectors, and for each cached fixpoint a delta
-//! has repaired, the body values and per-world ranks its next warm
-//! restart reads; the shard keeps the sum of footprints under its
-//! budget slice by evicting least-recently-used entries wholesale, or
-//! — when only the pinned entry remains — shedding its checker cache
-//! while keeping the model.
+//! resident words — truth vectors, the text memo, and for each cached
+//! fixpoint a delta has repaired, the body values and per-world ranks
+//! its next warm restart reads; the shard keeps the sum of footprints
+//! under its budget slice by evicting least-recently-used entries
+//! wholesale, or — when only the pinned entry remains — shedding its
+//! checker cache while keeping the model.
+//!
+//! [`ModelChecker`]: portnum_logic::ModelChecker
+//! [`ModelChecker::resolve_texts`]: portnum_logic::ModelChecker::resolve_texts
 
 use portnum_logic::{CheckerCache, Kripke};
 
@@ -56,7 +71,8 @@ pub(crate) fn entry_bytes(entry: &ModelEntry) -> usize {
 mod tests {
     use super::*;
     use crate::protocol::ModelSpec;
-    use portnum_logic::{Formula, ModalIndex, ModelChecker, ModelDelta};
+    use portnum_graph::resilience::ExecControl;
+    use portnum_logic::{parse, Formula, ModalIndex, ModelChecker, ModelDelta};
 
     #[test]
     fn footprint_grows_with_the_checker_cache() {
@@ -70,6 +86,40 @@ mod tests {
         assert!(cache.cached_words() > 0);
         entry.cache = Some(cache);
         assert!(entry_bytes(&entry) > cold);
+    }
+
+    #[test]
+    fn footprint_prices_the_text_memo() {
+        // The same formula checked by its text and by its AST: the text
+        // path's cache holds the same vectors plus one memo entry, the
+        // text's bytes and 32 bytes (end offset 8, root 4, chain link 4,
+        // hash entry 16), rounded up to whole words.
+        let model = ModelSpec::Path { n: 64 }.build().unwrap();
+        let text = "<*,*>q1 | <*,*><*,*>q2";
+        let mut by_formula = ModelChecker::new(&model);
+        by_formula.check_suite(&[parse(text).unwrap()]).unwrap();
+        let by_formula = by_formula.detach().cached_words();
+        let mut by_text = ModelChecker::new(&model);
+        let batch = by_text.resolve_texts([text]).unwrap();
+        let ctl = ExecControl::unrestricted();
+        let truths = by_text.check_roots_controlled(&batch.roots, &ctl).unwrap();
+        let cache = by_text.detach();
+        let memo_words = (text.len() + 32).div_ceil(8);
+        assert_eq!(cache.cached_words(), by_formula + memo_words);
+
+        let mut entry = ModelEntry { model, cache: Some(cache), bytes: 0, last_used: 0 };
+        let priced = entry_bytes(&entry);
+        assert_eq!(priced, model_bytes(&entry.model) + (by_formula + memo_words) * 8);
+        // A warm hit neither parses nor grows the entry.
+        let mut warm = ModelChecker::resume(&entry.model, entry.cache.take().unwrap(), &[]);
+        let again = warm.resolve_texts([text]).unwrap();
+        assert_eq!(again.estimate, 0);
+        assert_eq!(warm.check_roots_controlled(&again.roots, &ctl).unwrap(), truths);
+        entry.cache = Some(warm.detach());
+        assert_eq!(entry_bytes(&entry), priced);
+        // A trim drops the memo with the rest of the cache.
+        entry.cache = None;
+        assert_eq!(entry_bytes(&entry), model_bytes(&entry.model));
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   a model's op sequence is well-defined even under concurrent
 //!   clients (the differential suite pins responses bit-identical to a
 //!   single-threaded [`ModelChecker`] replaying that sequence).
-//! - **Batching**: a check request carries a whole formula batch,
-//!   coalesced server-side through
-//!   [`ModelChecker::check_suite_controlled`] — shared subformulas are
+//! - **Batching**: a check request carries a whole formula batch, as
+//!   wire texts the shard resolves through the model's text memo
+//!   ([`ModelChecker::resolve_texts`], parsing only texts it has not
+//!   seen) and checks coalesced through
+//!   [`ModelChecker::check_roots_controlled`] — shared subformulas are
 //!   computed once against the model's long-lived cache.
 //! - **Admission control** (`admission`): requests are priced with the
 //!   engine's measured cost model before running, shed when over the
@@ -26,8 +28,8 @@
 //!   ([`ExecControl`](portnum_graph::resilience::ExecControl)) with
 //!   typed interrupts mapped to error frames.
 //! - **Serving cache** (`cache`): models plus their detached
-//!   [`CheckerCache`]s (truth vectors, quotients) are LRU-evicted
-//!   against a configurable memory budget.
+//!   [`CheckerCache`]s (truth vectors, quotients, text memos) are
+//!   LRU-evicted against a configurable memory budget.
 //!
 //! See `ARCHITECTURE.md` ("Serving layer") for the protocol table and
 //! the `PORTNUM_SERVE_*` knobs, and the crate's tests for the
@@ -35,7 +37,8 @@
 //!
 //! [`Kripke`]: portnum_logic::Kripke
 //! [`ModelChecker`]: portnum_logic::ModelChecker
-//! [`ModelChecker::check_suite_controlled`]: portnum_logic::ModelChecker::check_suite_controlled
+//! [`ModelChecker::resolve_texts`]: portnum_logic::ModelChecker::resolve_texts
+//! [`ModelChecker::check_roots_controlled`]: portnum_logic::ModelChecker::check_roots_controlled
 //! [`CheckerCache`]: portnum_logic::CheckerCache
 
 #![forbid(unsafe_code)]

@@ -9,14 +9,27 @@
 //! [`ProtocolError`], never a panic, and never consumes bytes beyond
 //! its own frame — the stream stays in sync.
 //!
+//! One frame walker checks every body: counts, tags, UTF-8 and
+//! trailing bytes. It leaves a Check frame's formula texts unparsed.
+//! [`Request::decode`] parses them after the walk; the server instead
+//! ships the frame body to the model's shard, which parses a text only
+//! when the model's checker cache has not lowered it before
+//! ([`ModelChecker::resolve_texts`]). Either way a text that does not
+//! parse answers [`ProtocolError::BadFormula`], and it wins over every
+//! later fault of the frame (a `Truncated` or `TrailingBytes` tail), as
+//! when each text is parsed as soon as it is read.
+//!
 //! [`Display`]: std::fmt::Display
+//! [`ModelChecker::resolve_texts`]: portnum_logic::ModelChecker::resolve_texts
 
 use portnum_graph::generators;
 use portnum_logic::{
     parse, Formula, Kripke, KripkeBuilder, LogicError, ModalIndex, ModelDelta, ModelVariant,
+    ParseError,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::fmt;
+use std::ops::Range;
 
 /// Frame bodies above this many bytes are rejected before allocation:
 /// an oversized length prefix is a [`ProtocolError::FrameTooLarge`],
@@ -68,6 +81,14 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+impl ProtocolError {
+    /// The [`ProtocolError::BadFormula`] for `text`, which `error` says
+    /// does not parse.
+    pub(crate) fn bad_formula(error: &ParseError, text: &str) -> ProtocolError {
+        ProtocolError::BadFormula(format!("{error} in {text:?}"))
+    }
+}
 
 /// How a [`Request::Load`] describes the model to construct. All three
 /// shapes stream their edges through [`KripkeBuilder`] server-side.
@@ -551,6 +572,12 @@ impl<'a> Rd<'a> {
         std::str::from_utf8(self.take(len)?).map_err(|_| ProtocolError::BadUtf8)
     }
 
+    /// Reads a string field and returns its byte span in the body.
+    fn str_span(&mut self) -> Result<Range<usize>, ProtocolError> {
+        let s = self.str()?;
+        Ok(self.at - s.len()..self.at)
+    }
+
     fn index(&mut self) -> Result<ModalIndex, ProtocolError> {
         match self.u8()? {
             0 => Ok(ModalIndex::InOut(self.u32()? as usize, self.u32()? as usize)),
@@ -620,17 +647,143 @@ impl<'a> Rd<'a> {
         Ok(DeltaSpec { add, remove, valuation, crash })
     }
 
-    fn formula(&mut self) -> Result<Formula, ProtocolError> {
-        let s = self.str()?;
-        parse(s).map_err(|e| ProtocolError::BadFormula(format!("{e} in {s:?}")))
-    }
-
     fn finish(self) -> Result<(), ProtocolError> {
         if self.at == self.b.len() {
             Ok(())
         } else {
             Err(ProtocolError::TrailingBytes)
         }
+    }
+}
+
+/// Parses one formula text of a Check frame.
+fn parse_text(s: &str) -> Result<Formula, ProtocolError> {
+    parse(s).map_err(|e| ProtocolError::bad_formula(&e, s))
+}
+
+/// Text `span` of `body`, which the walker checked is UTF-8.
+fn text_at<'a>(body: &'a [u8], span: &Range<usize>) -> &'a str {
+    std::str::from_utf8(&body[span.clone()]).expect("the walker checked every text is UTF-8")
+}
+
+/// The error of the first text in `spans` that does not parse, if any.
+fn first_bad_text(body: &[u8], spans: &[Range<usize>]) -> Option<ProtocolError> {
+    spans.iter().find_map(|span| parse_text(text_at(body, span)).err())
+}
+
+/// A frame body after [`walk`]: a Check frame's formula texts as byte
+/// spans of the body, every other request decoded in full.
+enum Walked {
+    Check { model: u64, spans: Vec<Range<usize>> },
+    Other(Request),
+}
+
+/// The frame walker behind every request decode; see the module docs.
+/// On a malformed Check frame, the first text read before the fault
+/// that does not parse is the error.
+fn walk(body: &[u8]) -> Result<Walked, ProtocolError> {
+    let mut rd = Rd::new(body);
+    let req = match rd.u8()? {
+        0x01 => Request::Ping,
+        0x02 => Request::Load { model: rd.u64()?, spec: rd.spec()? },
+        0x03 => Request::Evict { model: rd.u64()? },
+        0x04 => {
+            let model = rd.u64()?;
+            let count = rd.count(4)?;
+            let mut spans = Vec::with_capacity(count);
+            let mut fault = None;
+            for _ in 0..count {
+                match rd.str_span() {
+                    Ok(span) => spans.push(span),
+                    Err(e) => {
+                        fault = Some(e);
+                        break;
+                    }
+                }
+            }
+            let walked = match fault {
+                Some(e) => Err(e),
+                None => rd.finish(),
+            };
+            return match walked {
+                Ok(()) => Ok(Walked::Check { model, spans }),
+                Err(e) => Err(first_bad_text(body, &spans).unwrap_or(e)),
+            };
+        }
+        0x05 => Request::Delta { model: rd.u64()?, delta: rd.delta()? },
+        0x06 => Request::Stats,
+        op => return Err(ProtocolError::UnknownOpcode(op)),
+    };
+    rd.finish()?;
+    Ok(Walked::Other(req))
+}
+
+/// A request frame as the server routes it: a Check frame keeps its
+/// body for the owning shard, which resolves the texts against the
+/// model's checker cache; every other request is decoded in full.
+#[derive(Debug)]
+pub(crate) enum WireRequest {
+    /// A walked Check frame.
+    Check {
+        /// Model id.
+        model: u64,
+        /// The batch, unparsed.
+        texts: CheckTexts,
+    },
+    /// Any other request ([`Request::Check`] never appears here).
+    Other(Request),
+}
+
+impl WireRequest {
+    /// Walks a frame body, keeping it when it is a Check frame.
+    pub(crate) fn decode(body: Vec<u8>) -> Result<WireRequest, ProtocolError> {
+        Ok(match walk(&body)? {
+            Walked::Check { model, spans } => {
+                WireRequest::Check { model, texts: CheckTexts { body, spans } }
+            }
+            Walked::Other(req) => WireRequest::Other(req),
+        })
+    }
+
+    /// The error [`Request::decode`] answers for this frame, if it is a
+    /// Check frame with a text that does not parse: a server that
+    /// cannot serve the frame (no such model, a full queue, a panicked
+    /// shard) still answers that error first.
+    pub(crate) fn bad_text(&self) -> Option<ProtocolError> {
+        match self {
+            WireRequest::Check { texts, .. } => texts.bad_text(),
+            WireRequest::Other(_) => None,
+        }
+    }
+}
+
+/// The formula texts of a walked Check frame: the frame body and the
+/// byte span of each text in it, every text checked to be UTF-8.
+#[derive(Debug)]
+pub(crate) struct CheckTexts {
+    body: Vec<u8>,
+    spans: Vec<Range<usize>>,
+}
+
+impl CheckTexts {
+    /// Number of formulas in the batch.
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// The texts, in batch order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
+        self.spans.iter().map(|span| text_at(&self.body, span))
+    }
+
+    /// Text `index` of the batch.
+    pub(crate) fn get(&self, index: usize) -> &str {
+        text_at(&self.body, &self.spans[index])
+    }
+
+    /// The error of the first text that does not parse, if any.
+    pub(crate) fn bad_text(&self) -> Option<ProtocolError> {
+        first_bad_text(&self.body, &self.spans)
     }
 }
 
@@ -676,24 +829,16 @@ impl Request {
     /// A typed [`ProtocolError`] for any malformed body; decoding never
     /// panics.
     pub fn decode(body: &[u8]) -> Result<Request, ProtocolError> {
-        let mut rd = Rd::new(body);
-        let req = match rd.u8()? {
-            0x01 => Request::Ping,
-            0x02 => Request::Load { model: rd.u64()?, spec: rd.spec()? },
-            0x03 => Request::Evict { model: rd.u64()? },
-            0x04 => {
-                let model = rd.u64()?;
-                let count = rd.count(4)?;
-                let formulas =
-                    (0..count).map(|_| rd.formula()).collect::<Result<_, _>>()?;
-                Request::Check { model, formulas }
-            }
-            0x05 => Request::Delta { model: rd.u64()?, delta: rd.delta()? },
-            0x06 => Request::Stats,
-            op => return Err(ProtocolError::UnknownOpcode(op)),
-        };
-        rd.finish()?;
-        Ok(req)
+        match walk(body)? {
+            Walked::Check { model, spans } => Ok(Request::Check {
+                model,
+                formulas: spans
+                    .iter()
+                    .map(|span| parse_text(text_at(body, span)))
+                    .collect::<Result<_, _>>()?,
+            }),
+            Walked::Other(req) => Ok(req),
+        }
     }
 }
 

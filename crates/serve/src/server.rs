@@ -1,14 +1,17 @@
 //! The server: a `TcpListener` accept loop, one connection thread per
 //! client, and the shard fan-out.
 //!
-//! Connection threads decode frames, route model-keyed requests to the
+//! Connection threads walk frames, route model-keyed requests to the
 //! owning shard over a *bounded* queue (full queue = `Overloaded`
 //! error frame, the shedding half of admission control), answer
-//! `Ping`/`Stats` in place, and write the reply frame. A malformed
-//! frame body is answered with a `Protocol` error frame and the
-//! connection continues — the frame boundary is intact. An oversized
-//! length prefix is answered and then the connection closes: past a
-//! corrupt prefix there is no boundary left to trust.
+//! `Ping`/`Stats` in place, and write the reply frame. A Check frame
+//! travels to its shard as its body, with the formula texts unparsed
+//! (see [`crate::protocol`]). A malformed frame body is answered with a
+//! `Protocol` error frame and the connection continues — the frame
+//! boundary is intact. Every `Protocol` error frame counts in
+//! `protocol_errors`, including the `BadFormula` frames shards answer.
+//! An oversized length prefix is answered and then the connection
+//! closes: past a corrupt prefix there is no boundary left to trust.
 //!
 //! Accepted sockets set `TCP_NODELAY`. Replies go through a
 //! `BufWriter` of 8 KiB, so a body of 8 KiB or more is written as two
@@ -19,7 +22,7 @@
 
 use crate::config::ServeConfig;
 use crate::framing::{read_frame, write_frame, FrameError};
-use crate::protocol::{ErrorCode, Request, Response, ServerStats};
+use crate::protocol::{ErrorCode, Request, Response, ServerStats, WireRequest};
 use crate::shard::{self, ShardCmd, ShardStats};
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -142,15 +145,15 @@ fn serve_connection(
                 return Ok(());
             }
         };
-        let resp = match Request::decode(&body) {
+        let resp = match WireRequest::decode(body) {
             Ok(req) => route(req, shards, counters, cfg),
-            Err(e) => {
-                // The body was malformed but fully framed: answer and
-                // keep going, the next frame is still addressable.
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                Response::error(ErrorCode::Protocol, e.to_string())
-            }
+            // The body was malformed but fully framed: answer and keep
+            // going, the next frame is still addressable.
+            Err(e) => Response::error(ErrorCode::Protocol, e.to_string()),
         };
+        if matches!(&resp, Response::Error(e) if e.code == ErrorCode::Protocol) {
+            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        }
         if write_frame(&mut writer, &resp.encode()).is_err() {
             return Ok(());
         }
@@ -158,36 +161,51 @@ fn serve_connection(
 }
 
 fn route(
-    req: Request,
+    req: WireRequest,
     shards: &[SyncSender<ShardCmd>],
     counters: &ServerCounters,
     cfg: &ServeConfig,
 ) -> Response {
     let model = match &req {
-        Request::Ping => return Response::Pong,
-        Request::Stats => return aggregate_stats(shards, counters, cfg),
-        Request::Load { model, .. }
-        | Request::Evict { model }
-        | Request::Check { model, .. }
-        | Request::Delta { model, .. } => *model,
+        WireRequest::Other(Request::Ping) => return Response::Pong,
+        WireRequest::Other(Request::Stats) => return aggregate_stats(shards, counters, cfg),
+        WireRequest::Check { model, .. }
+        | WireRequest::Other(
+            Request::Load { model, .. }
+            | Request::Evict { model }
+            | Request::Check { model, .. }
+            | Request::Delta { model, .. },
+        ) => *model,
     };
     let shard = &shards[(model % shards.len() as u64) as usize];
     let (tx, rx) = mpsc::channel();
-    match shard.try_send(ShardCmd::Op { req, reply: tx }) {
-        Ok(()) => rx.recv().unwrap_or_else(|_| {
-            Response::error(ErrorCode::Internal, "shard worker terminated")
-        }),
-        Err(TrySendError::Full(_)) => {
+    let (cmd, resp) = match shard.try_send(ShardCmd::Op { req, reply: tx }) {
+        Ok(()) => {
+            return rx.recv().unwrap_or_else(|_| {
+                Response::error(ErrorCode::Internal, "shard worker terminated")
+            })
+        }
+        Err(TrySendError::Full(cmd)) => {
             counters.queue_shed.fetch_add(1, Ordering::Relaxed);
-            Response::error(
-                ErrorCode::Overloaded,
-                format!("shard queue full ({} requests deep)", cfg.queue_cap),
+            (
+                cmd,
+                Response::error(
+                    ErrorCode::Overloaded,
+                    format!("shard queue full ({} requests deep)", cfg.queue_cap),
+                ),
             )
         }
-        Err(TrySendError::Disconnected(_)) => {
-            Response::error(ErrorCode::Internal, "shard worker terminated")
+        Err(TrySendError::Disconnected(cmd)) => {
+            (cmd, Response::error(ErrorCode::Internal, "shard worker terminated"))
         }
-    }
+    };
+    // A formula text that does not parse is the frame's own fault, and
+    // it is answered before the server's.
+    let bad_text = match &cmd {
+        ShardCmd::Op { req, .. } => req.bad_text(),
+        ShardCmd::Stats { .. } => None,
+    };
+    bad_text.map_or(resp, |e| Response::error(ErrorCode::Protocol, e.to_string()))
 }
 
 fn aggregate_stats(

@@ -6,6 +6,15 @@
 //! handshake so the long-lived [`CheckerCache`] survives between
 //! requests without holding a borrow of the model across them.
 //!
+//! A Check arrives as its frame body with the formula texts unparsed.
+//! The shard resolves them against the model's cache
+//! ([`ModelChecker::resolve_texts`]): a text the cache has lowered
+//! before costs a hash lookup, and only a new one is parsed. A text
+//! that does not parse answers the `Protocol`/`BadFormula` frame that
+//! decoding the whole frame up front would have answered, even when
+//! the model is not loaded or the shard panics, and it wins over a
+//! family mismatch anywhere in the batch.
+//!
 //! # Panic safety and version consistency
 //!
 //! Every op runs under `catch_unwind`. The checker cache is `take()`n
@@ -25,8 +34,10 @@
 use crate::admission::{self, Admission};
 use crate::cache::{entry_bytes, model_bytes, ModelEntry};
 use crate::config::ServeConfig;
-use crate::protocol::{DeltaSpec, ErrorCode, ModelSpec, Request, Response};
-use portnum_logic::{Formula, LogicError, ModelChecker};
+use crate::protocol::{
+    CheckTexts, DeltaSpec, ErrorCode, ModelSpec, ProtocolError, Request, Response, WireRequest,
+};
+use portnum_logic::{FormulaRoot, LogicError, ModelChecker, ParseError, TextError};
 use portnum_graph::resilience::InterruptReason;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,8 +48,8 @@ use std::sync::Arc;
 pub(crate) enum ShardCmd {
     /// A model-keyed request; the response goes back on `reply`.
     Op {
-        /// The decoded request (`Load`/`Evict`/`Check`/`Delta`).
-        req: Request,
+        /// The walked request (`Load`/`Evict`/`Check`/`Delta`).
+        req: WireRequest,
         /// Per-request reply channel.
         reply: Sender<Response>,
     },
@@ -75,7 +86,7 @@ pub(crate) fn run(rx: Receiver<ShardCmd>, cfg: Arc<ServeConfig>) {
                 let _ = reply.send(shard.snapshot());
             }
             ShardCmd::Op { req, reply } => {
-                let resp = match catch_unwind(AssertUnwindSafe(|| shard.handle(req))) {
+                let resp = match catch_unwind(AssertUnwindSafe(|| shard.handle(&req))) {
                     Ok(resp) => resp,
                     Err(payload) => {
                         shard.stats.internal_errors += 1;
@@ -84,10 +95,13 @@ pub(crate) fn run(rx: Receiver<ShardCmd>, cfg: Arc<ServeConfig>) {
                         // unwound op had half-done to the counters, the
                         // entries themselves are consistent.
                         shard.recount_all();
-                        Response::error(
-                            ErrorCode::Internal,
-                            format!("shard worker panicked: {}", panic_message(&payload)),
-                        )
+                        match req.bad_text() {
+                            Some(e) => Response::error(ErrorCode::Protocol, e.to_string()),
+                            None => Response::error(
+                                ErrorCode::Internal,
+                                format!("shard worker panicked: {}", panic_message(&payload)),
+                            ),
+                        }
                     }
                 };
                 let _ = reply.send(resp);
@@ -134,19 +148,20 @@ impl Shard {
         }
     }
 
-    fn handle(&mut self, req: Request) -> Response {
+    fn handle(&mut self, req: &WireRequest) -> Response {
         // Chaos site at the top of every shard op: a `panic` action
         // here proves the worker survives and the client still gets an
         // error frame with the shard state untouched.
         fail::fail_point!("serve-shard-op");
         match req {
-            Request::Load { model, spec } => self.load(model, &spec),
-            Request::Evict { model } => self.evict(model),
-            Request::Check { model, formulas } => self.check(model, &formulas),
-            Request::Delta { model, delta } => self.delta(model, &delta),
-            // Ping/Stats are answered in the connection layer; routing
-            // them here is a server bug, not a client error.
-            Request::Ping | Request::Stats => {
+            WireRequest::Check { model, texts } => self.check(*model, texts),
+            WireRequest::Other(Request::Load { model, spec }) => self.load(*model, spec),
+            WireRequest::Other(Request::Evict { model }) => self.evict(*model),
+            WireRequest::Other(Request::Delta { model, delta }) => self.delta(*model, delta),
+            // Ping/Stats are answered in the connection layer and a
+            // walked Check is never `Other`; routing them here is a
+            // server bug, not a client error.
+            WireRequest::Other(Request::Ping | Request::Stats | Request::Check { .. }) => {
                 Response::error(ErrorCode::Internal, "request is not shard-routable")
             }
         }
@@ -189,14 +204,17 @@ impl Shard {
         Response::Evicted { model: id, existed }
     }
 
-    fn check(&mut self, id: u64, formulas: &[Formula]) -> Response {
+    fn check(&mut self, id: u64, texts: &CheckTexts) -> Response {
         self.tick += 1;
         let tick = self.tick;
         let cfg = Arc::clone(&self.cfg);
         let Some(entry) = self.models.get_mut(&id) else {
-            return no_such_model(id);
+            return match texts.bad_text() {
+                Some(e) => Response::error(ErrorCode::Protocol, e.to_string()),
+                None => no_such_model(id),
+            };
         };
-        entry.last_used = tick;
+        let used_before = std::mem::replace(&mut entry.last_used, tick);
         // Taken before any fallible work; written back only below, so
         // an unwind in between leaves the entry cold but consistent.
         let cache = entry.cache.take();
@@ -204,13 +222,19 @@ impl Shard {
             Some(c) => ModelChecker::resume(&entry.model, c, &[]),
             None => ModelChecker::new(&entry.model),
         };
-        let outcome = run_batch(&mut checker, formulas, &cfg);
+        let outcome = run_batch(&mut checker, texts, &cfg);
         entry.cache = Some(checker.detach());
+        if matches!(outcome, Err(BatchError::BadText { .. })) {
+            // A frame with a text that does not parse is not served,
+            // so, like any frame rejected before routing, it leaves
+            // the LRU order alone.
+            entry.last_used = used_before;
+        }
         let worlds = entry.model.len() as u64;
         match outcome {
             Ok(vectors) => {
                 self.stats.checks += 1;
-                self.stats.formulas_checked += formulas.len() as u64;
+                self.stats.formulas_checked += texts.len() as u64;
                 self.recount(id);
                 self.enforce_budget(Some(id));
                 Response::Truths { worlds, vectors }
@@ -225,6 +249,12 @@ impl Shard {
                     ),
                 )
             }
+            // Every new text is parsed before any is lowered, so the
+            // cache did not grow.
+            Err(BatchError::BadText { index, error }) => Response::error(
+                ErrorCode::Protocol,
+                ProtocolError::bad_formula(&error, texts.get(index)).to_string(),
+            ),
             Err(BatchError::Logic(e)) => {
                 if matches!(e, LogicError::Interrupted(_)) {
                     self.stats.interrupted += 1;
@@ -330,36 +360,43 @@ impl Shard {
 }
 
 enum BatchError {
+    BadText { index: usize, error: ParseError },
     Logic(LogicError),
     Shed { estimate: u64, cap: u64 },
 }
 
-/// Prices, admits, and runs one coalesced batch, returning the packed
-/// truth vectors as raw words. The batch is split around the
-/// `serve-batch` chaos site; both halves run as suites against the
-/// shared cache, so coalescing (and the whole-or-nothing commit per
-/// half) is preserved.
+impl From<TextError> for BatchError {
+    fn from(e: TextError) -> BatchError {
+        match e {
+            TextError::Parse { index, error } => BatchError::BadText { index, error },
+            TextError::Logic(e) => BatchError::Logic(e),
+        }
+    }
+}
+
+/// Resolves, prices, admits, and runs one coalesced batch, returning
+/// the packed truth vectors as raw words. The batch is split around the
+/// `serve-batch` chaos site; both halves run against the shared cache,
+/// so coalescing (and the whole-or-nothing commit per half) is
+/// preserved.
 fn run_batch(
     checker: &mut ModelChecker<'_>,
-    formulas: &[Formula],
+    texts: &CheckTexts,
     cfg: &ServeConfig,
 ) -> Result<Vec<Vec<u64>>, BatchError> {
-    let estimate = checker.estimate_work(formulas).map_err(BatchError::Logic)? as u64;
-    if let Admission::Shed { estimate, cap } = admission::admit(cfg, estimate) {
+    let batch = checker.resolve_texts(texts.iter())?;
+    if let Admission::Shed { estimate, cap } = admission::admit(cfg, batch.estimate as u64) {
         return Err(BatchError::Shed { estimate, cap });
     }
     let (ctl, token) = admission::control_for(cfg);
     crate::testing::publish_cancel_token(token);
-    let half = formulas.len() / 2;
-    let mut vecs =
-        checker.check_suite_controlled(&formulas[..half], &ctl).map_err(BatchError::Logic)?;
+    let (first, second): (&[FormulaRoot], _) = batch.roots.split_at(batch.roots.len() / 2);
+    let mut vecs = checker.check_roots_controlled(first, &ctl).map_err(BatchError::Logic)?;
     // Chaos site mid-batch: the first half is committed, the second
     // hasn't started — a cancel or panic here must surface as one
     // error frame with the connection and the committed half intact.
     fail::fail_point!("serve-batch");
-    vecs.extend(
-        checker.check_suite_controlled(&formulas[half..], &ctl).map_err(BatchError::Logic)?,
-    );
+    vecs.extend(checker.check_roots_controlled(second, &ctl).map_err(BatchError::Logic)?);
     Ok(vecs.iter().map(|b| b.words().to_vec()).collect())
 }
 

@@ -3,7 +3,8 @@
 //!
 //! * `serve-shard-op`: the shard worker panics before touching any
 //!   state — the worker survives, the client gets an `Internal` error
-//!   frame, and a retry is bit-identical;
+//!   frame (or the `BadFormula` frame a text that does not parse earns
+//!   anyway), and a retry is bit-identical;
 //! * `serve-batch`: the request's own [`CancelToken`] trips between
 //!   the two coalesced halves of a check batch — the typed `Cancelled`
 //!   frame arrives, the connection survives, and the committed half
@@ -226,5 +227,46 @@ fn cost_cap_sheds_with_a_priced_message() {
     let stats = client.stats().expect("stats");
     assert_eq!(stats.shed, 1);
     assert_eq!(stats.checks, 0);
+    server.shutdown();
+}
+
+/// A Check frame whose text does not parse answers `BadFormula` even
+/// when the shard panics before resolving it: the frame's own fault is
+/// answered first, as when the connection parsed every text.
+#[test]
+fn shard_panic_still_answers_a_bad_text_as_such() {
+    use portnum_serve::framing::{read_frame, write_frame};
+    use portnum_serve::Response;
+
+    let _guard = serial();
+    let mut server = single_shard_server();
+    let mut client = Client::connect(server.addr()).expect("connecting");
+    client.load(7, &ModelSpec::gnp(64, 0.1, 42)).expect("load");
+
+    let stream = std::net::TcpStream::connect(server.addr()).expect("connecting");
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("cloning"));
+    let mut writer = std::io::BufWriter::new(stream);
+    let bad = "mu X . !X";
+    let mut body = vec![0x04u8];
+    body.extend_from_slice(&7u64.to_le_bytes());
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend_from_slice(&(bad.len() as u32).to_le_bytes());
+    body.extend_from_slice(bad.as_bytes());
+
+    fail::cfg("serve-shard-op", "1*panic(injected chaos)").expect("arming the failpoint");
+    write_frame(&mut writer, &body).expect("writing the check frame");
+    let reply = read_frame(&mut reader).expect("reading").expect("a frame");
+    match Response::decode(&reply).expect("decodable error frame") {
+        Response::Error(e) => {
+            assert_eq!(e.code, ErrorCode::Protocol);
+            assert!(e.message.contains("unparseable formula"), "{}", e.message);
+        }
+        other => panic!("expected a protocol error frame, got {other:?}"),
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.internal_errors, 1, "the shard did panic");
+    assert_eq!(stats.protocol_errors, 1);
+    client.check(7, &chaos_batch()).expect("the shard keeps serving");
+    fail::teardown();
     server.shutdown();
 }

@@ -8,9 +8,14 @@
 //!   bytes, unknown opcodes, hostile element counts, oversized length
 //!   prefixes, and arbitrary byte soup all yield *typed*
 //!   [`ProtocolError`]s — never a panic, and (checked live at the
-//!   bottom) never a desynchronised connection.
+//!   bottom) never a desynchronised connection;
+//! * **error parity**: a server resolves a Check frame's formula texts
+//!   on the model's shard, parsing only texts its cache has not seen,
+//!   and must still answer every valid, mutated or truncated Check body
+//!   exactly as decoding the whole frame up front and then routing it
+//!   would, for a loaded model and an unloaded one alike.
 
-use portnum_logic::{Formula, ModalIndex, ModelVariant};
+use portnum_logic::{Formula, Kripke, ModalIndex, ModelChecker, ModelVariant};
 use portnum_serve::framing::{read_frame, write_frame, FrameError};
 use portnum_serve::protocol::MAX_FRAME_LEN;
 use portnum_serve::{
@@ -18,6 +23,9 @@ use portnum_serve::{
     Server, ServerStats,
 };
 use proptest::prelude::*;
+use std::io::{BufReader, BufWriter};
+use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 // ---------------------------------------------------------------------
 // Strategies
@@ -58,6 +66,11 @@ fn bind_fixpoint(greatest: bool, index: ModalIndex, f: &Formula) -> Formula {
 /// as strings, so the distribution only needs to cover the grammar,
 /// µ/ν binders included.
 fn arb_formula() -> impl Strategy<Value = Formula> {
+    arb_formula_over(|| arb_index().boxed())
+}
+
+/// Random formulas whose modal indices come from `index`.
+fn arb_formula_over(index: fn() -> BoxedStrategy<ModalIndex>) -> impl Strategy<Value = Formula> {
     let leaf = prop_oneof![
         Just(Formula::top()),
         Just(Formula::bottom()),
@@ -68,9 +81,9 @@ fn arb_formula() -> impl Strategy<Value = Formula> {
             inner.clone().prop_map(|f| f.not()),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(&b)),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(&b)),
-            (arb_index(), 0usize..=3, inner.clone())
+            (index(), 0usize..=3, inner.clone())
                 .prop_map(|(index, k, f)| Formula::diamond_geq(index, k, &f)),
-            (any::<bool>(), arb_index(), inner)
+            (any::<bool>(), index(), inner)
                 .prop_map(|(greatest, index, f)| bind_fixpoint(greatest, index, &f)),
         ]
     })
@@ -404,4 +417,244 @@ fn oversized_prefix_closes_the_connection() {
     // Then EOF: the server hung up rather than guess at a boundary.
     assert!(read_frame(&mut reader).expect("clean close").is_none());
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Error parity: texts resolved on the shard answer as a full decode
+// ---------------------------------------------------------------------
+
+/// The model the parity server has loaded; `UNLOADED` names nothing.
+const LOADED: u64 = 7;
+const UNLOADED: u64 = 8;
+
+fn parity_spec() -> ModelSpec {
+    ModelSpec::gnp(24, 0.2, 5)
+}
+
+/// Texts that do not parse: an unbound variable, a shadowed binder, a
+/// non-monotone body, a free variable under a binder, and broken syntax.
+const BAD_TEXTS: [&str; 7] =
+    ["X", "mu X . mu X . X", "mu X . !X", "mu X . q1 | Y", "q1 &", "<*,*", ""];
+
+/// One text of a Check batch: a formula over any index family (most
+/// mismatch `K₋,₋`), one that surely does, one over `K₋,₋`'s own index,
+/// a text that does not parse, or bytes that are not UTF-8.
+fn arb_text() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        arb_formula().prop_map(|f| f.to_string().into_bytes()),
+        (arb_formula(), 0usize..3).prop_map(|(f, i)| {
+            Formula::diamond(ModalIndex::InOut(i, i), &f).to_string().into_bytes()
+        }),
+        arb_formula_over(|| Just(ModalIndex::Any).boxed()).prop_map(|f| f.to_string().into_bytes()),
+        arb_formula_over(|| Just(ModalIndex::Any).boxed()).prop_map(|f| f.to_string().into_bytes()),
+        (0..BAD_TEXTS.len()).prop_map(|i| BAD_TEXTS[i].as_bytes().to_vec()),
+        Just(vec![b'q', 0xff, b'1']),
+    ]
+}
+
+/// What happens to a well-formed Check body before it is sent. Nothing
+/// touches the opcode, so every body is still read as a Check.
+#[derive(Debug, Clone)]
+enum Mutation {
+    None,
+    /// Cut after `1 + at % (len - 1)` bytes.
+    Cut(usize),
+    /// Append junk.
+    Trailing(Vec<u8>),
+    /// Overwrite byte `1 + at % (len - 1)`.
+    Flip(usize, u8),
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        Just(Mutation::None),
+        Just(Mutation::None),
+        any::<usize>().prop_map(Mutation::Cut),
+        proptest::collection::vec(any::<u8>(), 1..6).prop_map(Mutation::Trailing),
+        (any::<usize>(), any::<u8>()).prop_map(|(at, b)| Mutation::Flip(at, b)),
+    ]
+}
+
+/// A Check body over `texts`, hand-encoded so texts need not parse.
+fn check_body(model: u64, texts: &[Vec<u8>], mutation: &Mutation) -> Vec<u8> {
+    let mut body = vec![0x04u8];
+    body.extend_from_slice(&model.to_le_bytes());
+    body.extend_from_slice(&(texts.len() as u32).to_le_bytes());
+    for text in texts {
+        body.extend_from_slice(&(text.len() as u32).to_le_bytes());
+        body.extend_from_slice(text);
+    }
+    let past_opcode = |at: usize, len: usize| 1 + at % (len - 1);
+    match mutation {
+        Mutation::None => {}
+        Mutation::Cut(at) => body.truncate(past_opcode(*at, body.len())),
+        Mutation::Trailing(junk) => body.extend_from_slice(junk),
+        Mutation::Flip(at, b) => {
+            let at = past_opcode(*at, body.len());
+            body[at] = *b;
+        }
+    }
+    body
+}
+
+/// A Check body decoded field by field, each text parsed as soon as it
+/// is read: the reference `Request::decode` must agree with. It shares
+/// no code with the frame walker, so it pins which error wins, a text
+/// that does not parse over a later `Truncated` or `TrailingBytes`
+/// included.
+fn sequential_check_decode(body: &[u8]) -> Result<Request, ProtocolError> {
+    let mut at = 0usize;
+    let mut take = |len: usize| -> Result<&[u8], ProtocolError> {
+        let end = at.checked_add(len).filter(|&end| end <= body.len());
+        let end = end.ok_or(ProtocolError::Truncated)?;
+        let out = &body[at..end];
+        at = end;
+        Ok(out)
+    };
+    assert_eq!(take(1)?, [0x04], "mutations keep the Check opcode");
+    let model = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
+    let count = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
+    if count.saturating_mul(4) > body.len() - 13 {
+        return Err(ProtocolError::Truncated);
+    }
+    let mut formulas = Vec::new();
+    for _ in 0..count {
+        let len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")) as usize;
+        let text = std::str::from_utf8(take(len)?).map_err(|_| ProtocolError::BadUtf8)?;
+        let formula = portnum_logic::parse(text)
+            .map_err(|e| ProtocolError::BadFormula(format!("{e} in {text:?}")))?;
+        formulas.push(formula);
+    }
+    if at != body.len() {
+        return Err(ProtocolError::TrailingBytes);
+    }
+    Ok(Request::Check { model, formulas })
+}
+
+/// The reply a server that decodes the whole frame before routing it
+/// gives: the decode error, or the check routed to the loaded model.
+fn routed_after_decode(body: &[u8], model: &Kripke) -> Response {
+    match Request::decode(body) {
+        Err(e) => Response::error(ErrorCode::Protocol, e.to_string()),
+        Ok(Request::Check { model: LOADED, formulas }) => {
+            match ModelChecker::new(model).check_suite(&formulas) {
+                Ok(truths) => Response::Truths {
+                    worlds: model.len() as u64,
+                    vectors: truths.iter().map(|b| b.words().to_vec()).collect(),
+                },
+                Err(e) => Response::error(ErrorCode::Logic, e.to_string()),
+            }
+        }
+        Ok(Request::Check { model, .. }) => {
+            Response::error(ErrorCode::NoSuchModel, format!("model {model} is not loaded"))
+        }
+        Ok(other) => panic!("mutations keep the Check opcode, decoded {other:?}"),
+    }
+}
+
+/// One connection to a server with `LOADED` loaded, shared by every
+/// parity case so the model's text memo warms up across them.
+struct ParityServer {
+    _server: Server,
+    model: Kripke,
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+}
+
+impl ParityServer {
+    fn call(&mut self, body: &[u8]) -> Response {
+        write_frame(&mut self.writer, body).expect("writing a frame");
+        let reply = read_frame(&mut self.reader).expect("reading").expect("a frame");
+        Response::decode(&reply).expect("decodable reply")
+    }
+
+    fn protocol_errors(&mut self) -> u64 {
+        match self.call(&Request::Stats.encode()) {
+            Response::Stats(s) => s.protocol_errors,
+            other => panic!("expected stats, got {other:?}"),
+        }
+    }
+}
+
+fn parity_server() -> MutexGuard<'static, ParityServer> {
+    static SERVER: OnceLock<Mutex<ParityServer>> = OnceLock::new();
+    SERVER
+        .get_or_init(|| {
+            let server = Server::start(ServeConfig::default()).expect("binding an ephemeral port");
+            let stream = TcpStream::connect(server.addr()).expect("connecting");
+            let mut parity = ParityServer {
+                _server: server,
+                model: parity_spec().build().expect("the spec builds"),
+                reader: BufReader::new(stream.try_clone().expect("cloning")),
+                writer: BufWriter::new(stream),
+            };
+            let load = Request::Load { model: LOADED, spec: parity_spec() };
+            assert!(matches!(parity.call(&load.encode()), Response::Loaded { .. }));
+            Mutex::new(parity)
+        })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The server's reply to a Check body equals what decoding it up
+    /// front and routing it yields, and every `Protocol` reply, the
+    /// shard's `BadFormula` frames included, counts in
+    /// `protocol_errors`.
+    #[test]
+    fn check_replies_match_decode_then_route(
+        loaded in any::<bool>(),
+        texts in proptest::collection::vec(arb_text(), 0..8),
+        mutation in arb_mutation(),
+    ) {
+        let body = check_body(if loaded { LOADED } else { UNLOADED }, &texts, &mutation);
+        prop_assert_eq!(Request::decode(&body), sequential_check_decode(&body), "body {:?}", body);
+        let mut server = parity_server();
+        let expected = routed_after_decode(&body, &server.model);
+        let before = server.protocol_errors();
+        let reply = server.call(&body);
+        let protocol = matches!(&reply, Response::Error(e) if e.code == ErrorCode::Protocol);
+        prop_assert_eq!(&reply, &expected, "body {:?}", body);
+        prop_assert_eq!(server.protocol_errors() - before, u64::from(protocol));
+    }
+}
+
+/// Each place a Check text can fail to parse counts one protocol error:
+/// a loaded model's shard, an unloaded model's shard, and a text after
+/// a memoised one in the same batch; beside a frame the connection
+/// layer rejects itself.
+#[test]
+fn shard_side_parse_failures_count_as_protocol_errors() {
+    let server = Server::start(ServeConfig::default()).expect("binding an ephemeral port");
+    let stream = TcpStream::connect(server.addr()).expect("connecting");
+    let mut reader = BufReader::new(stream.try_clone().expect("cloning"));
+    let mut writer = BufWriter::new(stream);
+    let mut call = |body: &[u8]| {
+        write_frame(&mut writer, body).expect("writing");
+        let reply = read_frame(&mut reader).expect("reading").expect("a frame");
+        Response::decode(&reply).expect("decodable reply")
+    };
+    let load = Request::Load { model: LOADED, spec: parity_spec() };
+    assert!(matches!(call(&load.encode()), Response::Loaded { .. }));
+    let good = b"<*,*>q1".to_vec();
+    let bad = b"mu X . !X".to_vec();
+    let warm = check_body(LOADED, std::slice::from_ref(&good), &Mutation::None);
+    assert!(matches!(call(&warm), Response::Truths { .. }));
+    for body in [
+        check_body(LOADED, std::slice::from_ref(&bad), &Mutation::None),
+        check_body(UNLOADED, std::slice::from_ref(&bad), &Mutation::None),
+        check_body(LOADED, &[good, bad], &Mutation::None),
+        vec![0xff],
+    ] {
+        match call(&body) {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::Protocol, "{body:?}"),
+            other => panic!("expected a protocol error frame for {body:?}, got {other:?}"),
+        }
+    }
+    match call(&Request::Stats.encode()) {
+        Response::Stats(s) => assert_eq!(s.protocol_errors, 4),
+        other => panic!("expected stats, got {other:?}"),
+    }
 }
