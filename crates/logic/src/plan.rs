@@ -93,6 +93,24 @@
 //!   reachability query totals O(edges) across *all* its iterations
 //!   instead of O(n · iterations).
 //!
+//! A cold run (from ⊥/⊤) **counts** each body diamond `⟨α⟩≥k φ` whose
+//! `φ` reads the accumulator, as the paper's multiset node counts the
+//! neighbours that send true: it keeps, per world, the number of its
+//! stored `α`-successor entries in `‖φ‖` (a repeated successor counts
+//! once per copy). The dense pass computes the counts with the counting
+//! CSC gather and reads the diamond's bits off them. Each later pass
+//! walks only the CSC rows of `φ`'s flips, moving each predecessor's
+//! count up where `φ` now holds and down where it fails, and re-checks a
+//! world only when its count crosses `k`. A flip therefore costs its
+//! predecessor row: there is no candidate list to sort, no successor row
+//! to walk again and no dense fallback, and the rows and count slots are
+//! prefetched a few flips ahead. The counts cost 4 bytes per world per
+//! counted diamond and live for one run: they are dropped when it
+//! converges, never cached, and not part of
+//! [`CheckerCache::cached_words`]. A counted diamond's dense pass always
+//! gathers through the CSC, whatever the [`DiamondMode`], since its later
+//! passes read the CSC anyway.
+//!
 //! Delta repair ([`ModelChecker::resume`]) restarts a cached top-level
 //! fixpoint *warm* instead of from ⊥/⊤. Its first repair rebuilds it
 //! and records the body's per-op values at convergence and a per-world
@@ -107,7 +125,10 @@
 //! keeps a derivation that avoids both the delta and the cone, so
 //! iteration restarts from the old value with the cone flipped out, and
 //! its first pass is a frontier pass seeded by the cone and the touched
-//! worlds together. The answers are bit-identical to a rebuild. A
+//! worlds together. Warm passes keep the candidate walk of the kernel
+//! below instead of counting: their frontiers stay near the delta, and
+//! counts that outlived a run would cost every cached fixpoint 4 bytes
+//! per world per diamond. The answers are bit-identical to a rebuild. A
 //! fixpoint still rebuilds wholesale on the first repair after a check
 //! (checks record no state), when its cone reaches a quarter of the
 //! universe or its support checks scan what a dense body pass scans,
@@ -133,16 +154,22 @@
 //! *candidate* worlds:
 //!
 //! * `Prop`: the directly read worlds;
-//! * `¬`, `∧`, `∨`: the union of the operands' flips;
+//! * `¬`, `∧`, `∨`: the union of the operands' flips — one operand's list
+//!   as it is when the other is clean, sorted and deduplicated only when
+//!   both flipped;
 //! * `⟨α⟩`: the directly read worlds plus the predecessors, under `α`
-//!   alone ([`Kripke::predecessors_csc`]), of the inner flips.
+//!   alone ([`Kripke::predecessors_csc`]), of the inner flips, sorted and
+//!   deduplicated; each is then re-evaluated by walking its successor
+//!   row.
 //!
 //! Each op runs one point loop over its candidates, the same function
 //! per world as the dense evaluator. Once the candidates reach a quarter of
 //! the universe it recomputes the op densely and diffs the words
-//! instead. Either way it records the worlds that actually flipped, and
-//! these seed the op's consumers, so a change the formula cannot
-//! observe dies out after one ring. The callers keep what differs:
+//! instead. Either way it records the worlds that actually flipped, each
+//! once, and these seed the op's consumers, so a change the formula
+//! cannot observe dies out after one ring. A cold fixpoint run's counted
+//! diamonds (see *Fixpoints*) bypass this kernel; their flips come in
+//! row-walk order, not ascending, and every consumer takes them as a set. The callers keep what differs:
 //! `Var` and nested fixpoints (iteration), top-level fixpoints after a
 //! delta (repair: a warm restart runs this kernel over the body with
 //! the touched set as its directly read worlds, a rebuild does not),
@@ -221,6 +248,7 @@ use portnum_graph::intern::{hash_bytes, InternArena};
 use portnum_graph::partition::{encode_threads, quantile_ranges, FxHashMap, Parallelism};
 use portnum_graph::pool::WorkerPool;
 use portnum_graph::resilience::{ExecControl, Interrupted};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -234,7 +262,8 @@ pub enum DiamondMode {
     /// default).
     #[default]
     Auto,
-    /// Always walk the forward CSR rows.
+    /// Always walk the forward CSR rows (a cold fixpoint run's counted
+    /// diamonds excepted: they gather through the CSC in every mode).
     Forward,
     /// Always use the CSC gather ([`Kripke::predecessors_csc`]), any
     /// grade, any model size.
@@ -349,8 +378,11 @@ pub struct ExecStats {
     pub fixpoint_iters: usize,
     /// World-bits re-evaluated by frontier iteration passes: the
     /// point-repaired candidate worlds, plus `n` for every body op
-    /// that fell back to a dense recompute. The o(n · iters) figure
-    /// the differential suite pins on path-shaped models.
+    /// that fell back to a dense recompute, plus, for a counted diamond
+    /// of a cold run, the worlds whose count crossed the grade (its
+    /// count moves, one per predecessor entry of its operand's flips,
+    /// are not counted here). The o(n · iters) figure the differential
+    /// suite pins on path-shaped models.
     pub fixpoint_frontier_worlds: usize,
     /// Whole-body dense evaluation passes: the first iteration of
     /// every fixpoint.
@@ -1229,7 +1261,9 @@ fn eval_op_into<'a>(
 /// engine as the straight-line executor, with `Var` reading the
 /// current accumulator and `Arg` the resolved external inputs. Heavy
 /// `Prop`/`Diamond` body ops chunk over the pool exactly as top-level
-/// instructions do.
+/// instructions do, except a counted diamond (`counts[i]` set), which
+/// fills its counts with the sequential counting gather
+/// ([`csc_count_into`]).
 #[allow(clippy::too_many_arguments)]
 fn body_dense_pass(
     model: &Kripke,
@@ -1239,6 +1273,7 @@ fn body_dense_pass(
     x: &Bitset,
     arg_vals: &[&Bitset],
     vals: &mut [Bitset],
+    counts: &mut [Option<Vec<u32>>],
     stats: &mut ExecStats,
     ctl: &ExecControl,
     par: Parallelism,
@@ -1248,10 +1283,15 @@ fn body_dense_pass(
         // Take the value slot so sibling slots stay borrowable; every
         // arm fully overwrites it.
         let mut out = std::mem::take(&mut vals[i]);
-        match op {
-            Op::Var => out.copy_from(x),
-            Op::Arg(k) => out.copy_from(arg_vals[k as usize]),
-            Op::Fixpoint(b) => {
+        match (op, counts[i].as_mut()) {
+            (Op::Var, _) => out.copy_from(x),
+            (Op::Arg(k), _) => out.copy_from(arg_vals[k as usize]),
+            (Op::Diamond { rel, grade, inner }, Some(counts)) => {
+                stats.csc_diamonds += 1;
+                let csc = model.predecessors_csc(rel as usize);
+                csc_count_into(csc, grade, &vals[inner as usize], model.len(), counts, &mut out);
+            }
+            (Op::Fixpoint(b), _) => {
                 eval_fixpoint_into(
                     model,
                     mode,
@@ -1265,7 +1305,7 @@ fn body_dense_pass(
                     FixStart::Cold,
                 )?;
             }
-            _ => {
+            (_, _) => {
                 let op_threads = match op {
                     Op::Prop(_) | Op::Diamond { .. } => par.threads(op_work_for(model, bodies, op)),
                     _ => 1,
@@ -1289,8 +1329,10 @@ fn body_dense_pass(
 /// since the values were computed (a delta's touched set on a warm
 /// restart, empty inside one run). The repaired values are
 /// bit-identical to a dense pass — the contract the differential µ
-/// suite pins. Flips land in `changed[i]` (ascending, deduplicated);
-/// `changed[body.root]` is the accumulator's next flip set.
+/// suite pins. Flips land in `changed[i]`, each world once, in no fixed
+/// order; `changed[body.root]` is the accumulator's next flip set. An op
+/// with `counts[i]` set is a counted diamond ([`count_flips`]); every
+/// other op goes through [`propagate_op`].
 #[allow(clippy::too_many_arguments)]
 fn body_frontier_pass(
     model: &Kripke,
@@ -1302,6 +1344,7 @@ fn body_frontier_pass(
     direct: &[u32],
     vals: &mut [Bitset],
     changed: &mut [Vec<u32>],
+    counts: &mut [Option<Vec<u32>>],
     stats: &mut ExecStats,
     ctl: &ExecControl,
     par: Parallelism,
@@ -1312,10 +1355,10 @@ fn body_frontier_pass(
         let cur = &mut rest[0];
         let (prev_changed, rest_changed) = changed.split_at_mut(i);
         let flips = &mut rest_changed[0];
-        match op {
+        match (op, counts[i].as_mut()) {
             // `Var` holds the previous accumulator, which moved exactly
             // at its recorded flips.
-            Op::Var => {
+            (Op::Var, _) => {
                 for &v in x_changed {
                     cur.set(v as usize, x.get(v as usize));
                 }
@@ -1328,7 +1371,7 @@ fn body_frontier_pass(
             // again — its accumulator restarts from ⊥/⊤, so stale
             // per-iteration state cannot be reused); the flips its
             // consumers need fall out of a word diff.
-            Op::Fixpoint(b) => {
+            (Op::Fixpoint(b), _) => {
                 flips.clear();
                 if !direct.is_empty()
                     || bodies[b as usize].args.iter().any(|&a| !prev_changed[a as usize].is_empty())
@@ -1350,7 +1393,18 @@ fn body_frontier_pass(
                     *cur = next;
                 }
             }
-            _ => match propagate_op(
+            (Op::Diamond { rel, grade, inner }, Some(counts)) => {
+                stats.fixpoint_frontier_worlds += count_flips(
+                    model.predecessors_csc(rel as usize),
+                    grade,
+                    &prev[inner as usize],
+                    &prev_changed[inner as usize],
+                    counts,
+                    cur,
+                    flips,
+                );
+            }
+            (_, _) => match propagate_op(
                 model,
                 mode,
                 op,
@@ -1390,8 +1444,11 @@ enum Propagation {
 /// (`flips_of`) and the worlds where the model changed under an op that
 /// reads it directly (`direct`).
 ///
-/// `flips` is overwritten with the worlds where `cur` flipped,
-/// ascending. `cur` is only fetched when some candidate exists, so a
+/// `flips` is overwritten with the worlds where `cur` flipped, each
+/// once. They are ascending unless the op passed one operand's flips
+/// through as its candidates (`¬`, or `∧`/`∨` with one clean operand)
+/// and those were unordered, as a counted diamond's are
+/// ([`count_flips`]). `cur` is only fetched when some candidate exists, so a
 /// copy-on-write store is never copied for a clean op. `Var` and
 /// `Fixpoint` are the callers' business; `Arg` is an input fixed for
 /// the whole run, like a constant.
@@ -1408,30 +1465,34 @@ fn propagate_op<'a, 'c>(
     stats: &mut ExecStats,
 ) -> Propagation {
     flips.clear();
-    // Candidate worlds, ascending and deduplicated.
-    let candidates: Vec<u32> = match op {
-        Op::Top | Op::Bottom | Op::Arg(_) => Vec::new(),
-        Op::Prop(_) => direct.to_vec(),
-        Op::Not(a) => flips_of(a).to_vec(),
-        Op::And(a, b) | Op::Or(a, b) => {
-            let mut c: Vec<u32> = flips_of(a).iter().chain(flips_of(b)).copied().collect();
-            c.sort_unstable();
-            c.dedup();
-            c
-        }
-        Op::Diamond { rel, inner, .. } => {
-            let mut c = direct.to_vec();
-            let inner_flips = flips_of(inner);
-            if !inner_flips.is_empty() {
+    // Candidate worlds, each once. A single input's list is borrowed as
+    // it is; only a merge of several is sorted and deduplicated.
+    let candidates: Cow<'_, [u32]> = match op {
+        Op::Top | Op::Bottom | Op::Arg(_) => Cow::Borrowed(&[]),
+        Op::Prop(_) => Cow::Borrowed(direct),
+        Op::Not(a) => Cow::Borrowed(flips_of(a)),
+        Op::And(a, b) | Op::Or(a, b) => match (flips_of(a), flips_of(b)) {
+            ([], only) | (only, []) => Cow::Borrowed(only),
+            (fa, fb) => {
+                let mut c = [fa, fb].concat();
+                c.sort_unstable();
+                c.dedup();
+                Cow::Owned(c)
+            }
+        },
+        Op::Diamond { rel, inner, .. } => match flips_of(inner) {
+            [] => Cow::Borrowed(direct),
+            inner_flips => {
+                let mut c = direct.to_vec();
                 let csc = model.predecessors_csc(rel as usize);
                 for &w in inner_flips {
                     c.extend_from_slice(csc.row(w as usize));
                 }
                 c.sort_unstable();
                 c.dedup();
+                Cow::Owned(c)
             }
-            c
-        }
+        },
         Op::Var | Op::Fixpoint(_) => unreachable!("Var and Fixpoint are propagated by the caller"),
     };
     if candidates.is_empty() {
@@ -1725,6 +1786,33 @@ fn holds_at(
     })
 }
 
+/// Per op of `body`, `Some` (counts still to fill) for the diamonds a
+/// cold run counts — those whose inner op reads the accumulator, directly
+/// or through a nested binder's external inputs — and `None` for every
+/// other op, whose value cannot move within one cold run or is not a
+/// diamond.
+fn counted_diamonds(bodies: &[FixBody], body: &FixBody) -> Vec<Option<Vec<u32>>> {
+    let mut reads_x = vec![false; body.ops.len()];
+    for (i, &op) in body.ops.iter().enumerate() {
+        reads_x[i] = match op {
+            Op::Var => true,
+            Op::Fixpoint(b) => bodies[b as usize].args.iter().any(|&a| reads_x[a as usize]),
+            _ => {
+                let mut reads = false;
+                op.for_each_operand(|a| reads |= reads_x[a as usize]);
+                reads
+            }
+        };
+    }
+    body.ops
+        .iter()
+        .map(|&op| match op {
+            Op::Diamond { inner, .. } if reads_x[inner as usize] => Some(Vec::new()),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Iterate-until-stable evaluation of one [`Op::Fixpoint`]
 /// instruction: Kleene iteration of `bodies[b]`, from ⊥ (µ) or ⊤ (ν)
 /// or warm from a recorded state (see [`FixStart`]). A cold first
@@ -1788,6 +1876,12 @@ fn eval_fixpoint_into<'a>(
         }
     };
     let mut changed: Vec<Vec<u32>> = vec![Vec::new(); body.ops.len()];
+    // A cold run counts its accumulator-reading diamonds; a warm restart
+    // keeps the candidate walk (see the module docs).
+    let mut counts = match warm {
+        None => counted_diamonds(bodies, body),
+        Some(_) => vec![None; body.ops.len()],
+    };
     let mut x = match warm {
         Some((_, cone, _)) => {
             let mut x = vals[root].clone();
@@ -1822,13 +1916,26 @@ fn eval_fixpoint_into<'a>(
         match (iters, warm) {
             (1, None) => {
                 stats.fixpoint_dense_passes += 1;
-                body_dense_pass(model, mode, bodies, body, &x, &arg_vals, vals, stats, ctl, par)?;
+                body_dense_pass(
+                    model, mode, bodies, body, &x, &arg_vals, vals, &mut counts, stats, ctl, par,
+                )?;
                 x_changed.clear();
                 x.for_each_difference(&vals[root], |v| x_changed.push(v as u32));
             }
             (1, Some((_, cone, direct))) => {
                 body_frontier_pass(
-                    model, mode, bodies, body, &x, cone, direct, vals, &mut changed, stats, ctl,
+                    model,
+                    mode,
+                    bodies,
+                    body,
+                    &x,
+                    cone,
+                    direct,
+                    vals,
+                    &mut changed,
+                    &mut counts,
+                    stats,
+                    ctl,
                     par,
                 )?;
                 // The accumulator left the old value at the cone and the
@@ -1842,7 +1949,18 @@ fn eval_fixpoint_into<'a>(
             }
             _ => {
                 body_frontier_pass(
-                    model, mode, bodies, body, &x, &x_changed, &[], vals, &mut changed, stats, ctl,
+                    model,
+                    mode,
+                    bodies,
+                    body,
+                    &x,
+                    &x_changed,
+                    &[],
+                    vals,
+                    &mut changed,
+                    &mut counts,
+                    stats,
+                    ctl,
                     par,
                 )?;
                 x_changed.clear();
@@ -1955,7 +2073,8 @@ fn diamond_impl(
 /// the worlds satisfying `φ`. Grade 1 unions rows bit by bit; grade
 /// ≥ 2 scatter-counts into a per-world array, inserting a world the
 /// moment its count reaches the grade (duplicate stored edges count
-/// once each, matching the forward walk's semantics).
+/// once each, matching the forward walk's semantics; see
+/// [`csc_count_into`]).
 fn csc_gather_into(
     csc: &CscAdjacency,
     grade: usize,
@@ -1971,17 +2090,108 @@ fn csc_gather_into(
             }
         }
     } else {
-        let mut counts = vec![0u32; n];
-        for u in sat.iter_ones() {
-            for &v in csc.row(u) {
-                let c = &mut counts[v as usize];
-                *c += 1;
-                if *c as usize == grade {
-                    out.insert(v as usize);
-                }
+        csc_count_into(csc, grade, sat, n, &mut Vec::new(), out);
+    }
+}
+
+/// The counting CSC gather, keeping its counts: `counts[v]` becomes the
+/// number of `v`'s stored successor entries in `sat` (the whole CSC
+/// entry scan, no early exit), and `out` the worlds whose count reaches
+/// `grade`. A counted diamond's dense pass ([`body_dense_pass`]); its
+/// later passes move the counts by [`count_flips`]. Counts compare with
+/// the grade as `usize`, so a grade past `u32::MAX` is never reached
+/// rather than truncated.
+fn csc_count_into(
+    csc: &CscAdjacency,
+    grade: usize,
+    sat: &Bitset,
+    n: usize,
+    counts: &mut Vec<u32>,
+    out: &mut Bitset,
+) {
+    out.assign_zeros(n);
+    counts.clear();
+    counts.resize(n, 0);
+    for u in sat.iter_ones() {
+        for &v in csc.row(u) {
+            let c = &mut counts[v as usize];
+            *c += 1;
+            if *c as usize == grade {
+                out.insert(v as usize);
             }
         }
     }
+}
+
+/// How many flips ahead [`count_flips`] prefetches: CSC rows at twice
+/// this distance, the count slots of a row at this distance (its row
+/// entries were fetched a stride earlier).
+const COUNT_PREFETCH: usize = 4;
+
+/// One frontier pass of a counted diamond `⟨α⟩≥grade φ` (see the module
+/// docs): for each world of `inner_flips`, where `‖φ‖` (now `inner`)
+/// flipped, moves the count of every entry of its CSC row (`csc`) by
+/// one, up where `φ` now holds and down where it fails. A world whose
+/// count crossed the grade is re-checked against `cur`, which it flips
+/// when `count ≥ grade` now disagrees with it. `flips` is overwritten
+/// with those worlds, each once, in walk order. Returns how many
+/// crossings were re-checked.
+///
+/// `counts` must hold the counts of the `inner` value before these
+/// flips, as [`csc_count_into`] or an earlier call left them; `inner`
+/// must differ from that value exactly at `inner_flips`, each listed
+/// once.
+fn count_flips(
+    csc: &CscAdjacency,
+    grade: usize,
+    inner: &Bitset,
+    inner_flips: &[u32],
+    counts: &mut [u32],
+    cur: &mut Bitset,
+    flips: &mut Vec<u32>,
+) -> usize {
+    flips.clear();
+    for (i, &w) in inner_flips.iter().enumerate() {
+        if let Some(&far) = inner_flips.get(i + 2 * COUNT_PREFETCH) {
+            csc.prefetch_row(far as usize);
+        }
+        if let Some(&near) = inner_flips.get(i + COUNT_PREFETCH) {
+            for &v in csc.row(near as usize) {
+                blocking::prefetch_read(counts, v as usize);
+            }
+        }
+        let row = csc.row(w as usize);
+        if inner.get(w as usize) {
+            for &v in row {
+                let c = &mut counts[v as usize];
+                *c += 1;
+                if *c as usize == grade {
+                    flips.push(v);
+                }
+            }
+        } else {
+            for &v in row {
+                let c = &mut counts[v as usize];
+                if *c as usize == grade {
+                    flips.push(v);
+                }
+                *c -= 1;
+            }
+        }
+    }
+    let crossings = flips.len();
+    // A world may have crossed and crossed back; it flips only where its
+    // final count disagrees with `cur`, and then only once, since `cur`
+    // agrees with it after the first check.
+    flips.retain(|&v| {
+        let now = counts[v as usize] as usize >= grade;
+        let moved = cur.get(v as usize) != now;
+        if moved {
+            cur.set(v as usize, now);
+        }
+        moved
+    });
+    crossings
 }
 
 /// The forward CSR diamond sweep of one world range, tiled over the
@@ -4268,6 +4478,32 @@ mod tests {
                     assert!(stats.fixpoints > 0, "{f} lowered without a fixpoint instruction");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn counted_diamonds_never_truncate_a_grade_past_u32() {
+        // 2³² + 1 truncated to a `u32` count threshold would read as
+        // grade 1 and change every answer below; compared as `usize` it
+        // is never reached.
+        let parse = |s: &str| crate::parser::parse(s).unwrap();
+        let cases = [
+            (Kripke::k_mm(&generators::path(9)), "mu X . q1 | <*,*>>=4294967297 X"),
+            (Kripke::k_mm(&generators::path(9)), "mu X . q1 | !<*,*>>=4294967297 !X"),
+            (Kripke::k_mm(&generators::cycle(9)), "nu X . q2 & <*,*>>=4294967297 X"),
+            (Kripke::k_mm(&generators::path(9)), "nu X . q2 & !<*,*>>=4294967297 !X"),
+        ];
+        for (k, text) in &cases {
+            let f = parse(text);
+            let want = evaluate_packed_recursive(k, &f).unwrap();
+            let truncated = evaluate_packed_recursive(k, &parse(&text.replace("4294967297", "1")))
+                .unwrap();
+            assert_ne!(want, truncated, "{text}: the grade must matter here");
+            let plan = Plan::compile(k, &f).unwrap();
+            for mode in [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Csc] {
+                assert_eq!(plan.execute_with(k, mode).0[0], want, "{text} under {mode:?}");
+            }
+            assert_eq!(*ModelChecker::new(k).check(&f).unwrap(), want, "checker on {text}");
         }
     }
 

@@ -63,12 +63,16 @@ pub fn arb_formula_with(mk: fn(usize, usize) -> ModalIndex) -> impl Strategy<Val
 ///
 /// `open(lo, next, depth)` generates formulas whose variable leaves are
 /// drawn from `{X{lo}, …, X{next-1}}` — the binders in scope whose
-/// occurrence here would be positive. Negation recurses with `lo =
+/// occurrence here would be positive. A lone negation recurses with `lo =
 /// next` (no outer variable may appear under it, keeping positivity),
 /// a binder introduces the globally fresh name `X{next}` (so shadowing
 /// never arises), and every other connective passes the window
-/// through. The root is always a binder, so every draw is a closed
-/// formula containing at least one fixpoint.
+/// through — the graded box `¬⟨α⟩≥k ¬φ` ([`Formula::box_`] at `k = 1`)
+/// included, whose two negations leave an open `φ` positive. Under a box
+/// a growing accumulator makes the inner diamond's operand *lose*
+/// worlds, so µ bodies exercise the down-counting of a counted diamond,
+/// not only ν bodies. The root is always a binder, so every draw is a
+/// closed formula containing at least one fixpoint.
 pub fn arb_mu_formula(mk: fn(usize, usize) -> ModalIndex) -> impl Strategy<Value = Formula> {
     fn open(
         mk: fn(usize, usize) -> ModalIndex,
@@ -97,6 +101,8 @@ pub fn arb_mu_formula(mk: fn(usize, usize) -> ModalIndex) -> impl Strategy<Value
                 .prop_map(|(a, b)| a.or(&b)),
             (0usize..=3, 0usize..=2, 0usize..=2, open(mk, lo, next, depth - 1))
                 .prop_map(move |(k, i, j, f)| Formula::diamond_geq(mk(i, j), k, &f)),
+            (1usize..=3, 0usize..=2, 0usize..=2, open(mk, lo, next, depth - 1))
+                .prop_map(move |(k, i, j, f)| Formula::diamond_geq(mk(i, j), k, &f.not()).not()),
             (any::<bool>(), open(mk, lo, next + 1, depth - 1)).prop_map(move |(greatest, body)| {
                 let name = format!("X{next}");
                 if greatest {

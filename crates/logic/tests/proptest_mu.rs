@@ -6,27 +6,31 @@
 //! reference in [`evaluate_packed_recursive`] — whole-body
 //! re-evaluation per iteration, no frontier, no plan. The strategies
 //! generate *closed* formulas only: every `Var` sits under a binder
-//! introducing it, and negation is applied only to closed subformulas,
-//! so positivity holds by construction and the checked `mu`/`nu`
+//! introducing it, and a lone negation is applied only to closed
+//! subformulas (a graded box's two negations may wrap an open one), so
+//! positivity holds by construction and the checked `mu`/`nu`
 //! constructors never fail.
 //!
-//! A deterministic pin at the bottom asserts the frontier accounting on
-//! path models: after the first dense iteration the wave front is O(1)
-//! worlds per step, so total touched worlds stay o(n · iterations).
+//! Deterministic pins at the bottom assert the frontier accounting on
+//! path models (after the first dense iteration the wave front is O(1)
+//! worlds per step, so total touched worlds stay o(n · iterations)) and
+//! that counted diamonds count every stored copy of a repeated
+//! successor, moving up and down, in µ and ν bodies.
 
 mod common;
 
 use common::{arb_graph, arb_mu_formula, execute_pinned};
 use portnum_graph::partition::Parallelism;
 use portnum_logic::plan::{DiamondMode, ModelChecker, Plan};
-use portnum_logic::{evaluate_packed_recursive, Formula, Kripke, ModalIndex};
+use portnum_logic::{evaluate_packed_recursive, Formula, Kripke, ModalIndex, ModelVariant};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use portnum_graph::{generators, PortNumbering};
+use std::collections::BTreeMap;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn fixpoint_plans_match_kleene_on_all_variants_and_modes(
@@ -113,4 +117,61 @@ fn frontier_iteration_touches_o_of_n_iters_worlds_on_paths() {
             stats.fixpoint_frontier_worlds,
         );
     }
+}
+
+/// Counted diamonds count stored entries, not distinct successors: on a
+/// hand-built model whose rows repeat successors (`Kripke::from_parts`
+/// keeps every copy), graded µ and ν bodies whose diamonds gain worlds
+/// (`⟨⟩≥g X` under µ, the box under ν) and lose them (the box under µ,
+/// `⟨⟩≥g X` under ν) match the Kleene reference in every diamond mode.
+#[test]
+fn counted_diamonds_count_repeated_successors_up_and_down() {
+    let rows: Vec<Vec<usize>> = vec![
+        vec![1, 1, 2],
+        vec![0, 3, 3],
+        vec![2, 2, 4],
+        vec![5, 5, 5],
+        vec![6, 6],
+        vec![7, 7, 3],
+        vec![],
+        vec![0, 4, 4, 7],
+    ];
+    let degrees = vec![0, 2, 0, 2, 1, 0, 1, 2];
+    let build = |rows: Vec<Vec<usize>>| {
+        let relations = BTreeMap::from([(ModalIndex::Any, rows)]);
+        Kripke::from_parts(ModelVariant::MinusMinus, degrees.clone(), relations)
+            .expect("rows stay in range")
+    };
+    let k = build(rows.clone());
+    let deduped = build(
+        rows.iter()
+            .map(|r| r.iter().copied().collect::<std::collections::BTreeSet<_>>().into_iter().collect())
+            .collect(),
+    );
+    let x = Formula::var("X");
+    let goal = Formula::prop(1);
+    let mut copies_matter = false;
+    for grade in [2usize, 3] {
+        let dia = Formula::diamond_geq(ModalIndex::Any, grade, &x);
+        let graded_box = Formula::diamond_geq(ModalIndex::Any, grade, &x.not()).not();
+        let formulas = [
+            Formula::mu("X", &goal.or(&dia)).unwrap(),
+            Formula::mu("X", &goal.or(&graded_box)).unwrap(),
+            Formula::nu("X", &goal.not().and(&dia)).unwrap(),
+            Formula::nu("X", &goal.not().and(&graded_box)).unwrap(),
+        ];
+        for f in &formulas {
+            let want = evaluate_packed_recursive(&k, f).unwrap();
+            copies_matter |= want != evaluate_packed_recursive(&deduped, f).unwrap();
+            let plan = Plan::compile(&k, f).unwrap();
+            for mode in [DiamondMode::Auto, DiamondMode::Forward, DiamondMode::Csc] {
+                let (mut got, stats) = plan.execute_with(&k, mode);
+                assert_eq!(got.pop().unwrap(), want, "{f} under {mode:?}");
+                assert!(stats.fixpoint_iters > 1, "{f} must iterate past its dense pass");
+            }
+            let mut checker = ModelChecker::new(&k);
+            assert_eq!(*checker.check(f).unwrap(), want, "checker on {f}");
+        }
+    }
+    assert!(copies_matter, "the repeated successors must change some answer");
 }

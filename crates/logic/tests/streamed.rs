@@ -1,6 +1,6 @@
 //! The streaming model-construction differentials.
 //!
-//! Two claims are pinned here:
+//! Three claims are pinned here:
 //!
 //! 1. **Streamed ≡ Vec-built, all four variants.** A model assembled
 //!    by [`KripkeBuilder`]'s two-pass streaming CSR construction is
@@ -17,6 +17,13 @@
 //!    forced-parallel, and Auto executors — the at-scale version of
 //!    the proptest matrices, run under every CI knob combination like
 //!    the rest of this suite.
+//!
+//! 3. **Counted fixpoints at scale.** Reachability and box-form safety
+//!    fixpoints on streamed paths with goals 100 and 10 000 worlds apart
+//!    (1 000 in debug) match the Kleene reference bit for bit, and
+//!    their frontier work stays within a count fixed by the body's
+//!    shape. The reference iterates the whole model about `spacing / 2`
+//!    times, so this leg takes about two minutes in release on 2 vCPUs.
 
 mod common;
 
@@ -24,7 +31,7 @@ use common::{arb_graph, execute_pinned};
 use portnum_graph::partition::Parallelism;
 use portnum_graph::{generators, Graph, Port, PortNumbering};
 use portnum_logic::plan::{DiamondMode, Plan};
-use portnum_logic::{Formula, Kripke, KripkeBuilder, ModalIndex, ModelVariant};
+use portnum_logic::{evaluate_packed_recursive, Formula, Kripke, KripkeBuilder, ModalIndex, ModelVariant};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -140,4 +147,55 @@ fn million_world_streamed_path_evaluates_identically_across_executors() {
     // distance ≤ 1 from an endpoint lack.
     assert_eq!(seq[0].count_ones(), n - 2, "q2 ∪ ⟨⟩q1 covers exactly the interior");
     assert_eq!(seq[1].count_ones(), n - 4, "⟨⟩₂q₂ holds away from both endpoints");
+}
+
+/// Goal spacings of the fixpoint smoke. The Kleene reference pays one
+/// whole-model pass per iteration, about `spacing / 2` of them, so debug
+/// builds cap the wide spacing as they cap [`SMOKE_WORLDS`].
+const SMOKE_SPACINGS: [usize; 2] = if cfg!(debug_assertions) { [100, 1_000] } else { [100, 10_000] };
+
+/// The spaced-goal path of the fixpoint smoke: `SMOKE_WORLDS` worlds with
+/// a `q1` goal every `spacing` positions and `q0` elsewhere (the shape of
+/// the benchmark crate's `huge_reachability`).
+fn spaced_goal_path(n: usize, spacing: usize) -> Kripke {
+    KripkeBuilder::new(ModelVariant::MinusMinus, n)
+        .relation(ModalIndex::Any, move || generators::path_edges(n))
+        .degrees((0..n).map(|v| usize::from(v % spacing == 0)).collect())
+        .build()
+        .expect("path stream stays in range")
+}
+
+/// Counted diamonds at scale: reachability `µX. q1 ∨ ⟨*⟩X` and the
+/// box-form safety `νX. ¬q1 ∧ [*]X` on spaced-goal paths, bit-identical
+/// to the Kleene reference, with the frontier work bounded by a count.
+/// Each body op that reads the accumulator moves one way, so it flips a
+/// world at most once (a counted diamond's count crosses its grade at
+/// most once), and the frontier passes re-check at most `n` worlds per
+/// such op however the goals are spaced: three ops for reachability
+/// (`X`, `⟨*⟩X`, the `∨`), five for safety (`X`, `¬X`, `⟨*⟩¬X`, its
+/// negation, the `∧`).
+#[test]
+fn spaced_goal_fixpoints_match_kleene_with_bounded_frontiers() {
+    let n = SMOKE_WORLDS;
+    let x = Formula::var("X");
+    let reach =
+        Formula::mu("X", &Formula::prop(1).or(&Formula::diamond(ModalIndex::Any, &x))).unwrap();
+    let safe =
+        Formula::nu("X", &Formula::prop(1).not().and(&Formula::box_(ModalIndex::Any, &x))).unwrap();
+    for spacing in SMOKE_SPACINGS {
+        let k = spaced_goal_path(n, spacing);
+        for (f, holds, moving_ops) in [(&reach, n, 3), (&safe, 0, 5)] {
+            let plan = Plan::compile(&k, f).expect("fixpoint compiles");
+            let (mut out, stats) = execute_pinned(&plan, &k, DiamondMode::Auto, Parallelism::Off);
+            let got = out.pop().expect("one root");
+            assert_eq!(got.count_ones(), holds, "{f} at spacing {spacing}");
+            assert_eq!(got, evaluate_packed_recursive(&k, f).unwrap(), "{f} at spacing {spacing}");
+            assert!(stats.fixpoint_iters >= spacing / 2, "{f}: goals {spacing} apart: {stats:?}");
+            assert!(
+                stats.fixpoint_frontier_worlds <= moving_ops * n,
+                "{f} at spacing {spacing}: {} frontier worlds over {n} worlds",
+                stats.fixpoint_frontier_worlds,
+            );
+        }
+    }
 }
