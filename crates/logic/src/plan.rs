@@ -169,14 +169,15 @@
 //! once, and these seed the op's consumers, so a change the formula
 //! cannot observe dies out after one ring. A cold fixpoint run's counted
 //! diamonds (see *Fixpoints*) bypass this kernel; their flips come in
-//! row-walk order, not ascending, and every consumer takes them as a set. The callers keep what differs:
-//! `Var` and nested fixpoints (iteration), top-level fixpoints after a
-//! delta (repair: a warm restart runs this kernel over the body with
-//! the touched set as its directly read worlds, a rebuild does not),
-//! where values are stored, and their stats. Since the cone of a warm
-//! restart holds only the worlds that lost every derivation, the first
-//! pass's candidates stay near the delta even where every world has
-//! several parents, below the dense fallback.
+//! row-walk order, not ascending, and every consumer takes flips as a
+//! set. The callers keep what differs: `Var` and nested fixpoints
+//! (iteration), top-level fixpoints after a delta (repair: a warm
+//! restart runs this kernel over the body with the touched set as its
+//! directly read worlds, a rebuild does not), where values are stored,
+//! and their stats. Since the cone of a warm restart holds only the
+//! worlds that lost every derivation, the first pass's candidates stay
+//! near the delta even where every world has several parents, below the
+//! dense fallback.
 //!
 //! # Parallel execution
 //!
@@ -1305,7 +1306,7 @@ fn body_dense_pass(
                     FixStart::Cold,
                 )?;
             }
-            (_, _) => {
+            _ => {
                 let op_threads = match op {
                     Op::Prop(_) | Op::Diamond { .. } => par.threads(op_work_for(model, bodies, op)),
                     _ => 1,
@@ -1404,7 +1405,7 @@ fn body_frontier_pass(
                     flips,
                 );
             }
-            (_, _) => match propagate_op(
+            _ => match propagate_op(
                 model,
                 mode,
                 op,
@@ -1448,8 +1449,8 @@ enum Propagation {
 /// once. They are ascending unless the op passed one operand's flips
 /// through as its candidates (`¬`, or `∧`/`∨` with one clean operand)
 /// and those were unordered, as a counted diamond's are
-/// ([`count_flips`]). `cur` is only fetched when some candidate exists, so a
-/// copy-on-write store is never copied for a clean op. `Var` and
+/// ([`count_flips`]). `cur` is only fetched when some candidate exists,
+/// so a copy-on-write store is never copied for a clean op. `Var` and
 /// `Fixpoint` are the callers' business; `Arg` is an input fixed for
 /// the whole run, like a constant.
 #[allow(clippy::too_many_arguments)]
@@ -1924,19 +1925,8 @@ fn eval_fixpoint_into<'a>(
             }
             (1, Some((_, cone, direct))) => {
                 body_frontier_pass(
-                    model,
-                    mode,
-                    bodies,
-                    body,
-                    &x,
-                    cone,
-                    direct,
-                    vals,
-                    &mut changed,
-                    &mut counts,
-                    stats,
-                    ctl,
-                    par,
+                    model, mode, bodies, body, &x, cone, direct, vals, &mut changed, &mut counts,
+                    stats, ctl, par,
                 )?;
                 // The accumulator left the old value at the cone and the
                 // root at its flips; it moves next where the two now
@@ -1949,19 +1939,8 @@ fn eval_fixpoint_into<'a>(
             }
             _ => {
                 body_frontier_pass(
-                    model,
-                    mode,
-                    bodies,
-                    body,
-                    &x,
-                    &x_changed,
-                    &[],
-                    vals,
-                    &mut changed,
-                    &mut counts,
-                    stats,
-                    ctl,
-                    par,
+                    model, mode, bodies, body, &x, &x_changed, &[], vals, &mut changed,
+                    &mut counts, stats, ctl, par,
                 )?;
                 x_changed.clear();
                 x_changed.extend_from_slice(&changed[root]);

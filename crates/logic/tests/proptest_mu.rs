@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use portnum_graph::{generators, PortNumbering};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -145,7 +145,7 @@ fn counted_diamonds_count_repeated_successors_up_and_down() {
     let k = build(rows.clone());
     let deduped = build(
         rows.iter()
-            .map(|r| r.iter().copied().collect::<std::collections::BTreeSet<_>>().into_iter().collect())
+            .map(|r| r.iter().copied().collect::<BTreeSet<_>>().into_iter().collect())
             .collect(),
     );
     let x = Formula::var("X");

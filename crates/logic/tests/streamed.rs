@@ -31,7 +31,9 @@ use common::{arb_graph, execute_pinned};
 use portnum_graph::partition::Parallelism;
 use portnum_graph::{generators, Graph, Port, PortNumbering};
 use portnum_logic::plan::{DiamondMode, Plan};
-use portnum_logic::{evaluate_packed_recursive, Formula, Kripke, KripkeBuilder, ModalIndex, ModelVariant};
+use portnum_logic::{
+    evaluate_packed_recursive, Formula, Kripke, KripkeBuilder, ModalIndex, ModelVariant,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -152,7 +154,8 @@ fn million_world_streamed_path_evaluates_identically_across_executors() {
 /// Goal spacings of the fixpoint smoke. The Kleene reference pays one
 /// whole-model pass per iteration, about `spacing / 2` of them, so debug
 /// builds cap the wide spacing as they cap [`SMOKE_WORLDS`].
-const SMOKE_SPACINGS: [usize; 2] = if cfg!(debug_assertions) { [100, 1_000] } else { [100, 10_000] };
+const SMOKE_SPACINGS: [usize; 2] =
+    if cfg!(debug_assertions) { [100, 1_000] } else { [100, 10_000] };
 
 /// The spaced-goal path of the fixpoint smoke: `SMOKE_WORLDS` worlds with
 /// a `q1` goal every `spacing` positions and `q0` elsewhere (the shape of
