@@ -3,16 +3,16 @@
 //! The refinement engines ([`crate::partition`], [`crate::refinement`],
 //! `portnum-logic`'s bisimulation) and the compiled-plan executor all
 //! fan the same shape of work out over threads: a call-scoped list of
-//! independent *chunks* (contiguous node ranges, plan instructions,
-//! bitset word ranges), each writing into its own pre-assigned output
+//! independent *chunks* (contiguous node ranges, bitset word ranges,
+//! CSC entry ranges), each writing into its own pre-assigned output
 //! slot. Spawning fresh scoped threads per call costs ~100µs — more
 //! than an entire refinement round on a mid-size model — which is why
 //! the old scoped-thread fan-out had to hide behind a large work gate.
 //!
 //! [`WorkerPool`] keeps the threads alive instead, and keeps the
 //! per-call *submit path* light enough that back-to-back small calls
-//! (a plan executor walking a DAG level by level issues dozens) do not
-//! drown in coordination:
+//! (a plan executor chunking one instruction after another issues
+//! dozens) do not drown in coordination:
 //!
 //! * **Spin-then-park workers.** Between calls a worker first spins on
 //!   the epoch-tagged cursor for a few microseconds before parking on
@@ -137,16 +137,6 @@
 //!    valid at every step that can unwind, so the poison flag carries
 //!    no information here.
 //!
-//! # Cancellation
-//!
-//! [`WorkerPool::run_controlled`] threads an
-//! [`crate::resilience::ExecControl`] through the chunk loop: each
-//! claimed chunk polls the control before running the job, so after a
-//! cancel/deadline trip the remaining chunks drain at a cost of one
-//! atomic load each and the call returns a typed
-//! [`crate::resilience::Interrupted`] — latency is bounded by the one
-//! chunk that was already executing.
-//!
 //! # Failpoints
 //!
 //! Chaos sites (no-ops unless activated, see the `fail` shim):
@@ -157,7 +147,6 @@
 //! `return` action makes the worker thread exit, exercising the
 //! respawn path).
 
-use crate::resilience::{ExecControl, Interrupted};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
@@ -188,8 +177,9 @@ unsafe impl Sync for Job {}
 /// Iterations a worker spins on the cursor before parking on the
 /// condvar. Each iteration is a load plus a `spin_loop` hint (~a few
 /// ns), so the spin window is in the tens of microseconds — enough to
-/// bridge the gaps of a plan executor walking DAG levels, short enough
-/// that an idle pool parks (and stops burning cores) almost at once.
+/// bridge the gaps between a plan executor's chunked instructions,
+/// short enough that an idle pool parks (and stops burning cores)
+/// almost at once.
 const WORKER_SPIN: u32 = 8_192;
 
 /// Worker spin budget when the pool is **oversubscribed** (more pool
@@ -624,46 +614,6 @@ impl WorkerPool {
             }
         }
     }
-
-    /// Like [`run`](Self::run), but polls `ctl` before every chunk's
-    /// job: once the control trips (cancel or deadline), the remaining
-    /// chunks drain at one poll each without running the job, the
-    /// barrier completes normally, and the first interruption is
-    /// returned — so cancel-to-return latency is bounded by the one
-    /// chunk already executing, and the pool is immediately reusable.
-    ///
-    /// The caller owns output-slot semantics: on `Err`, slots whose
-    /// chunks never ran hold whatever the caller pre-filled, so callers
-    /// must treat the whole output as unpublishable (the engines above
-    /// discard it and surface the typed error).
-    ///
-    /// # Errors
-    ///
-    /// The first [`Interrupted`] observed by any chunk, or by the
-    /// entry check before work starts.
-    pub fn run_controlled(
-        &self,
-        chunks: usize,
-        ctl: &ExecControl,
-        job: &(dyn Fn(usize) + Sync),
-    ) -> Result<(), Interrupted> {
-        if ctl.is_unrestricted() {
-            self.run(chunks, job);
-            return Ok(());
-        }
-        ctl.check()?;
-        let tripped: Mutex<Option<Interrupted>> = Mutex::new(None);
-        self.run(chunks, &|i| match ctl.check() {
-            Ok(()) => job(i),
-            Err(e) => {
-                tripped.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(e);
-            }
-        });
-        match tripped.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
 }
 
 impl Drop for WorkerPool {
@@ -972,51 +922,6 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn run_controlled_pre_cancelled_runs_nothing() {
-        use crate::resilience::{CancelToken, ExecControl, InterruptReason};
-        let pool = WorkerPool::new(2);
-        let token = CancelToken::new();
-        let ctl = ExecControl::with_cancel(token.clone());
-        let ran = AtomicUsize::new(0);
-        token.cancel();
-        let err = pool
-            .run_controlled(64, &ctl, &|_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            })
-            .expect_err("pre-cancelled control must interrupt");
-        assert_eq!(err.reason, InterruptReason::Cancelled);
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
-        // The same pool serves the next (unrestricted) call in full.
-        pool.run_controlled(5, &ExecControl::unrestricted(), &|_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        })
-        .expect("unrestricted call");
-        assert_eq!(ran.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn run_controlled_expired_deadline_interrupts() {
-        use crate::resilience::{Deadline, ExecControl, InterruptReason};
-        use std::time::{Duration, Instant};
-        let pool = WorkerPool::new(1);
-        let ctl = ExecControl::with_deadline(Deadline::at(Instant::now() - Duration::from_secs(1)));
-        let err = pool.run_controlled(8, &ctl, &|_| {}).expect_err("expired deadline");
-        assert_eq!(err.reason, InterruptReason::DeadlineExceeded);
-    }
-
-    #[test]
-    fn run_controlled_unrestricted_is_passthrough() {
-        use crate::resilience::ExecControl;
-        let pool = WorkerPool::new(2);
-        let hits = AtomicUsize::new(0);
-        pool.run_controlled(16, &ExecControl::unrestricted(), &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        })
-        .expect("unrestricted never interrupts");
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
     }
 
     #[test]

@@ -30,11 +30,11 @@
 //!
 //! # Load-bearing invariants
 //!
-//! * **Level-aware slot recycling** ([`plan`]) — plan instructions are
-//!   scheduled by DAG level and a truth-vector slot is recycled only
-//!   one level after its last reader, so instructions of one level
-//!   never alias each other's operands and a whole level can execute
-//!   in parallel; peak memory is the DAG's width, not its size.
+//! * **Slot recycling in instruction order** ([`plan`]) — plan
+//!   instructions run in ascending id order, and a truth-vector slot is
+//!   recycled only after its last reader has taken its own slot, so no
+//!   instruction writes a slot it reads; peak memory is the DAG's
+//!   width, not its size.
 //! * **Retained formulas** ([`plan::ModelChecker`]) — checked formulas
 //!   are kept alive so the pointer-identity memo can never observe a
 //!   recycled allocation.

@@ -26,18 +26,18 @@
 //! Folds can orphan already-lowered subtrees, so a finished plan is
 //! compacted to the instructions reachable from its roots.
 //!
-//! # Slot allocation and the level schedule
+//! # Slot allocation
 //!
-//! Every instruction writes one [`Bitset`] slot. Instructions are
-//! scheduled by DAG *level* (an instruction's level is one more than
-//! the deepest of its operands), and a slot is recycled one level
-//! after its last reader's level (roots are pinned) — so two
-//! instructions on the same level never alias each other's operands
-//! and the whole level can execute concurrently. Peak memory stays
-//! bounded by the width of the instruction DAG, not its node count — a
-//! deep chain of diamonds runs in two slots however long it is. All
-//! slot writes are full overwrites, so recycled storage is reused
-//! without clearing.
+//! Every instruction writes one [`Bitset`] slot, and the executor runs
+//! instructions in ascending id order — already a topological order,
+//! since lowering interns operands before their consumers and
+//! compaction keeps that order. A slot returns to the free list once
+//! the last instruction reading it has been assigned its own slot
+//! (roots are pinned), so no destination ever aliases one of its own
+//! operands. Peak memory stays bounded by the width of the instruction
+//! DAG, not its node count — a deep chain of diamonds runs in two
+//! slots however long it is. All slot writes are full overwrites, so
+//! recycled storage is reused without clearing.
 //!
 //! # Diamond strategies
 //!
@@ -139,10 +139,9 @@
 //! their body's per-iteration work plus an `n/8` flip term (the
 //! flip-once amortization above), which keeps
 //! [`ModelChecker::estimate_work`] — and therefore serve admission —
-//! honest about iterate-until-stable batches. Fixpoint instructions
-//! run on the sequential instruction path (their *body* ops still
-//! chunk over the pool); scheduling one as a level-parallel chunk
-//! would nest pool dispatches from a worker thread.
+//! honest about iterate-until-stable batches. A fixpoint instruction
+//! itself never runs on a pool worker; its *body* ops chunk over the
+//! pool like any other instruction.
 //!
 //! # Change propagation
 //!
@@ -181,30 +180,26 @@
 //!
 //! # Parallel execution
 //!
-//! [`Plan::execute`] runs on the persistent worker pool
-//! ([`portnum_graph::pool`]) along two axes, both gated by a
-//! [`Parallelism`] value — in production [`Parallelism::Auto`], the
-//! shared work threshold ([`portnum_graph::partition::threads_for`]) —
-//! so tiny models stay on the sequential fast path:
+//! [`Plan::execute`] runs heavy instructions on the persistent worker
+//! pool ([`portnum_graph::pool`]), gated by a [`Parallelism`] value —
+//! in production [`Parallelism::Auto`], the shared work threshold
+//! ([`portnum_graph::partition::threads_for`]) — so tiny models stay on
+//! the sequential fast path. Instructions still run one at a time, in
+//! id order; the parallelism is *within* an instruction:
 //!
-//! * **within an instruction** — `Prop` and forward diamonds split the
-//!   world range at 64-aligned, work-weighted boundaries (the CSR
-//!   offsets are the work prefix-sums) and fill disjoint word ranges
-//!   of the output slot; CSC gathers split the *entry* space at
-//!   equal-count boundaries that may fall inside a single hub world's
-//!   predecessor row, so one high-degree world can no longer serialise
-//!   a chunk;
-//! * **across instructions** — all instructions of one DAG level are
-//!   independent (the level-aware slot allocator guarantees no
-//!   aliasing), so a wide level executes as one pool call with one
-//!   chunk per instruction.
+//! * `Prop` and forward diamonds split the world range at 64-aligned,
+//!   work-weighted boundaries (the CSR offsets are the work
+//!   prefix-sums) and fill disjoint word ranges of the output slot;
+//! * CSC gathers split the *entry* space at equal-count boundaries
+//!   that may fall inside a single hub world's predecessor row, so one
+//!   high-degree world can no longer serialise a chunk.
 //!
 //! Forward sweeps (sequential and chunked alike) are additionally
 //! tiled over the shared cache-block geometry
 //! ([`portnum_graph::blocking`]) with row-bound/row-target lookahead
 //! prefetch — a pure traversal-order-and-hint layer.
 //!
-//! Both axes write only per-chunk state, so results are bit-identical
+//! Chunks write only per-chunk state, so results are bit-identical
 //! to the sequential engine (proptest-pinned in-process:
 //! [`Plan::execute_controlled`] with [`Parallelism::Force`] drives them
 //! below the gate, and with [`Parallelism::Off`] pins the sequential
@@ -316,8 +311,8 @@ impl Op {
 /// One fixpoint body: a self-contained linear instruction list
 /// evaluated once per Kleene iteration. Body ids are body-local and
 /// ascending (operands precede consumers, the lowering order); the
-/// body is never compacted or level-scheduled — it executes in id
-/// order over a dense per-op value store that persists across
+/// body is never compacted — it executes in id order over a dense
+/// per-op value store that persists across
 /// iterations so the frontier pass can repair it in place.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct FixBody {
@@ -368,8 +363,8 @@ pub struct ExecStats {
     /// (world-range splits for `Prop`/forward diamonds, entry-space
     /// splits for CSC gathers).
     pub chunked_ops: usize,
-    /// Instructions executed concurrently with same-level siblings
-    /// (instruction-level parallelism over the plan DAG).
+    /// Always 0: plans no longer run instructions concurrently. Kept so
+    /// existing stats readers still compile.
     pub level_parallel_ops: usize,
     /// Fixpoint instructions executed (each runs one
     /// iterate-until-stable loop over its body).
@@ -408,7 +403,6 @@ impl ExecStats {
         self.forward_diamonds += other.forward_diamonds;
         self.csc_diamonds += other.csc_diamonds;
         self.chunked_ops += other.chunked_ops;
-        self.level_parallel_ops += other.level_parallel_ops;
         self.fixpoints += other.fixpoints;
         self.fixpoint_iters += other.fixpoint_iters;
         self.fixpoint_frontier_worlds += other.fixpoint_frontier_worlds;
@@ -458,6 +452,14 @@ impl Frame {
 struct Lowerer {
     ops: Vec<Op>,
     cons: FxHashMap<Op, u32>,
+    /// Plan ids of the `Arc`-shared subtrees already lowered, keyed by
+    /// node address. It keeps lowering linear in the formula *DAG*:
+    /// without it [`Lowerer::lower`] recurses over the formula *tree*,
+    /// and the hash-cons table above only merges the resulting ops
+    /// after the walk. So `f = f ∧ f` iterated 40 times
+    /// (`eval::tests::shared_subformulas_evaluate_once`) would take 2^40
+    /// steps, and iterated 64 times (the
+    /// `model_checking/shared_dag_64_levels/packed` bench row) 2^64.
     ptr_memo: FxHashMap<*const FormulaKind, u32>,
     /// Completed fixpoint bodies, indexed by [`Op::Fixpoint`]'s
     /// payload. Nested bodies complete before their parents, so a
@@ -733,11 +735,6 @@ pub struct Plan {
     /// Output slot of each instruction.
     dst: Vec<u32>,
     slot_count: usize,
-    /// Instruction ids grouped by DAG level (ascending id within a
-    /// level); level `l` is `sched[level_bounds[l]..level_bounds[l+1]]`.
-    /// A valid topological order, and the executor's schedule.
-    sched: Vec<u32>,
-    level_bounds: Vec<usize>,
     /// Root instruction of each input formula, in input order.
     roots: Vec<u32>,
     stats: PlanStats,
@@ -832,70 +829,32 @@ impl Plan {
         }
         let roots: Vec<u32> = roots.iter().map(|&r| remap[r as usize]).collect();
 
-        // DAG levels: leaves at 0, every instruction one past its
-        // deepest operand. Instructions of a level share no data
-        // dependency, so a level is the executor's unit of
-        // instruction-level parallelism.
+        // Slots in execution (id) order: an operand's slot is freed
+        // only after its last reader has taken a destination, so no
+        // instruction writes a slot it reads. Roots are pinned.
         let m = compact.len();
-        let mut level = vec![0u32; m];
-        let mut num_levels = 0usize;
+        let mut last_reader = vec![0u32; m];
         for (id, op) in compact.iter().enumerate() {
-            let mut l = 0u32;
-            op.for_each_operand(|a| l = l.max(level[a as usize] + 1));
-            level[id] = l;
-            num_levels = num_levels.max(l as usize + 1);
-        }
-        // Counting sort of instruction ids by level (stable, so ids
-        // ascend within a level).
-        let mut level_bounds = vec![0usize; num_levels + 1];
-        for &l in &level {
-            level_bounds[l as usize + 1] += 1;
-        }
-        for l in 0..num_levels {
-            level_bounds[l + 1] += level_bounds[l];
-        }
-        let mut cursor = level_bounds.clone();
-        let mut sched = vec![0u32; m];
-        for (id, &l) in level.iter().enumerate() {
-            sched[cursor[l as usize]] = id as u32;
-            cursor[l as usize] += 1;
-        }
-
-        // Liveness by level: a slot is reusable starting one level
-        // after its deepest reader (roots are pinned), so within a
-        // level no destination ever aliases a sibling's operand — the
-        // invariant that makes level-parallel execution sound.
-        let mut free_level = vec![0u32; m];
-        for (id, op) in compact.iter().enumerate() {
-            op.for_each_operand(|a| {
-                free_level[a as usize] = free_level[a as usize].max(level[id]);
-            });
+            op.for_each_operand(|a| last_reader[a as usize] = id as u32);
         }
         for &r in &roots {
-            free_level[r as usize] = u32::MAX;
+            last_reader[r as usize] = u32::MAX;
         }
-        let mut free_bucket: Vec<Vec<u32>> = vec![Vec::new(); num_levels];
-        for (id, &fl) in free_level.iter().enumerate() {
-            if fl != u32::MAX {
-                free_bucket[fl as usize].push(id as u32);
-            }
-        }
-
         let mut dst = vec![0u32; m];
         let mut free: Vec<u32> = Vec::new();
         let mut slot_count = 0usize;
-        for l in 0..num_levels {
-            if l > 0 {
-                for &a in &free_bucket[l - 1] {
+        for (id, op) in compact.iter().enumerate() {
+            dst[id] = free.pop().unwrap_or_else(|| {
+                slot_count += 1;
+                (slot_count - 1) as u32
+            });
+            op.for_each_operand(|a| {
+                if last_reader[a as usize] == id as u32 {
+                    // Mark it freed, so an operand read twice frees once.
+                    last_reader[a as usize] = u32::MAX;
                     free.push(dst[a as usize]);
                 }
-            }
-            for &id in &sched[level_bounds[l]..level_bounds[l + 1]] {
-                dst[id as usize] = free.pop().unwrap_or_else(|| {
-                    slot_count += 1;
-                    (slot_count - 1) as u32
-                });
-            }
+            });
         }
 
         let stats = PlanStats {
@@ -904,7 +863,7 @@ impl Plan {
             dedup_hits: dedup,
             slots: slot_count,
         };
-        Plan { n, ops: compact, bodies, dst, slot_count, sched, level_bounds, roots, stats }
+        Plan { n, ops: compact, bodies, dst, slot_count, roots, stats }
     }
 
     /// Lowering statistics (instruction, dedup, and slot counts).
@@ -940,9 +899,9 @@ impl Plan {
     }
 
     /// Executes with [`DiamondMode::Auto`]; returns one truth vector
-    /// per input formula, in input order. Heavy instructions (and wide
-    /// DAG levels) run on the persistent worker pool — see the module
-    /// docs — while small plans stay on the sequential fast path.
+    /// per input formula, in input order. Heavy instructions run on the
+    /// persistent worker pool — see the module docs — while small plans
+    /// stay on the sequential fast path.
     ///
     /// # Panics
     ///
@@ -953,7 +912,7 @@ impl Plan {
         self.execute_with(model, DiamondMode::Auto).0
     }
 
-    /// Executes the plan level by level with the given diamond
+    /// Executes the plan in instruction order with the given diamond
     /// strategy, returning the root truth vectors and the execution
     /// statistics.
     ///
@@ -965,23 +924,14 @@ impl Plan {
             .expect("unrestricted execution cannot be interrupted")
     }
 
-    /// Estimated work of one instruction, in the same "words of work"
-    /// currency as [`Parallelism::Auto`]'s gate (refinement signature words
-    /// ≈ a few ns each): connectives are word-parallel (`n/64`),
-    /// `Prop` compares one degree per world, diamonds sweep every
-    /// world plus every stored successor pair.
-    fn op_work(&self, model: &Kripke, id: u32) -> usize {
-        op_work_for(model, &self.bodies, self.ops[id as usize])
-    }
-
     /// The full executor: `par` decides how thread counts resolve
     /// ([`Parallelism::Auto`] in production; `Force`/`Off` pin the
     /// pool-driven or sequential paths for differential tests and
     /// benches — output is bit-identical either way, and orthogonal to
     /// the [`DiamondMode`] strategy), and `ctl` is polled at every
-    /// instruction boundary (and, through the pool, at every chunk
-    /// boundary of a level-parallel step), so cancel-to-error latency is
-    /// bounded by one instruction/chunk granule. Budget semantics:
+    /// instruction boundary (and every fixpoint iteration), so
+    /// cancel-to-error latency is bounded by one instruction. Budget
+    /// semantics:
     ///
     /// * the touched-work ceiling accumulates the executor's
     ///   per-instruction work estimate — the same currency the Auto
@@ -1016,10 +966,10 @@ impl Plan {
         );
         ctl.check()?;
         // Slot-words budget: resident storage is the recycled slots;
-        // the parallel paths add up to one partial bitset per pool
-        // thread (reverse/CSC gather partials, level outputs). When
-        // that sum would cross the ceiling, degrade to sequential —
-        // the query still answers, just without the partials.
+        // the chunked paths add up to one partial bitset per pool
+        // thread (CSC gather partials). When that sum would cross the
+        // ceiling, degrade to sequential — the query still answers,
+        // just without the partials.
         let word_len = self.n.div_ceil(64);
         let par = if ctl
             .budget
@@ -1032,87 +982,31 @@ impl Plan {
         let mut touched = 0usize;
         let mut stats = ExecStats::default();
         let mut slots: Vec<Bitset> = (0..self.slot_count).map(|_| Bitset::default()).collect();
-        for l in 0..self.level_bounds.len() - 1 {
-            let ids = &self.sched[self.level_bounds[l]..self.level_bounds[l + 1]];
-            let level_work: usize = ids.iter().map(|&id| self.op_work(model, id)).sum();
-            let heaviest: usize =
-                ids.iter().map(|&id| self.op_work(model, id)).max().unwrap_or(0);
-            // Instruction-level parallelism only when no sibling
-            // dominates the level: a level that is mostly one heavy
-            // diamond speeds up more by splitting that instruction's
-            // world range (below) than by running its cheap siblings
-            // alongside it. Levels carrying a fixpoint stay on the
-            // sequential path: the iterate-until-stable loop chunks
-            // its own body ops over the pool, and a pool worker must
-            // never dispatch a nested pool call.
-            if ids.len() > 1
-                && par.threads(level_work) > 1
-                && heaviest * 2 <= level_work
-                && !ids.iter().any(|&id| matches!(self.ops[id as usize], Op::Fixpoint(_)))
-            {
-                fail::fail_point!("plan-instr");
-                touched += level_work;
-                ctl.check_work(touched)?;
-                self.exec_level_parallel(model, mode, ids, &mut slots, &mut stats, ctl)?;
-                continue;
-            }
-            for &id in ids {
-                // Chaos site at the instruction boundary: all executor
-                // state is call-local, so a panic or interruption here
-                // publishes nothing.
-                fail::fail_point!("plan-instr");
-                touched += self.op_work(model, id);
-                ctl.check_work(touched)?;
-                let dst = self.dst[id as usize] as usize;
-                // Take the output slot so operand slots stay
-                // borrowable; every arm fully overwrites it (recycled
-                // contents are stale by design).
-                let mut out = std::mem::take(&mut slots[dst]);
-                let op = self.ops[id as usize];
-                if let Op::Fixpoint(b) = op {
-                    eval_fixpoint_into(
-                        model,
-                        mode,
-                        &self.bodies,
-                        b,
-                        &|a| &slots[self.dst[a as usize] as usize],
-                        &mut out,
-                        &mut stats,
-                        ctl,
-                        par,
-                        FixStart::Cold,
-                    )?;
-                    stats.executed += 1;
-                    slots[dst] = out;
-                    continue;
-                }
-                let op_threads = match op {
-                    Op::Prop(_) | Op::Diamond { .. } => par.threads(self.op_work(model, id)),
-                    _ => 1,
-                };
-                if op_threads > 1 {
-                    eval_op_chunked(
-                        model,
-                        mode,
-                        op,
-                        |a| &slots[self.dst[a as usize] as usize],
-                        &mut out,
-                        &mut stats,
-                        op_threads,
-                    );
-                } else {
-                    eval_op_into(
-                        model,
-                        mode,
-                        op,
-                        |a| &slots[self.dst[a as usize] as usize],
-                        &mut out,
-                        &mut stats,
-                    );
-                }
-                stats.executed += 1;
-                slots[dst] = out;
-            }
+        for (id, &op) in self.ops.iter().enumerate() {
+            // Chaos site at the instruction boundary: all executor
+            // state is call-local, so a panic or interruption here
+            // publishes nothing.
+            fail::fail_point!("plan-instr");
+            touched += op_work_for(model, &self.bodies, op);
+            ctl.check_work(touched)?;
+            let dst = self.dst[id] as usize;
+            // Take the output slot so operand slots stay borrowable;
+            // every instruction fully overwrites it (recycled contents
+            // are stale by design).
+            let mut out = std::mem::take(&mut slots[dst]);
+            eval_instr_into(
+                model,
+                mode,
+                &self.bodies,
+                op,
+                &|a| &slots[self.dst[a as usize] as usize],
+                &mut out,
+                &mut stats,
+                ctl,
+                par,
+            )?;
+            stats.executed += 1;
+            slots[dst] = out;
         }
 
         // Move each root's vector out of its slot; duplicate roots
@@ -1132,55 +1026,10 @@ impl Plan {
         // Record the coordination cost the work gate priced this run
         // against — only when the pool actually dispatched, so a
         // sequential run reports 0 and stats stay engine-faithful.
-        if stats.chunked_ops > 0 || stats.level_parallel_ops > 0 {
+        if stats.chunked_ops > 0 {
             stats.dispatch_cost_ns = WorkerPool::global().dispatch_cost_ns();
         }
         Ok((results, stats))
-    }
-
-    /// Executes one DAG level's instructions concurrently, one pool
-    /// chunk per instruction. Sound because the level-aware slot
-    /// allocator guarantees the level's destinations are pairwise
-    /// distinct and disjoint from every operand slot still live at
-    /// this level; each chunk owns exactly its destination.
-    fn exec_level_parallel(
-        &self,
-        model: &Kripke,
-        mode: DiamondMode,
-        ids: &[u32],
-        slots: &mut [Bitset],
-        stats: &mut ExecStats,
-        ctl: &ExecControl,
-    ) -> Result<(), Interrupted> {
-        let outs: Vec<Mutex<(Bitset, ExecStats)>> = ids
-            .iter()
-            .map(|&id| {
-                let taken = std::mem::take(&mut slots[self.dst[id as usize] as usize]);
-                Mutex::new((taken, ExecStats::default()))
-            })
-            .collect();
-        let slots_ref: &[Bitset] = slots;
-        WorkerPool::global().run_controlled(ids.len(), ctl, &|i| {
-            let mut guard = outs[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let (out, chunk_stats) = &mut *guard;
-            eval_op_into(
-                model,
-                mode,
-                self.ops[ids[i] as usize],
-                |a| &slots_ref[self.dst[a as usize] as usize],
-                out,
-                chunk_stats,
-            );
-        })?;
-        for (&id, out) in ids.iter().zip(outs) {
-            let (out, chunk_stats) =
-                out.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-            slots[self.dst[id as usize] as usize] = out;
-            stats.absorb(chunk_stats);
-            stats.executed += 1;
-            stats.level_parallel_ops += 1;
-        }
-        Ok(())
     }
 }
 
@@ -1217,9 +1066,56 @@ fn op_work_for(model: &Kripke, bodies: &[FixBody], op: Op) -> usize {
 }
 
 /// Evaluates one instruction into `out` (a full overwrite), resolving
-/// operand truth vectors through `operand`. The single evaluation
-/// engine shared by [`Plan::execute_with`] (slot-backed operands) and
-/// [`ModelChecker`] (`Rc`-cached operands), so the two cannot drift.
+/// operands through `operand`: a fixpoint iterates from ⊥/⊤, a `Prop`
+/// or diamond that `par` grants more than one thread chunks over the
+/// pool, and every other instruction runs inline. The one instruction
+/// dispatch, shared by [`Plan`]'s executor (slot-backed operands),
+/// fixpoint bodies' dense pass (per-op values) and [`ModelChecker`]
+/// (`Rc`-cached operands, always [`Parallelism::Off`]), so they cannot
+/// drift.
+#[allow(clippy::too_many_arguments)]
+fn eval_instr_into<'a>(
+    model: &Kripke,
+    mode: DiamondMode,
+    bodies: &[FixBody],
+    op: Op,
+    operand: &dyn Fn(u32) -> &'a Bitset,
+    out: &mut Bitset,
+    stats: &mut ExecStats,
+    ctl: &ExecControl,
+    par: Parallelism,
+) -> Result<(), Interrupted> {
+    match op {
+        Op::Fixpoint(b) => {
+            return eval_fixpoint_into(
+                model,
+                mode,
+                bodies,
+                b,
+                operand,
+                out,
+                stats,
+                ctl,
+                par,
+                FixStart::Cold,
+            );
+        }
+        Op::Prop(_) | Op::Diamond { .. } => {
+            let threads = par.threads(op_work_for(model, bodies, op));
+            if threads > 1 {
+                eval_op_chunked(model, mode, op, operand, out, stats, threads);
+                return Ok(());
+            }
+        }
+        _ => {}
+    }
+    eval_op_into(model, mode, op, operand, out, stats);
+    Ok(())
+}
+
+/// Evaluates one non-fixpoint instruction into `out` (a full
+/// overwrite) on the calling thread, resolving operand truth vectors
+/// through `operand`.
 fn eval_op_into<'a>(
     model: &Kripke,
     mode: DiamondMode,
@@ -1292,30 +1188,18 @@ fn body_dense_pass(
                 let csc = model.predecessors_csc(rel as usize);
                 csc_count_into(csc, grade, &vals[inner as usize], model.len(), counts, &mut out);
             }
-            (Op::Fixpoint(b), _) => {
-                eval_fixpoint_into(
+            _ => {
+                eval_instr_into(
                     model,
                     mode,
                     bodies,
-                    b,
+                    op,
                     &|a| &vals[a as usize],
                     &mut out,
                     stats,
                     ctl,
                     par,
-                    FixStart::Cold,
                 )?;
-            }
-            _ => {
-                let op_threads = match op {
-                    Op::Prop(_) | Op::Diamond { .. } => par.threads(op_work_for(model, bodies, op)),
-                    _ => 1,
-                };
-                if op_threads > 1 {
-                    eval_op_chunked(model, mode, op, |a| &vals[a as usize], &mut out, stats, op_threads);
-                } else {
-                    eval_op_into(model, mode, op, |a| &vals[a as usize], &mut out, stats);
-                }
             }
         }
         vals[i] = out;
@@ -3065,25 +2949,20 @@ impl<'m> ModelChecker<'m> {
                     &staged[at].1
                 })
             };
-            if let Op::Fixpoint(b) = self.lw.ops[id as usize] {
-                // Top-level fixpoint bodies are closed (a free variable is
-                // a lowering error), so the arg resolver is never called;
-                // the iteration runs sequentially inside the checker.
-                eval_fixpoint_into(
-                    self.model,
-                    self.mode,
-                    &self.lw.bodies,
-                    b,
-                    &operand,
-                    &mut out,
-                    &mut exec,
-                    ctl,
-                    Parallelism::Off,
-                    FixStart::Cold,
-                )?;
-            } else {
-                eval_op_into(self.model, self.mode, self.lw.ops[id as usize], operand, &mut out, &mut exec);
-            }
+            // The checker evaluates sequentially. Top-level fixpoint
+            // bodies are closed (a free variable is a lowering error), so
+            // a fixpoint never calls the operand resolver.
+            eval_instr_into(
+                self.model,
+                self.mode,
+                &self.lw.bodies,
+                self.lw.ops[id as usize],
+                &operand,
+                &mut out,
+                &mut exec,
+                ctl,
+                Parallelism::Off,
+            )?;
             staged.push((id, Rc::new(out)));
         }
         let root_vecs = roots
@@ -4255,9 +4134,9 @@ mod tests {
 
     #[test]
     fn forced_parallel_chunks_instructions_and_matches_sequential() {
-        // A deep diamond chain on a 16×16 grid: every level is a
-        // singleton, so the parallel executor must split the per-world
-        // loop (the world-chunking axis) and still agree bit for bit.
+        // A deep diamond chain on a 16×16 grid: the parallel executor
+        // must split each diamond's per-world loop and still agree bit
+        // for bit.
         let k = Kripke::k_mm(&generators::grid(16, 16));
         let mut f = Formula::prop(4);
         for _ in 0..6 {
@@ -4274,24 +4153,6 @@ mod tests {
             assert_eq!(seq_stats.chunked_ops, 0, "mode {mode:?}: {seq_stats:?}");
             assert!(par_stats.chunked_ops > 0, "mode {mode:?}: {par_stats:?}");
         }
-    }
-
-    #[test]
-    fn forced_parallel_runs_wide_levels_concurrently() {
-        // Eight independent diamonds under one disjunction tree: they
-        // all sit on the same DAG level, so the forced executor runs
-        // them as one pool batch (the instruction-level axis).
-        let k = Kripke::k_mm(&generators::grid(5, 5));
-        let mut f = Formula::diamond(ModalIndex::Any, &Formula::prop(0));
-        for d in 1..8 {
-            f = f.or(&Formula::diamond(ModalIndex::Any, &Formula::prop(d)));
-        }
-        let plan = Plan::compile(&k, &f).unwrap();
-        let (seq, seq_stats) = plan.execute_with(&k, DiamondMode::Auto);
-        let (par, par_stats) = execute_pinned(&plan, &k, DiamondMode::Auto, Parallelism::Force);
-        assert_eq!(seq, par);
-        assert_eq!(seq_stats.executed, par_stats.executed);
-        assert!(par_stats.level_parallel_ops >= 8, "{par_stats:?}");
     }
 
     #[test]
@@ -4354,41 +4215,49 @@ mod tests {
         assert_eq!(replayed, csc.row(0));
     }
 
-    #[test]
-    fn level_schedule_is_a_topological_order() {
-        // Operands always sit on strictly earlier levels, and the
-        // schedule is a permutation of the instruction list.
-        let k = Kripke::k_mm(&generators::grid(3, 3));
-        let f = unshared_tower(5).and(&unshared_tower(3).not());
-        let plan = Plan::compile(&k, &f).unwrap();
-        assert_eq!(plan.sched.len(), plan.ops.len());
-        let mut level_of = vec![0usize; plan.ops.len()];
-        for l in 0..plan.level_bounds.len() - 1 {
-            for &id in &plan.sched[plan.level_bounds[l]..plan.level_bounds[l + 1]] {
-                level_of[id as usize] = l;
-            }
-        }
+    /// Walks `plan` in execution order with a slot-owner table: every
+    /// operand still owns its slot when read (no earlier destination
+    /// overwrote it), no destination aliases one of its own operands,
+    /// and every root still owns its slot at the end.
+    fn assert_slots_sound(plan: &Plan) {
+        let mut owner = vec![u32::MAX; plan.slot_count];
         for (id, op) in plan.ops.iter().enumerate() {
+            let dst = plan.dst[id];
             op.for_each_operand(|a| {
-                assert!(level_of[a as usize] < level_of[id], "operand on a later level");
+                assert!(a < id as u32, "operand {a} of {id} runs later");
+                let slot = plan.dst[a as usize];
+                assert_eq!(owner[slot as usize], a, "slot {slot} of {a} overwritten before {id}");
+                assert_ne!(slot, dst, "{id} writes the slot of its operand {a}");
             });
+            owner[dst as usize] = id as u32;
         }
-        // Within a level, destination slots are pairwise distinct and
-        // never alias an operand read on the same level.
-        for l in 0..plan.level_bounds.len() - 1 {
-            let ids = &plan.sched[plan.level_bounds[l]..plan.level_bounds[l + 1]];
-            let dsts: std::collections::HashSet<u32> =
-                ids.iter().map(|&id| plan.dst[id as usize]).collect();
-            assert_eq!(dsts.len(), ids.len(), "level {l} reuses a destination");
-            for &id in ids {
-                plan.ops[id as usize].for_each_operand(|a| {
-                    assert!(
-                        !dsts.contains(&plan.dst[a as usize]),
-                        "level {l} writes a slot it also reads"
-                    );
-                });
-            }
+        for &r in &plan.roots {
+            assert_eq!(owner[plan.dst[r as usize] as usize], r, "root {r} lost its slot");
         }
+    }
+
+    #[test]
+    fn id_order_slots_never_overwrite_a_live_operand() {
+        let k = Kripke::k_mm(&generators::grid(5, 5));
+        let tower = unshared_tower(5).and(&unshared_tower(3).not());
+        assert_slots_sound(&Plan::compile(&k, &tower).unwrap());
+        assert_slots_sound(&Plan::compile_suite(&k, &delta_suite()).unwrap());
+        assert_slots_sound(&Plan::compile_suite(&k, &fixpoint_suite()).unwrap());
+
+        // Eight independent diamonds under one disjunction: id order
+        // frees each diamond's operand as soon as the diamond has its
+        // slot, so three slots suffice.
+        let mut f = Formula::diamond(ModalIndex::Any, &Formula::prop(0));
+        for d in 1..8 {
+            f = f.or(&Formula::diamond(ModalIndex::Any, &Formula::prop(d)));
+        }
+        let plan = Plan::compile(&k, &f).unwrap();
+        assert_slots_sound(&plan);
+        assert!(plan.stats().slots <= 3, "{:?}", plan.stats());
+        let (seq, _) = execute_pinned(&plan, &k, DiamondMode::Auto, Parallelism::Off);
+        let (par, _) = execute_pinned(&plan, &k, DiamondMode::Auto, Parallelism::Force);
+        assert_eq!(seq, par);
+        assert_eq!(seq[0], evaluate_packed_recursive(&k, &f).unwrap());
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn run_plan_seq(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
 }
 
 fn run_plan_pool(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
-    let k = chaos_model();
+    let k = pool_model();
     let plan = Plan::compile(&k, &query_formula(4))?;
     let (truths, _) = plan.execute_controlled(&k, DiamondMode::Auto, Parallelism::Force, ctl)?;
     Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
@@ -89,7 +89,7 @@ fn run_fixpoint_seq(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
 }
 
 fn run_fixpoint_pool(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
-    let k = chaos_model();
+    let k = pool_model();
     let plan = Plan::compile(&k, &fixpoint_formula())?;
     let (truths, _) = plan.execute_controlled(&k, DiamondMode::Auto, Parallelism::Force, ctl)?;
     Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
@@ -126,10 +126,19 @@ const MATRIX: &[(&str, Query)] = &[
     ("pool-chunk", run_plan_pool as Query),
 ];
 
-/// A long-diameter model: refinement needs many rounds, plans have
-/// many instructions, and the pool paths engage under force.
+/// A long-diameter model: refinement needs many rounds and plans have
+/// many instructions.
 fn chaos_model() -> Kripke {
     Kripke::k_mm(&generators::path(96))
+}
+
+/// The model of the forced-pool queries: plans run one instruction at
+/// a time, so the pool is reached only by splitting one instruction's
+/// worlds into 64-aligned chunks, and below 128 worlds there is only
+/// one chunk, filled inline. 256 worlds give every forced `Prop` and
+/// forward diamond at least two chunks.
+fn pool_model() -> Kripke {
+    Kripke::k_mm(&generators::path(256))
 }
 
 fn assert_pool_not_wedged() {
@@ -462,12 +471,18 @@ fn deadline_and_budget_interrupt_long_queries() {
         max_slot_words: Some(0),
         ..Default::default()
     });
-    let plan = Plan::compile(&k, &query_formula(4)).expect("compiles");
+    let big = pool_model();
+    let plan = Plan::compile(&big, &query_formula(4)).expect("compiles");
+    let unrestricted = ExecControl::unrestricted();
+    let (_, forced) = plan
+        .execute_controlled(&big, DiamondMode::Auto, Parallelism::Force, &unrestricted)
+        .expect("unrestricted");
+    assert!(forced.chunked_ops > 0, "an undegraded forced run chunks: {forced:?}");
     let (seq, stats) = plan
-        .execute_controlled(&k, DiamondMode::Auto, Parallelism::Force, &tight_slots)
+        .execute_controlled(&big, DiamondMode::Auto, Parallelism::Force, &tight_slots)
         .expect("slot budget degrades, never fails");
-    assert_eq!(stats.chunked_ops + stats.level_parallel_ops, 0, "degraded run must be sequential");
-    assert_eq!(seq, plan.execute(&k), "degraded run must match the default bits");
+    assert_eq!(stats.chunked_ops, 0, "degraded run must be sequential");
+    assert_eq!(seq, plan.execute(&big), "degraded run must match the default bits");
     // A zero cache-words ceiling answers but publishes nothing.
     let mut checker = ModelChecker::new(&k);
     let no_cache = ExecControl::with_budget(portnum_graph::resilience::ExecBudget {

@@ -1,8 +1,8 @@
 //! Pool panic-reuse regression tests: a job panic injected inside a
 //! pool chunk (`pool-chunk` failpoint) must surface at the caller, and
 //! the **same global pool** must complete the next identical call —
-//! one test per pool entry point (plan level execution, refinement
-//! encode, CSC chunking).
+//! one test per pool entry point (plan execution, refinement encode,
+//! CSC chunking).
 //!
 //! Every entry point runs with [`Parallelism::Force`], so it drives
 //! the pool even on the small models used here; the "panic must reach
@@ -36,8 +36,9 @@ fn model() -> Kripke {
     Kripke::k_mm(&generators::path(96))
 }
 
-/// `(⟨⟩p0 ∨ ⟨⟩p1) ∧ ¬⟨⟩p2` — three independent diamonds on one plan
-/// level, so forced execution exercises level parallelism.
+/// `(⟨⟩p0 ∨ ⟨⟩p1) ∧ ¬⟨⟩p2` — three diamonds under connectives. Forced
+/// execution on the 96-path splits the CSC gather of `⟨⟩p1` over the
+/// pool: an entry-space split needs no 64-world minimum.
 fn wide_formula() -> Formula {
     let d0 = Formula::diamond(ModalIndex::Any, &Formula::prop(0));
     let d1 = Formula::diamond(ModalIndex::Any, &Formula::prop(1));
