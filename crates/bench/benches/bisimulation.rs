@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use portnum_bench::workloads;
-use portnum_graph::partition::Parallelism;
-use portnum_logic::bisim::{refine, refine_fixpoint, refine_with, BisimStyle, RefineEngine};
+use portnum_logic::bisim::{refine, refine_fixpoint, BisimStyle};
 use portnum_logic::{minimum_base, Kripke, KripkeBuilder, ModalIndex, ModelVariant};
 use std::time::Duration;
 
@@ -28,31 +27,26 @@ fn bench_refine(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_worklist_vs_rounds(c: &mut Criterion) {
-    // The engine comparison on the shapes it was built for: Θ(n) rounds
-    // with an O(1)-block frontier per round. The worklist engine should
-    // beat the full-round reference by an asymptotic margin here, and
-    // stay within noise of it on the small dense sweeps above.
+fn bench_long_diameter(c: &mut Criterion) {
+    // The worklist engine on the shapes it was built for: Θ(n) rounds
+    // with an O(1)-block frontier per round, where re-signing every
+    // world every round would cost Θ(n · rounds).
     let mut group = c.benchmark_group("bisimulation/engines");
     let mut sweep = workloads::path_sweep(&[256, 1024]);
     sweep.push(workloads::deep_tree(1024));
     for w in sweep {
         let k_mm = Kripke::k_mm(&w.graph);
         let k_pp = Kripke::k_pp(&w.graph, &w.ports);
-        for (engine_name, engine) in
-            [("rounds", RefineEngine::Rounds), ("worklist", RefineEngine::Worklist)]
-        {
-            group.bench_with_input(
-                BenchmarkId::new(format!("plain_kmm_{engine_name}"), &w.name),
-                &k_mm,
-                |b, k| b.iter(|| refine_with(k, BisimStyle::Plain, engine, Parallelism::Auto)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("plain_kpp_{engine_name}"), &w.name),
-                &k_pp,
-                |b, k| b.iter(|| refine_with(k, BisimStyle::Plain, engine, Parallelism::Auto)),
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("plain_kmm_worklist", &w.name),
+            &k_mm,
+            |b, k| b.iter(|| refine(k, BisimStyle::Plain)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("plain_kpp_worklist", &w.name),
+            &k_pp,
+            |b, k| b.iter(|| refine(k, BisimStyle::Plain)),
+        );
     }
     group.finish();
 }
@@ -110,7 +104,7 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = bench_refine, bench_worklist_vs_rounds, bench_symmetric_certificates,
+    targets = bench_refine, bench_long_diameter, bench_symmetric_certificates,
         bench_offline_shape
 }
 criterion_main!(benches);

@@ -12,7 +12,7 @@ use portnum_bench::report::{section, Table};
 use portnum_bench::workloads;
 use portnum_graph::partition::Parallelism;
 use portnum_graph::{cover, generators, matching, properties, Graph, Port, PortNumbering};
-use portnum_logic::bisim::{self, BisimStyle, RefineEngine};
+use portnum_logic::bisim::{self, BisimStyle};
 use portnum_logic::compile::{
     compile_broadcast, compile_mb, compile_multiset, compile_sb, compile_set, compile_vector,
     mb_algorithm_to_formulas, ToFormulaOptions,
@@ -90,16 +90,6 @@ fn median_us<T>(mut routine: impl FnMut() -> T, mut verify: impl FnMut(T)) -> f6
     samples[samples.len() / 2]
 }
 
-/// Times the partition-refinement hot path on the standard sweeps and
-/// writes `BENCH_bisim.json` (one JSON object per line) next to the
-/// working directory, so successive PRs accumulate a perf trajectory.
-///
-/// Every case is measured on **both** refinement engines: `refine` rows
-/// are the full-round reference (the engine all previous snapshots
-/// measured, so the trajectory stays comparable) and `refine_worklist`
-/// rows are the incremental worklist engine that now drives the default
-/// path. The long-diameter workloads (`path1024`, `deep_tree1024`) are
-/// where the two diverge by design.
 /// Executes `plan` under [`portnum_logic::DiamondMode::Auto`] with
 /// thread counts pinned by `par` — the sequential/pool pairs the eval
 /// snapshot times against each other.
@@ -110,6 +100,15 @@ fn execute_pinned(plan: &Plan, k: &Kripke, par: Parallelism) -> Vec<portnum_grap
         .0
 }
 
+/// Times the partition-refinement hot path on the standard sweeps and
+/// writes `BENCH_bisim.json` (one JSON object per line) next to the
+/// working directory, so successive PRs accumulate a perf trajectory.
+///
+/// Each case is one `refine_worklist` row: the worklist engine every
+/// refinement entry point runs, with its touched-world counter
+/// (`touched`, signatures encoded). Re-signing every world every round
+/// would touch `nodes × rounds`; the long-diameter workloads
+/// (`path1024`, `deep_tree1024`) are where the two counts diverge.
 fn bench_snapshot() {
     use std::fmt::Write as _;
     section("Perf snapshot: bisimulation refinement (written to BENCH_bisim.json)");
@@ -120,7 +119,14 @@ fn bench_snapshot() {
     sweep.push(workloads::deep_tree(1024));
 
     let mut json = String::new();
-    let mut t = Table::new(["workload", "model", "style", "engine", "median µs", "touched", "classes"]);
+    let mut t = Table::new([
+        "workload",
+        "model",
+        "style",
+        "median µs",
+        "touched",
+        "classes",
+    ]);
     for w in &sweep {
         let k_mm = Kripke::k_mm(&w.graph);
         let k_pp = Kripke::k_pp(&w.graph, &w.ports);
@@ -131,52 +137,38 @@ fn bench_snapshot() {
         ];
         for (model_name, k, style) in cases {
             // Warm up once (and fix the expected partition), then take
-            // the median of a handful of runs per engine.
+            // the median of a handful of runs.
             let classes = bisim::refine(k, style);
             let blocks = classes.class_count(classes.depth());
             let style_name = match style {
                 BisimStyle::Plain => "plain",
                 BisimStyle::Graded => "graded",
             };
-            // The touched-world counter makes the asymptotic difference
-            // visible next to the timings: the round engine encodes
-            // exactly nodes × rounds signatures.
             let (_, stats) = bisim::refine_fixpoint_stats(k, style);
-            for (bench_name, engine_name, engine) in [
-                ("refine", "rounds", RefineEngine::Rounds),
-                ("refine_worklist", "worklist", RefineEngine::Worklist),
-            ] {
-                let median = median_us(
-                    || bisim::refine_with(k, style, engine, Parallelism::Auto),
-                    |c| assert_eq!(c.final_level(), classes.final_level()),
-                );
-                let touched = match engine {
-                    RefineEngine::Rounds => w.graph.len() * stats.rounds,
-                    RefineEngine::Worklist => stats.encoded,
-                };
-                t.row([
-                    w.name.clone(),
-                    model_name.to_string(),
-                    style_name.to_string(),
-                    engine_name.to_string(),
-                    format!("{median:.1}"),
-                    touched.to_string(),
-                    blocks.to_string(),
-                ]);
-                let _ = writeln!(
-                    json,
-                    "{{\"bench\":\"{}\",\"workload\":\"{}\",\"model\":\"{}\",\"style\":\"{}\",\
-                     \"nodes\":{},\"median_us\":{:.1},\"touched\":{},\"classes\":{}}}",
-                    bench_name,
-                    w.name,
-                    model_name,
-                    style_name,
-                    w.graph.len(),
-                    median,
-                    touched,
-                    blocks
-                );
-            }
+            let median = median_us(
+                || bisim::refine(k, style),
+                |c| assert_eq!(c.final_level(), classes.final_level()),
+            );
+            t.row([
+                w.name.clone(),
+                model_name.to_string(),
+                style_name.to_string(),
+                format!("{median:.1}"),
+                stats.encoded.to_string(),
+                blocks.to_string(),
+            ]);
+            let _ = writeln!(
+                json,
+                "{{\"bench\":\"refine_worklist\",\"workload\":\"{}\",\"model\":\"{}\",\"style\":\"{}\",\
+                 \"nodes\":{},\"median_us\":{:.1},\"touched\":{},\"classes\":{}}}",
+                w.name,
+                model_name,
+                style_name,
+                w.graph.len(),
+                median,
+                stats.encoded,
+                blocks
+            );
         }
     }
     print!("{}", t.render());
@@ -395,7 +387,7 @@ fn bench_eval_snapshot(failed: &mut Vec<String>) {
         );
         let classes = bisim::refine(&k, BisimStyle::Plain);
         let refine_median = median_us(
-            || bisim::refine_with(&k, BisimStyle::Plain, RefineEngine::Worklist, Parallelism::Auto),
+            || bisim::refine(&k, BisimStyle::Plain),
             |c| assert_eq!(c.final_level(), classes.final_level()),
         );
         let million_cases = [

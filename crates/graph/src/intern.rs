@@ -1,7 +1,7 @@
 //! The hash-chained intern table: dense ids filed by a 64-bit hash,
 //! with every text kept by the caller.
 //!
-//! Both refinement engines in [`partition`](crate::partition) file
+//! The partition engines in [`partition`](crate::partition) file
 //! their signatures through it, and `portnum-logic`'s checker cache
 //! files formula wire texts through it. A table stores no text: the
 //! caller keeps every interned text in its own storage (an
@@ -134,9 +134,9 @@ impl InternTable {
 /// An [`InternTable`] over its own arena: interned text `i` is
 /// `items[ends[i - 1]..ends[i]]` (`ends[-1]` = 0). Every text sits in
 /// one buffer, so a new text costs a copy, not an allocation of its
-/// own, and [`clear`](Self::clear) keeps the capacity for reuse. The
-/// full-round refiner interns signature words through it, the checker
-/// cache formula wire text bytes.
+/// own, and [`clear`](Self::clear) keeps the capacity for reuse.
+/// [`partition::Refiner`](crate::partition::Refiner) interns signature
+/// words through it, the checker cache formula wire text bytes.
 #[derive(Debug)]
 pub struct InternArena<T> {
     table: InternTable,

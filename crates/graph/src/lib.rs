@@ -19,14 +19,14 @@
 //! * [`cover`] — bipartite double covers;
 //! * [`views`] — Yamashita–Kameda view equivalence;
 //! * [`refinement`] — colour refinement (1-WL);
-//! * [`intern`] — the hash-chained intern table both refinement engines
+//! * [`intern`] — the hash-chained intern table the partition engines
 //!   file signatures through, and `portnum-logic`'s checker cache files
 //!   formula wire texts through;
-//! * [`partition`] — the partition-refinement engines (incremental
-//!   Paige–Tarjan-style worklist, plus the full-round interned-signature
-//!   reference it is tested against) shared by colour refinement and
-//!   `portnum-logic`'s bisimulation, and the [`partition::Parallelism`]
-//!   value every thread-count decision takes;
+//! * [`partition`] — the incremental Paige–Tarjan-style worklist
+//!   refiner shared by colour refinement and `portnum-logic`'s
+//!   bisimulation, the signature interner view equivalence builds on,
+//!   and the [`partition::Parallelism`] value every thread-count
+//!   decision takes;
 //! * [`bitset`] — packed `u64`-word truth vectors backing
 //!   `portnum-logic`'s word-parallel model checker;
 //! * [`blocking`] — the shared cache-block geometry (L2-sized world

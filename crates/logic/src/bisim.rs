@@ -20,77 +20,44 @@
 //!
 //! # Implementation
 //!
-//! Two engines drive the rounds, differentially tested in-process to
-//! produce identical partitions at every depth:
+//! Every entry point runs the incremental worklist engine of
+//! [`portnum_graph::partition::WorklistRefiner`]: blocks that split in
+//! round `t` are the splitters of round `t + 1`, and only their
+//! members' predecessors (found via the model's cached combined CSC
+//! store) are re-signed. Near-stable rounds cost O(changed) instead of
+//! O(n), which collapses the Θ(n · rounds) bill of re-signing every
+//! world every round on long-diameter models (paths, deep trees — Θ(n)
+//! rounds each). The partition after round `t` is still the
+//! synchronous depth-`t` partition under dense first-seen ids; the
+//! property suite pins every level, bit for bit, to a naive reference
+//! that keys nested signatures in a std `HashMap`.
 //!
-//! * **Worklist** (every public entry point) — the incremental engine of
-//!   [`portnum_graph::partition::WorklistRefiner`]: blocks that split
-//!   in round `t` are the splitters of round `t + 1`, and only their
-//!   members' predecessors (found via a reverse CSR built once per
-//!   run) are re-signed. Near-stable rounds cost O(changed) instead of
-//!   O(n), which collapses the Θ(n · rounds) bill that long-diameter
-//!   models (paths, deep trees — Θ(n) rounds each) used to pay.
-//! * **Rounds** — the full-round reference engine described below;
-//!   every world is re-signed every round. Reached only through the
-//!   doc-hidden [`refine_with`], which pins an engine and a
-//!   [`Parallelism`] for differential tests and benches.
-//!
-//! Rounds of the reference engine run on the interned-signature engine
-//! of [`portnum_graph::partition`] (shared with 1-WL colour refinement): a
-//! world's signature is encoded as a flat run of `u64` words — previous
-//! block, then for each *nonempty* relation row its dense relation id
-//! followed by the sorted successor blocks (with multiplicities when
-//! graded) — into a scratch buffer reused across worlds and rounds, and
-//! interned to a dense block id through the hash-chained table both
-//! engines share, which keys on the signature's Fx hash and keeps the
-//! text in a per-round word arena. Nothing is allocated per world, new
-//! blocks included.
-//!
-//! Empty rows are skipped entirely: each world's nonempty relation rows
-//! are indexed once per run, which on many-relation models (K₊,₊ stores
-//! O(Δ²) relations, almost all rows empty) shrinks the per-round work
-//! from O(worlds × relations) to O(edges). Embedding the relation id in
-//! the signature keeps the encoding canonical without per-relation
-//! separators — [`Refiner::push_blocks`] is prefix-free, so streams
-//! cannot collide across different row splits.
+//! A world's signature is encoded as a flat run of `u64` words —
+//! previous block, then for each *nonempty* relation row its dense
+//! relation id followed by the sorted successor blocks (with
+//! multiplicities when graded) — and filed through a hash-chained
+//! intern table that keys on the signature's Fx hash, so nothing is
+//! allocated per world. Empty rows are skipped: on many-relation models
+//! (K₊,₊ stores O(Δ²) relations, almost all rows empty) this shrinks a
+//! round from O(worlds × relations) to O(edges). The relation id keeps
+//! the encoding canonical without per-relation separators, since each
+//! row's encoding is prefix-free.
 //!
 //! Level-by-level history (needed for `t`-step queries) costs O(n) memory
 //! per round; fixpoint-only callers ([`bisimilar`], [`bisimilar_across`],
 //! the quotient construction) use [`refine_fixpoint`], which keeps only
 //! the final partition.
 //!
-//! On models with at least [`PARALLEL_THRESHOLD`] signature words of
-//! per-round encode work (worlds + stored successor pairs) each round
-//! runs in two phases: the encode phase (gather + sort + flatten
-//! signatures — the dominant cost) fans out over the persistent worker
-//! pool ([`portnum_graph::pool`]) into chunk-local
-//! [`SignatureBuffer`]s, and the intern phase walks the buffers in world
-//! order through the shared table, so block ids (and therefore every
-//! partition) are bit-identical to the sequential engine's. The pool's
-//! parked workers make a parallel round cost a wake-up rather than a
-//! thread spawn, which is what lets the gate sit at a few thousand
-//! words instead of the old 2¹⁶.
-//!
-//! Chunk boundaries sit at *work* quantiles, not equal world counts:
-//! each world's encode cost (≈ its signature words, derived from the
-//! CSR row index built once per run) is prefix-summed and the rounds
-//! split via [`parallel_encode_weighted`], so a degree-skewed hub world
-//! no longer drags a full node-range behind one thread while the other
-//! threads finish early.
+//! A round whose frontier carries enough encode work (the
+//! [`Parallelism::Auto`] gate) encodes on the persistent worker pool
+//! ([`portnum_graph::pool`]) in chunks split at work quantiles, then
+//! groups the chunks' signatures in world order, so every level is
+//! bit-identical to the sequential path's.
 
 use crate::kripke::Kripke;
-use portnum_graph::partition::{
-    encode_work, nonempty_row_index, parallel_encode_weighted, Counting, Parallelism, Refiner,
-    SignatureBuffer, WorklistRefiner,
-};
+use portnum_graph::partition::{Counting, Parallelism, WorklistRefiner};
 use portnum_graph::resilience::{ExecControl, Interrupted};
-pub use portnum_graph::partition::{RefineEngine, RefineStats};
-
-/// Minimum signature words of per-round encode work (worlds + stored
-/// successor pairs) before refinement rounds parallelise their encode
-/// phase; below this, even the pool wake-up outweighs the round's
-/// work. See [`portnum_graph::partition::threads_for`].
-pub const PARALLEL_THRESHOLD: usize = portnum_graph::partition::PARALLEL_THRESHOLD;
+pub use portnum_graph::partition::RefineStats;
 
 /// Plain (set-based) or graded (counting) refinement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -216,23 +183,22 @@ impl BisimClasses {
 /// Runs signature refinement to a fixpoint, keeping every intermediate
 /// level (O(n · depth) memory). Use [`refine_fixpoint`] when only the
 /// final partition matters.
-///
-/// Rounds run on the incremental worklist engine, whose levels equal
-/// the full-round reference's at every depth (proptest-pinned): on
-/// long-diameter models it touches O(changed) worlds per round instead
-/// of all n.
 pub fn refine(model: &Kripke, style: BisimStyle) -> BisimClasses {
-    refine_impl(model, style, None, true, &ExecControl::unrestricted())
+    let ctl = ExecControl::unrestricted();
+    refine_worklist(model, style, None, true, Parallelism::Auto, &ctl)
         .expect("unrestricted refinement cannot be interrupted")
+        .0
 }
 
-/// Control-aware [`refine`]: polls the [`ExecControl`] at every round
-/// boundary (cancel, deadline, and the touched-work ceiling priced in
-/// encoded signatures — the engines' own `RefineStats::encoded`
-/// currency). On `Err` nothing is returned and nothing was published:
-/// all refinement state is call-local, so a retry is bit-identical to
-/// an uninterrupted run. Cancel-to-return latency is bounded by one
-/// refinement round.
+/// Control-aware [`refine`] under an explicit thread-count policy
+/// (production passes [`Parallelism::Auto`]; tests pin `Force` or `Off`
+/// to one side of the encode gate — every policy yields the same
+/// levels). Polls the [`ExecControl`] at every round boundary (cancel,
+/// deadline, and the touched-work ceiling priced in encoded signatures
+/// — the engine's own `RefineStats::encoded` currency). On `Err`
+/// nothing is returned and nothing was published: all refinement state
+/// is call-local, so a retry is bit-identical to an uninterrupted run.
+/// Cancel-to-return latency is bounded by one refinement round.
 ///
 /// # Errors
 ///
@@ -240,16 +206,19 @@ pub fn refine(model: &Kripke, style: BisimStyle) -> BisimClasses {
 pub fn refine_controlled(
     model: &Kripke,
     style: BisimStyle,
+    par: Parallelism,
     ctl: &ExecControl,
 ) -> Result<BisimClasses, Interrupted> {
-    refine_impl(model, style, None, true, ctl)
+    Ok(refine_worklist(model, style, None, true, par, ctl)?.0)
 }
 
 /// Runs signature refinement for at most `depth` rounds (the result
 /// characterises formulas of modal depth `≤ depth`).
 pub fn refine_bounded(model: &Kripke, style: BisimStyle, depth: usize) -> BisimClasses {
-    refine_impl(model, style, Some(depth), true, &ExecControl::unrestricted())
+    let ctl = ExecControl::unrestricted();
+    refine_worklist(model, style, Some(depth), true, Parallelism::Auto, &ctl)
         .expect("unrestricted refinement cannot be interrupted")
+        .0
 }
 
 /// Runs signature refinement to a fixpoint keeping only the final
@@ -273,55 +242,28 @@ pub fn refine_bounded(model: &Kripke, style: BisimStyle, depth: usize) -> BisimC
 /// assert!(!classes.bisimilar(1, 2));
 /// ```
 pub fn refine_fixpoint(model: &Kripke, style: BisimStyle) -> BisimClasses {
-    refine_impl(model, style, None, false, &ExecControl::unrestricted())
+    let ctl = ExecControl::unrestricted();
+    refine_worklist(model, style, None, false, Parallelism::Auto, &ctl)
         .expect("unrestricted refinement cannot be interrupted")
+        .0
 }
 
-/// Runs [`refine_fixpoint`] on the worklist engine and also returns the
-/// engine's [`RefineStats`] — rounds, the touched-world counter
-/// (`encoded`), moves, and how many rounds went parallel. The
-/// full-round engine would encode exactly `n · rounds` signatures; on
+/// Runs [`refine_fixpoint`] and also returns the engine's
+/// [`RefineStats`] — rounds, the touched-world counter (`encoded`),
+/// moves, and how many rounds went parallel. Re-signing every world
+/// every round would encode exactly `n · rounds` signatures; on
 /// long-diameter models `encoded` stays O(n + edges).
 pub fn refine_fixpoint_stats(model: &Kripke, style: BisimStyle) -> (BisimClasses, RefineStats) {
     refine_worklist(model, style, None, false, Parallelism::Auto, &ExecControl::unrestricted())
         .expect("unrestricted refinement cannot be interrupted")
 }
 
-fn refine_impl(
-    model: &Kripke,
-    style: BisimStyle,
-    depth: Option<usize>,
-    keep_levels: bool,
-    ctl: &ExecControl,
-) -> Result<BisimClasses, Interrupted> {
-    Ok(refine_worklist(model, style, depth, keep_levels, Parallelism::Auto, ctl)?.0)
-}
-
-/// Full-history refinement pinned to an engine and a thread-count
-/// policy — the differential-testing and benchmarking hook; use
-/// [`refine`] everywhere else. Every combination yields the same
-/// levels.
-#[doc(hidden)]
-pub fn refine_with(
-    model: &Kripke,
-    style: BisimStyle,
-    engine: RefineEngine,
-    par: Parallelism,
-) -> BisimClasses {
-    let ctl = ExecControl::unrestricted();
-    match engine {
-        RefineEngine::Worklist => refine_worklist(model, style, None, true, par, &ctl).map(|r| r.0),
-        RefineEngine::Rounds => refine_engine(model, style, None, true, par, &ctl),
-    }
-    .expect("unrestricted refinement cannot be interrupted")
-}
-
-/// The worklist-engine driver: identical round semantics to
-/// [`refine_engine`] (the partition after round `t` is the synchronous
-/// depth-`t` partition, canonically renumbered), but each round
-/// re-encodes only the dirty frontier maintained by
-/// [`WorklistRefiner`]. Relations are handed over as borrowed CSR
-/// slices, so the engine adds no per-run copies of the model.
+/// The refinement driver behind every entry point: the partition after
+/// round `t` is the synchronous depth-`t` partition, canonically
+/// renumbered, and each round re-encodes only the dirty frontier
+/// maintained by [`WorklistRefiner`]. Relations are handed over as
+/// borrowed CSR slices, so the engine adds no per-run copies of the
+/// model.
 fn refine_worklist(
     model: &Kripke,
     style: BisimStyle,
@@ -447,124 +389,6 @@ pub fn refine_fixpoint_from(
     let mut level = Vec::new();
     refiner.canonical_level_into(&mut level);
     BisimClasses { style, levels: vec![level], depth: rounds, stable: true }
-}
-
-fn refine_engine(
-    model: &Kripke,
-    style: BisimStyle,
-    depth: Option<usize>,
-    keep_levels: bool,
-    par: Parallelism,
-    ctl: &ExecControl,
-) -> Result<BisimClasses, Interrupted> {
-    let n = model.len();
-    let counting = style.counting();
-    let threads = par.threads(n + model.relation_entry_count());
-
-    let mut refiner = Refiner::new();
-    // Depth 0: partition by valuation (degree atoms).
-    let mut prev = refiner.seed_partition((0..n).map(|v| model.degree(v) as u64));
-    let mut levels = if keep_levels { vec![prev.clone()] } else { Vec::new() };
-
-    // Index each world's nonempty relation rows once per run
-    // (signatures skip empty rows — the overwhelming majority on K₊,₊,
-    // which has O(Δ²) relations — pushing the relation id into the
-    // signature to stay canonical); one shared builder with the
-    // worklist engine, [`portnum_graph::partition::nonempty_row_index`],
-    // so the engines' row enumeration cannot drift apart. Skipped at
-    // depth 0, where the round loop never runs.
-    let (row_bounds, row_index) = if depth == Some(0) {
-        (vec![0usize; n + 1], Vec::new())
-    } else {
-        nonempty_row_index(n, &model.relations_csr())
-    };
-    let world_rows =
-        |v: usize| -> &[(u64, &[u32])] { &row_index[row_bounds[v]..row_bounds[v + 1]] };
-
-    // Prefix sums of per-world encode work for the balanced parallel
-    // split — the same accounting the worklist engine's parallel gate
-    // uses ([`portnum_graph::partition::encode_work`]).
-    let work: Vec<usize> = if threads > 1 {
-        let mut work = Vec::with_capacity(n + 1);
-        work.push(0);
-        for v in 0..n {
-            work.push(work[v] + encode_work(&row_bounds, &row_index, v));
-        }
-        work
-    } else {
-        Vec::new()
-    };
-
-    let mut blocks: Vec<usize> = Vec::new();
-    let mut buffers: Vec<SignatureBuffer> = Vec::new();
-    let mut next: Vec<usize> = Vec::with_capacity(n);
-    let mut rounds = 0usize;
-    let mut stable = n <= 1;
-
-    while depth.is_none_or(|d| rounds < d) {
-        // Round-boundary chaos site + control poll, mirroring the
-        // worklist engine's `round_controlled`. The rounds engine
-        // encodes exactly n signatures per round, so `n · rounds` is
-        // its cumulative-work currency.
-        fail::fail_point!("refine-round");
-        ctl.check_work(n * rounds)?;
-        refiner.begin_round();
-        next.clear();
-        if threads > 1 {
-            // Phase 1 (parallel): encode every world's signature against
-            // the frozen `prev` into chunk-local buffers, split at
-            // work quantiles so a hub world cannot serialise the round.
-            let prev_ref = &prev;
-            parallel_encode_weighted(&work, threads, &mut buffers, |range, buf| {
-                let mut blocks = std::mem::take(buf.blocks_scratch());
-                for v in range {
-                    buf.begin(prev_ref[v]);
-                    for &(r, row) in world_rows(v) {
-                        buf.push_word(r);
-                        blocks.extend(row.iter().map(|&w| prev_ref[w as usize]));
-                        buf.push_blocks(&mut blocks, counting);
-                    }
-                    buf.end();
-                }
-                *buf.blocks_scratch() = blocks;
-            });
-            // Phase 2 (sequential): intern in world order — first-seen
-            // ids come out identical to the sequential engine.
-            for buf in &buffers {
-                for i in 0..buf.len() {
-                    next.push(refiner.commit_slice(buf.signature(i)));
-                }
-            }
-        } else {
-            for v in 0..n {
-                refiner.begin_signature(prev[v]);
-                for &(r, row) in world_rows(v) {
-                    refiner.push_word(r);
-                    blocks.extend(row.iter().map(|&w| prev[w as usize]));
-                    refiner.push_blocks(&mut blocks, counting);
-                }
-                next.push(refiner.commit());
-            }
-        }
-        rounds += 1;
-        // Block ids are first-seen canonical at every level, so the
-        // partition is stable exactly when the vectors are equal.
-        let done = next == prev;
-        std::mem::swap(&mut prev, &mut next);
-        if keep_levels {
-            levels.push(prev.clone());
-        }
-        if done {
-            stable = true;
-            break;
-        }
-        debug_assert!(rounds <= n, "refinement must stabilise within n rounds");
-    }
-
-    if !keep_levels {
-        levels.push(prev);
-    }
-    Ok(BisimClasses { style, levels, depth: rounds, stable })
 }
 
 /// Whether worlds `u` and `v` of one model are (g-)bisimilar.
@@ -759,35 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn worklist_matches_rounds_engine_level_by_level() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
-        use rand::SeedableRng;
-        let mut graphs = vec![
-            generators::path(17),
-            generators::star(5),
-            generators::theorem13_witness().0,
-            Graph::disjoint_union(&[&generators::cycle(3), &generators::cycle(4)]),
-        ];
-        for _ in 0..3 {
-            graphs.push(generators::gnp(14, 0.25, &mut rng));
-        }
-        for g in graphs {
-            let p = PortNumbering::random(&g, &mut rng);
-            for k in [Kripke::k_mm(&g), Kripke::k_pp(&g, &p), Kripke::k_mp(&g, &p)] {
-                for style in [BisimStyle::Plain, BisimStyle::Graded] {
-                    let wl = refine_with(&k, style, RefineEngine::Worklist, Parallelism::Auto);
-                    let rd = refine_with(&k, style, RefineEngine::Rounds, Parallelism::Auto);
-                    assert_eq!(wl.depth(), rd.depth(), "{g} {:?} depth", style);
-                    assert_eq!(wl.is_stable(), rd.is_stable());
-                    for t in 0..=wl.depth() {
-                        assert_eq!(wl.level(t), rd.level(t), "{g} {:?} level {t}", style);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn worklist_forced_parallel_matches_sequential() {
         let g = generators::gnp(40, 0.1, &mut {
             use rand::SeedableRng;
@@ -795,8 +590,9 @@ mod tests {
         });
         let k = Kripke::k_mm(&g);
         for style in [BisimStyle::Plain, BisimStyle::Graded] {
-            let seq = refine_with(&k, style, RefineEngine::Worklist, Parallelism::Off);
-            let par = refine_with(&k, style, RefineEngine::Worklist, Parallelism::Force);
+            let ctl = ExecControl::unrestricted();
+            let seq = refine_controlled(&k, style, Parallelism::Off, &ctl).unwrap();
+            let par = refine_controlled(&k, style, Parallelism::Force, &ctl).unwrap();
             assert_eq!(seq.depth(), par.depth());
             for t in 0..=seq.depth() {
                 assert_eq!(seq.level(t), par.level(t), "{:?} level {t}", style);
@@ -808,8 +604,8 @@ mod tests {
     fn worklist_touches_o_of_n_worlds_on_paths() {
         // The tentpole property, end to end on a Kripke model: a path
         // takes Θ(n) rounds, and the worklist engine still only encodes
-        // O(n) signatures in total — o(n · rounds), where the
-        // full-round engine pays exactly n · rounds.
+        // O(n) signatures in total — o(n · rounds), where re-signing
+        // every world every round pays exactly n · rounds.
         let n = 256;
         let k = Kripke::k_mm(&generators::path(n));
         for style in [BisimStyle::Plain, BisimStyle::Graded] {

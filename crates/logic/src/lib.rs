@@ -16,8 +16,8 @@
 //!   [`plan::ModelChecker`] cache amortising suites formula by formula;
 //! * [`bisim`] — plain and graded bisimulation via partition refinement,
 //!   bounded or to fixpoint (Section 4.2, Fact 1), on the incremental
-//!   worklist engine of [`portnum_graph::partition`] (the full-round
-//!   engine stays as its in-process differential reference);
+//!   worklist engine of [`portnum_graph::partition`], pinned level for
+//!   level to a naive `HashMap`-keyed reference in the property suite;
 //! * [`characteristic`] — Hennessy–Milner characteristic formulas: the
 //!   converse of Fact 1, one separating formula per inequivalent pair;
 //! * [`quotient`]/[`minimum_base`] — bisimulation quotients (the
@@ -38,11 +38,11 @@
 //! * **Retained formulas** ([`plan::ModelChecker`]) — checked formulas
 //!   are kept alive so the pointer-identity memo can never observe a
 //!   recycled allocation.
-//! * **Identical round semantics across refinement engines**
-//!   ([`bisim`]) — the worklist engine's partition after round `t`
-//!   equals the synchronous round engine's depth-`t` partition
-//!   (canonical first-seen ids), so `t`-step equivalence queries mean
-//!   the same thing under either engine.
+//! * **Synchronous round semantics in refinement** ([`bisim`]) — the
+//!   worklist engine's partition after round `t` is the synchronous
+//!   depth-`t` partition (canonical first-seen ids), although a round
+//!   re-signs only the dirty frontier, so `t`-step equivalence queries
+//!   mean what the paper's `t`-step bisimulation means.
 //!
 //! # Quick start
 //!

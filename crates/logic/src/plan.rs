@@ -2646,8 +2646,8 @@ impl<'m> ModelChecker<'m> {
         Self::with_mode(model, DiamondMode::Auto)
     }
 
-    /// A fresh checker with an explicit diamond strategy (benches pin
-    /// forward vs. reverse with this).
+    /// A fresh checker with an explicit diamond strategy, so a test can
+    /// pin every [`DiamondMode`] against the same cache and repair paths.
     pub fn with_mode(model: &'m Kripke, mode: DiamondMode) -> Self {
         ModelChecker {
             model,

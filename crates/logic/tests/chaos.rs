@@ -103,11 +103,23 @@ fn run_checker(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
 }
 
 fn run_refine(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
+    refine_digest(Parallelism::Auto, ctl)
+}
+
+/// Refinement with every round's encode forced onto the pool, so a
+/// fault at `pool-chunk` lands inside a pool-encoded round.
+fn run_refine_pool(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
+    refine_digest(Parallelism::Force, ctl)
+}
+
+/// Every level of a plain refinement of the chaos model, concatenated.
+fn refine_digest(par: Parallelism, ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     let k = chaos_model();
-    let classes = bisim::refine_controlled(&k, BisimStyle::Plain, ctl)
+    let classes = bisim::refine_controlled(&k, BisimStyle::Plain, par, ctl)
         .map_err(LogicError::Interrupted)?;
-    let level = classes.final_level();
-    Ok(level.iter().map(|&c| c as u64).collect())
+    Ok((0..=classes.depth())
+        .flat_map(|t| classes.level(t).iter().map(|&c| c as u64))
+        .collect())
 }
 
 /// Every (site, query-that-hits-it) pair of the chaos matrix.
@@ -121,6 +133,8 @@ const MATRIX: &[(&str, Query)] = &[
     ("plan-fixpoint-iter", run_fixpoint_pool as Query),
     ("checker-instr", run_checker as Query),
     ("refine-round", run_refine as Query),
+    ("refine-round", run_refine_pool as Query),
+    ("pool-chunk", run_refine_pool as Query),
     ("csc-build", run_plan_csc as Query),
     ("pool-dispatch", run_plan_pool as Query),
     ("pool-chunk", run_plan_pool as Query),
@@ -366,20 +380,34 @@ fn interrupted_refinement_retries_bit_identically() {
     let _g = serial();
     let k = chaos_model();
     let baseline = bisim::refine(&k, BisimStyle::Plain);
-    // Cancel fired from inside round 1: the run errors at the round
-    // boundary, and a retry reproduces the full level history.
-    let token = CancelToken::new();
-    let t = token.clone();
-    fail::cfg_callback("refine-round", move || t.cancel());
-    let err = bisim::refine_controlled(&k, BisimStyle::Plain, &ExecControl::with_cancel(token))
-        .expect_err("path(96) refines over many rounds; the cancel must land");
-    assert_eq!(err.reason, InterruptReason::Cancelled);
-    fail::teardown();
-    let retry = bisim::refine_controlled(&k, BisimStyle::Plain, &ExecControl::unrestricted())
-        .expect("unrestricted retry");
-    assert_eq!(retry.depth(), baseline.depth());
-    for d in 0..=baseline.depth() {
-        assert_eq!(retry.level(d), baseline.level(d), "level {d} diverged");
+    // Cancel fired from inside round 1 — at its boundary, and under
+    // `Force` also from inside its pool-encoded chunks: the run errors
+    // at the next round boundary, and a retry under the same policy
+    // reproduces the full level history.
+    for (par, site) in [
+        (Parallelism::Auto, "refine-round"),
+        (Parallelism::Force, "refine-round"),
+        (Parallelism::Force, "pool-chunk"),
+    ] {
+        let token = CancelToken::new();
+        let t = token.clone();
+        fail::cfg_callback(site, move || t.cancel());
+        let err =
+            bisim::refine_controlled(&k, BisimStyle::Plain, par, &ExecControl::with_cancel(token))
+                .expect_err("path(96) refines over many rounds; the cancel must land");
+        assert_eq!(err.reason, InterruptReason::Cancelled, "{par:?} at {site}");
+        fail::teardown();
+        let retry =
+            bisim::refine_controlled(&k, BisimStyle::Plain, par, &ExecControl::unrestricted())
+                .expect("unrestricted retry");
+        assert_eq!(retry.depth(), baseline.depth(), "{par:?} at {site}");
+        for d in 0..=baseline.depth() {
+            assert_eq!(
+                retry.level(d),
+                baseline.level(d),
+                "{par:?} at {site}: level {d} diverged"
+            );
+        }
     }
 }
 

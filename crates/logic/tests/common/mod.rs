@@ -2,7 +2,9 @@
 //! integration suites (`proptest_eval`, `proptest_logic`,
 //! `proptest_csc`, `proptest_refinement`): one definition of the
 //! random-model / random-formula input distribution, so the binaries
-//! cannot silently drift onto different test spaces.
+//! cannot silently drift onto different test spaces, and the naive
+//! refinement reference ([`reference_refine`]) the worklist engine is
+//! pinned to.
 //!
 //! Each test binary compiles its own copy of this module and uses a
 //! subset of it, hence the file-level `dead_code` allowance.
@@ -12,11 +14,13 @@ use portnum_graph::bitset::Bitset;
 use portnum_graph::partition::Parallelism;
 use portnum_graph::resilience::ExecControl;
 use portnum_graph::{Graph, PortNumbering};
+use portnum_logic::bisim::BisimStyle;
 use portnum_logic::plan::{DiamondMode, ExecStats, Plan};
 use portnum_logic::{Formula, FormulaKind, Kripke, ModalIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// Random simple graphs on 2–9 nodes with an arbitrary edge mask.
 pub fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -191,4 +195,60 @@ pub fn execute_pinned(
 ) -> (Vec<Bitset>, ExecStats) {
     plan.execute_controlled(model, mode, par, &ExecControl::unrestricted())
         .expect("unrestricted execution cannot be interrupted")
+}
+
+/// Naive reference refinement: levels `0..=rounds`, each world's next
+/// block the first-seen id (in world order) of its explicit nested
+/// signature `(prev block, per modal index the sorted successor blocks
+/// with counts — every count 1 when plain)` in a std `HashMap`. It
+/// shares no encoding, intern table or reverse adjacency with the
+/// engine, and its ids are the dense first-seen ids the engine's levels
+/// use, so the two compare with exact `==`.
+pub fn reference_refine(model: &Kripke, style: BisimStyle, rounds: usize) -> Vec<Vec<usize>> {
+    let n = model.len();
+    let indices: Vec<ModalIndex> = model.indices().collect();
+
+    let mut ids: HashMap<usize, usize> = HashMap::new();
+    let level0: Vec<usize> = (0..n)
+        .map(|v| {
+            let fresh = ids.len();
+            *ids.entry(model.degree(v)).or_insert(fresh)
+        })
+        .collect();
+    let mut levels = vec![level0];
+
+    for _ in 0..rounds {
+        let prev = levels.last().expect("depth 0");
+        type Sig = (usize, Vec<Vec<(usize, usize)>>);
+        let mut sigs: HashMap<Sig, usize> = HashMap::new();
+        let mut next = vec![0usize; n];
+        for v in 0..n {
+            let mut per_index = Vec::with_capacity(indices.len());
+            for &index in &indices {
+                let mut blocks: Vec<usize> = model
+                    .successors(v, index)
+                    .iter()
+                    .map(|&w| prev[w as usize])
+                    .collect();
+                blocks.sort_unstable();
+                let mut counted: Vec<(usize, usize)> = Vec::new();
+                for b in blocks {
+                    match counted.last_mut() {
+                        Some((last, c)) if *last == b => *c += 1,
+                        _ => counted.push((b, 1)),
+                    }
+                }
+                if style == BisimStyle::Plain {
+                    for entry in &mut counted {
+                        entry.1 = 1;
+                    }
+                }
+                per_index.push(counted);
+            }
+            let fresh = sigs.len();
+            next[v] = *sigs.entry((prev[v], per_index)).or_insert(fresh);
+        }
+        levels.push(next);
+    }
+    levels
 }

@@ -14,7 +14,8 @@ use common::execute_pinned;
 use portnum_graph::generators;
 use portnum_graph::partition::Parallelism;
 use portnum_graph::pool::WorkerPool;
-use portnum_logic::bisim::{self, BisimStyle, RefineEngine};
+use portnum_graph::resilience::ExecControl;
+use portnum_logic::bisim::{self, BisimStyle};
 use portnum_logic::plan::{DiamondMode, Plan};
 use portnum_logic::{Formula, Kripke, ModalIndex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -83,7 +84,9 @@ fn refinement_encode_reuses_pool_after_chunk_panic() {
     let k = model();
     let baseline = bisim::refine(&k, BisimStyle::Plain);
     let reused = panic_then_reuse(|| {
-        bisim::refine_with(&k, BisimStyle::Plain, RefineEngine::Worklist, Parallelism::Force)
+        let ctl = ExecControl::unrestricted();
+        bisim::refine_controlled(&k, BisimStyle::Plain, Parallelism::Force, &ctl)
+            .expect("unrestricted refinement cannot be interrupted")
     });
     assert_eq!(reused.depth(), baseline.depth());
     assert_eq!(reused.final_level(), baseline.final_level());

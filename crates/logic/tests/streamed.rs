@@ -130,13 +130,13 @@ fn million_world_streamed_path_evaluates_identically_across_executors() {
     assert_eq!(seq, auto, "Auto must be bit-identical at scale");
     assert_eq!(ss.executed, ps.executed);
     assert!(
-        ps.chunked_ops + ps.level_parallel_ops > 0,
+        ps.chunked_ops > 0,
         "forced run must exercise the pool: {ps:?}"
     );
     assert_eq!(ss.dispatch_cost_ns, 0, "sequential runs report no dispatch cost");
-    // A single-formula plan has one op per level, so the forced run
-    // must take the *chunked* route (blocked forward sweeps, sharded
-    // CSC gathers) rather than running whole ops level-parallel.
+    // A single-formula plan reaches the pool the same way: each forced
+    // instruction splits its own worlds into chunks (blocked forward
+    // sweeps, sharded CSC gathers).
     let solo = Plan::compile(&k, &f2).expect("formula compiles");
     let (solo_seq, _) = execute_pinned(&solo, &k, DiamondMode::Auto, Parallelism::Off);
     let (solo_par, sp) = execute_pinned(&solo, &k, DiamondMode::Auto, Parallelism::Force);

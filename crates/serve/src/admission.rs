@@ -1,14 +1,13 @@
 //! Admission control: price a request before running it, bound it
 //! while it runs.
 //!
-//! Pricing uses the engine's own measured cost model — the per-op
-//! work-words estimate the Auto execution gate compares against the
-//! pool's calibrated
-//! [`dispatch_cost_ns`](portnum_graph::pool::WorkerPool::dispatch_cost_ns)
-//! — via [`ModelChecker::resolve_texts`], which prices a batch as
-//! [`ModelChecker::estimate_work`] does: it charges only the
+//! Pricing uses the engine's own cost model — the per-op work-words
+//! estimate — via [`ModelChecker::resolve_texts`], which prices a batch
+//! as [`ModelChecker::estimate_work`] does: it charges only the
 //! instructions the batch would actually evaluate (cached subresults
-//! are free, so a batch of warm hits prices at zero). Requests priced over [`ServeConfig::max_cost`] are shed
+//! are free, so a batch of warm hits prices at zero). Served checks run
+//! sequentially, so no pool dispatch is priced. Requests priced over
+//! [`ServeConfig::max_cost`] are shed
 //! with an `Overloaded` error frame before any work happens; admitted
 //! requests run under an [`ExecControl`] carrying the configured
 //! deadline, the same cost cap as an in-flight work budget, and a
@@ -20,8 +19,6 @@
 //! [`ModelChecker::resolve_texts`]: portnum_logic::ModelChecker::resolve_texts
 
 use crate::config::ServeConfig;
-use portnum_graph::partition::parallel_floor_words;
-use portnum_graph::pool::WorkerPool;
 use portnum_graph::resilience::{CancelToken, Deadline, ExecControl};
 use std::time::Duration;
 
@@ -48,23 +45,6 @@ pub fn admit(cfg: &ServeConfig, estimate: u64) -> Admission {
         Some(cap) if estimate > cap => Admission::Shed { estimate, cap },
         _ => Admission::Admit,
     }
-}
-
-/// Approximate cost of an admitted request in nanoseconds: the
-/// work-words estimate at the engine's ~1 word/ns throughput anchor,
-/// plus one measured pool dispatch when the estimate clears the Auto
-/// gate's parallel floor (the request will pay the coordination price
-/// exactly when the executor fans out). Surfaced in shed messages and
-/// stats so operators see the same currency the gate prices with.
-#[must_use]
-pub fn estimated_cost_ns(estimate: u64) -> u64 {
-    let pool = WorkerPool::global();
-    let dispatch = if estimate as usize >= parallel_floor_words() {
-        pool.dispatch_cost_ns()
-    } else {
-        0
-    };
-    estimate.saturating_add(dispatch)
 }
 
 /// The per-request [`ExecControl`]: configured deadline, the cost cap

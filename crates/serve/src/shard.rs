@@ -243,10 +243,7 @@ impl Shard {
                 self.stats.shed += 1;
                 Response::error(
                     ErrorCode::Overloaded,
-                    format!(
-                        "estimated work {estimate} (≈{} ns) over the admission cap {cap}",
-                        admission::estimated_cost_ns(estimate)
-                    ),
+                    format!("estimated work {estimate} over the admission cap {cap}"),
                 )
             }
             // Every new text is parsed before any is lowered, so the

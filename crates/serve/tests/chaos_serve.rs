@@ -222,7 +222,14 @@ fn cost_cap_sheds_with_a_priced_message() {
     let spec = ModelSpec::gnp(64, 0.1, 46);
     client.load(4, &spec).expect("load");
     let message = expect_code(client.check(4, &chaos_batch()), ErrorCode::Overloaded);
-    assert!(message.contains("admission cap"), "unexpected message: {message}");
+    let model = spec.build().expect("spec builds");
+    let estimate = ModelChecker::new(&model)
+        .estimate_work(&chaos_batch())
+        .expect("prices");
+    assert_eq!(
+        message,
+        format!("estimated work {estimate} over the admission cap 2")
+    );
 
     let stats = client.stats().expect("stats");
     assert_eq!(stats.shed, 1);
