@@ -1,6 +1,6 @@
 //! Model checking scaling: formula depth sweep, shared-subformula
-//! memoisation, compiled-plan suites, diamond strategies, and the
-//! warm-hit cost of a served check batch.
+//! memoisation, compiled-plan suites, diamond strategies, a fixpoint
+//! over a cached batch, and the warm-hit cost of a served check batch.
 //!
 //! Three engines are compared: the plan engine behind
 //! [`evaluate_packed`] (hash-consed IR, slot recycling, forward/reverse
@@ -221,6 +221,33 @@ fn bench_fixpoint_reachability(c: &mut Criterion) {
     }
 }
 
+fn bench_fixpoint_closed_goal(c: &mut Criterion) {
+    // serve_cold's fixpoint request on its 2¹⁸-world marked path: a
+    // checker holding an 8-formula batch checks the reachability of
+    // `q1 ∨ (φ ∧ ¬φ)`, φ the batch's conjunction. Each iteration puts a
+    // fresh never-true atom first in φ, so, as in a served batch, the
+    // whole goal is new to the cache while the batch's vectors are
+    // cached.
+    let n = 1usize << 18;
+    let k = workloads::marked_path(n, 1);
+    let mut rng = StdRng::seed_from_u64(3);
+    let batch: Vec<Formula> =
+        (0..8).map(|_| workloads::random_graded_formula(&mut rng, 5, 4)).collect();
+    let mut checker = ModelChecker::new(&k);
+    checker.check_suite(&batch).unwrap();
+    let mut fresh = n;
+    let mut group = c.benchmark_group("model_checking/fixpoint_closed_goal");
+    group.bench_function(format!("path{n}"), |b| {
+        b.iter(|| {
+            fresh += 1;
+            let conj: Vec<Formula> =
+                std::iter::once(Formula::prop(fresh)).chain(batch.iter().cloned()).collect();
+            checker.check(&workloads::closed_goal_reachability(&conj)).unwrap().count_ones()
+        })
+    });
+    group.finish();
+}
+
 fn bench_checker_warm_hit(c: &mut Criterion) {
     // `serve_hot`'s batch shape on a warm cache, every answer cached:
     // 16 `hot_formula`s on gnp512, through a shard's sequence of resume
@@ -288,6 +315,6 @@ criterion_group! {
     config = configure();
     targets = bench_depth_sweep, bench_shared_subformulas, bench_formula_suite,
         bench_diamond_strategies, bench_parallel_execution, bench_fixpoint_reachability,
-        bench_checker_warm_hit
+        bench_fixpoint_closed_goal, bench_checker_warm_hit
 }
 criterion_main!(benches);

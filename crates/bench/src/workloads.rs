@@ -30,6 +30,33 @@ pub fn hot_formula(rng: &mut StdRng) -> Formula {
     Formula::diamond_geq(ModalIndex::Any, rng.random_range(1..4usize), &body).or(&d)
 }
 
+/// A random `K₋,₋` formula of modal depth at most `depth` over the atoms
+/// `q0..q{atoms-1}`, with grades 1–3: `perfbench`'s serve_cold draw.
+pub fn random_graded_formula(rng: &mut StdRng, depth: usize, atoms: usize) -> Formula {
+    use rand::Rng;
+    if depth == 0 || rng.random_bool(0.25) {
+        return Formula::prop(rng.random_range(0..atoms));
+    }
+    let sub = |rng: &mut StdRng| random_graded_formula(rng, depth - 1, atoms);
+    match rng.random_range(0..6u8) {
+        0 => sub(rng).not(),
+        1 => sub(rng).and(&sub(rng)),
+        2 => sub(rng).or(&sub(rng)),
+        3 | 4 => Formula::diamond_geq(ModalIndex::Any, rng.random_range(1..4usize), &sub(rng)),
+        _ => Formula::diamond(ModalIndex::Any, &sub(rng)),
+    }
+}
+
+/// serve_cold's fixpoint for a batch: `µX. (q1 ∨ (φ ∧ ¬φ)) ∨ ⟨*,*⟩X`
+/// with `φ` the conjunction of the batch, a goal new to a cache that
+/// holds the batch yet always `q1`.
+pub fn closed_goal_reachability(batch: &[Formula]) -> Formula {
+    let all = batch[1..].iter().fold(batch[0].clone(), |a, f| a.and(f));
+    let goal = Formula::prop(1).or(&all.and(&all.not()));
+    let step = Formula::diamond(ModalIndex::Any, &Formula::var("X"));
+    Formula::mu("X", &goal.or(&step)).expect("X occurs only positively")
+}
+
 /// `f_{n+1} = f_n ∧ f_n` iterated `levels` times over a diamond seed:
 /// an exponential formula tree that is a linear DAG, exercising the
 /// evaluator's shared-subformula memoisation.
@@ -174,6 +201,26 @@ pub fn huge_gnp(n: usize, p: f64, seed: u64) -> Kripke {
         .relation(ModalIndex::Any, move || generators::gnp_edges(n, p, seed))
         .build()
         .expect("gnp stream stays in range")
+}
+
+/// The streamed path on `n` worlds as `K₋,₋` with a seeded valuation:
+/// `q1` and `q3` each mark about one world in 32, every other world is
+/// `q2` (serve_cold's path model).
+pub fn marked_path(n: usize, seed: u64) -> Kripke {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let degrees = (0..n)
+        .map(|_| match rng.random_range(0..32u32) {
+            0 => 1,
+            1 => 3,
+            _ => 2,
+        })
+        .collect();
+    KripkeBuilder::new(ModelVariant::MinusMinus, n)
+        .relation(ModalIndex::Any, move || generators::path_edges(n))
+        .degrees(degrees)
+        .build()
+        .expect("path stream stays in range")
 }
 
 /// The streamed path with a goal world every `goal_every` positions

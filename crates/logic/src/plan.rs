@@ -73,12 +73,26 @@
 //!
 //! # Fixpoints
 //!
-//! A µ/ν binder lowers to one `Fixpoint` instruction owning a
-//! self-contained *body* instruction list: `Var` reads the enclosing
-//! binder's accumulator, `Arg` reads an outer body's value (nested
-//! binders nest bodies — a body's external args are ids in its
-//! *enclosing* body, never plan ids, because a variable free at the
-//! plan level is a lowering error). The executor iterates the body
+//! A µ/ν binder lowers to one `Fixpoint` instruction owning a *body*
+//! instruction list: `Var` reads the enclosing binder's accumulator and
+//! `Arg` one of the body's external inputs, ids in the *enclosing*
+//! context. A body reads two kinds of input:
+//!
+//! * an outer binder's accumulator (nested binders nest bodies, so such
+//!   an arg is an id in the enclosing body);
+//! * a *closed* subformula: every maximal subformula of a body that
+//!   reads no fixpoint variable, unless it lowers to a leaf (⊤, ⊥,
+//!   `q_d`), is lowered at the plan level instead and imported frame
+//!   by frame. It is a loop invariant of the iteration, so the body
+//!   reads its vector rather than recomputing it every dense pass, a
+//!   [`ModelChecker`] caches and repairs it like any other instruction,
+//!   and a closed nested binder becomes a top-level fixpoint of its
+//!   own.
+//!
+//! A top-level body's args are therefore plan ids: they are the
+//! `Fixpoint` instruction's operands, for liveness and compaction, for
+//! pricing and for what a check evaluates first. The executor iterates
+//! the body
 //! until the accumulator is stable — Kleene iteration, µ from ⊥ and ν
 //! from ⊤; positivity is enforced at formula construction, so the
 //! accumulator moves one way and converges within `n + 1` root
@@ -125,15 +139,18 @@
 //! keeps a derivation that avoids both the delta and the cone, so
 //! iteration restarts from the old value with the cone flipped out, and
 //! its first pass is a frontier pass seeded by the cone and the touched
-//! worlds together. Warm passes keep the candidate walk of the kernel
-//! below instead of counting: their frontiers stay near the delta, and
-//! counts that outlived a run would cost every cached fixpoint 4 bytes
-//! per world per diamond. The answers are bit-identical to a rebuild. A
-//! fixpoint still rebuilds wholesale on the first repair after a check
-//! (checks record no state), when its cone reaches a quarter of the
-//! universe or its support checks scan what a dense body pass scans,
-//! and when its body nests another binder (its read ball is
-//! unbounded).
+//! worlds together. The body's args are repaired before it (operands
+//! precede consumers), and every world where one of them flipped counts
+//! as touched, for the cone and for that first pass alike. Warm passes
+//! keep the candidate walk of the kernel below instead of counting:
+//! their frontiers stay near the delta, and counts that outlived a run
+//! would cost every cached fixpoint 4 bytes per world per diamond. The
+//! answers are bit-identical to a rebuild. A fixpoint still rebuilds
+//! wholesale on the first repair after a check (checks record no
+//! state), when its cone reaches a quarter of the universe or its
+//! support checks scan what a dense body pass scans, and when its body
+//! nests a binder that reads an outer variable (its read ball is
+//! unbounded; a closed nested binder is hoisted and read as an arg).
 //!
 //! Fixpoint instructions price into the shared work currency at twice
 //! their body's per-iteration work plus an `n/8` flip term (the
@@ -282,23 +299,26 @@ enum Op {
     /// The enclosing fixpoint's accumulator. Body-local: never appears
     /// in a plan's top-level instruction list.
     Var,
-    /// The `k`-th external input of the enclosing fixpoint body (an
-    /// outer binder's accumulator, imported frame by frame).
-    /// Body-local, like [`Op::Var`].
+    /// The `k`-th external input of the enclosing fixpoint body: an
+    /// outer binder's accumulator or a closed subformula lowered at the
+    /// plan level, imported frame by frame. Body-local, like
+    /// [`Op::Var`].
     Arg(u32),
     /// `µX.φ` / `νX.φ`, iterated to stability by
     /// [`eval_fixpoint_into`]; the payload indexes the plan's
-    /// [`FixBody`] table. Top-level fixpoints have no plan operands
-    /// (their bodies are self-contained), so this is a leaf to
-    /// [`Op::for_each_operand`].
+    /// [`FixBody`] table. Its operands are its body's
+    /// [`FixBody::args`], ids in the context the instruction lives in
+    /// (plan ids for a top-level fixpoint).
     Fixpoint(u32),
 }
 
 impl Op {
-    /// Calls `f` on each operand instruction id.
-    fn for_each_operand(self, mut f: impl FnMut(u32)) {
+    /// Calls `f` on each operand instruction id: a fixpoint's operands
+    /// are its body's external inputs, looked up in `bodies`.
+    fn for_each_operand(self, bodies: &[FixBody], mut f: impl FnMut(u32)) {
         match self {
-            Op::Top | Op::Bottom | Op::Prop(_) | Op::Var | Op::Arg(_) | Op::Fixpoint(_) => {}
+            Op::Top | Op::Bottom | Op::Prop(_) | Op::Var | Op::Arg(_) => {}
+            Op::Fixpoint(b) => bodies[b as usize].args.iter().for_each(|&a| f(a)),
             Op::Not(a) | Op::Diamond { inner: a, .. } => f(a),
             Op::And(a, b) | Op::Or(a, b) => {
                 f(a);
@@ -308,11 +328,11 @@ impl Op {
     }
 }
 
-/// One fixpoint body: a self-contained linear instruction list
-/// evaluated once per Kleene iteration. Body ids are body-local and
-/// ascending (operands precede consumers, the lowering order); the
-/// body is never compacted — it executes in id order over a dense
-/// per-op value store that persists across
+/// One fixpoint body: a linear instruction list evaluated once per
+/// Kleene iteration, reading outer values only through its `args`. Body
+/// ids are body-local and ascending (operands precede consumers, the
+/// lowering order); the body is never compacted — it executes in id
+/// order over a dense per-op value store that persists across
 /// iterations so the frontier pass can repair it in place.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct FixBody {
@@ -322,10 +342,10 @@ struct FixBody {
     ops: Vec<Op>,
     /// The body op whose value is the next accumulator.
     root: u32,
-    /// External inputs, as instruction ids in the *enclosing* body
-    /// (`Op::Arg(k)` reads the k-th entry). Always empty for a
-    /// top-level body: only outer binder accumulators are importable,
-    /// and at the plan level there are none.
+    /// External inputs, as instruction ids in the *enclosing* context
+    /// (`Op::Arg(k)` reads the k-th entry): plan ids for a top-level
+    /// body, whose inputs are the closed subformulas hoisted out of it,
+    /// and ids in the enclosing body for a nested one.
     args: Vec<u32>,
 }
 
@@ -414,8 +434,8 @@ impl ExecStats {
 /// One in-progress fixpoint body during lowering: the frame of a µ/ν
 /// binder whose body is still being lowered. Body ops intern into the
 /// frame's own list and cons table — body ids are meaningless outside
-/// their body, so nothing here may leak into (or read from) the plan
-/// tables.
+/// their body, so a body reads an outer value (a plan instruction or an
+/// enclosing body's op) only through an imported [`Op::Arg`].
 #[derive(Debug)]
 struct Frame {
     /// Unique consing context of this binder *site*; see
@@ -468,12 +488,17 @@ struct Lowerer {
     /// Structural body dedup, keyed by *site context* as well as
     /// content: a body's args are ids in its enclosing context, so two
     /// structurally equal bodies may only merge when that context is
-    /// shared (0 = the plan level, where args are always empty; each
-    /// binder frame gets a fresh context id).
+    /// shared (0 = the plan level, where args are plan ids; each binder
+    /// frame gets a fresh context id).
     bodies_cons: FxHashMap<(u32, FixBody), u32>,
     /// Open binder frames, innermost last. Empty outside fixpoint
     /// lowering — the fast path.
     frames: Vec<Frame>,
+    /// Free fixpoint variables of the nodes met inside a binder, keyed
+    /// by node address like `ptr_memo`, so deciding what to hoist stays
+    /// linear in the formula DAG. Valid only while the root being
+    /// lowered keeps its nodes alive: [`Lowerer::lower_root`] clears it.
+    free_vars: FxHashMap<*const FormulaKind, Rc<[std::sync::Arc<str>]>>,
     /// Context-id allocator for frames (0 is reserved for the plan).
     next_ctx: u32,
     ast_nodes: usize,
@@ -559,17 +584,12 @@ impl Lowerer {
         }
     }
 
-    /// Lowers a fixpoint variable reference: the accumulator read
-    /// interns as [`Op::Var`] in its *binding* frame, then is imported
-    /// down through every intervening frame as an [`Op::Arg`] — each
-    /// body only ever reads its own ops.
-    fn lower_var(&mut self, name: &str) -> Result<u32, LogicError> {
-        let Some(fi) = self.frames.iter().rposition(|f| *f.var == *name) else {
-            return Err(LogicError::UnboundVariable { name: name.to_string() });
-        };
-        let mut id = self.frames[fi].intern(Op::Var);
-        for i in fi + 1..self.frames.len() {
-            let frame = &mut self.frames[i];
+    /// Imports `id` — an id in the context enclosing frame `from`, the
+    /// plan when `from` is 0 — down through frames `from..` as an
+    /// [`Op::Arg`] of each, and returns its id in the innermost frame.
+    /// A value is imported into a frame once however often it is read.
+    fn import(&mut self, from: usize, mut id: u32) -> u32 {
+        for frame in &mut self.frames[from..] {
             id = match frame.arg_memo.get(&id) {
                 Some(&local) => local,
                 None => {
@@ -582,7 +602,77 @@ impl Lowerer {
                 }
             };
         }
-        Ok(id)
+        id
+    }
+
+    /// Lowers a fixpoint variable reference: the accumulator read
+    /// interns as [`Op::Var`] in its *binding* frame, then is imported
+    /// down through every intervening frame — each body only ever reads
+    /// its own ops.
+    fn lower_var(&mut self, name: &str) -> Result<u32, LogicError> {
+        let Some(fi) = self.frames.iter().rposition(|f| *f.var == *name) else {
+            return Err(LogicError::UnboundVariable { name: name.to_string() });
+        };
+        let id = self.frames[fi].intern(Op::Var);
+        Ok(self.import(fi + 1, id))
+    }
+
+    /// The free fixpoint variables of `formula`, each once.
+    fn free_vars(&mut self, formula: &Formula) -> Rc<[std::sync::Arc<str>]> {
+        let key = formula.kind() as *const FormulaKind;
+        if let Some(vars) = self.free_vars.get(&key) {
+            return Rc::clone(vars);
+        }
+        let vars: Rc<[std::sync::Arc<str>]> = match formula.kind() {
+            FormulaKind::Top | FormulaKind::Bottom | FormulaKind::Prop(_) => Rc::new([]),
+            FormulaKind::Var(name) => Rc::new([std::sync::Arc::clone(name)]),
+            FormulaKind::Not(a) | FormulaKind::Diamond { inner: a, .. } => self.free_vars(a),
+            FormulaKind::And(a, b) | FormulaKind::Or(a, b) => {
+                let (a, b) = (self.free_vars(a), self.free_vars(b));
+                if b.iter().all(|v| a.contains(v)) {
+                    a
+                } else {
+                    a.iter().chain(b.iter().filter(|v| !a.contains(v))).cloned().collect()
+                }
+            }
+            FormulaKind::Mu { var, body } | FormulaKind::Nu { var, body } => {
+                let vars = self.free_vars(body);
+                if vars.contains(var) {
+                    vars.iter().filter(|v| *v != var).cloned().collect()
+                } else {
+                    vars
+                }
+            }
+        };
+        self.free_vars.insert(key, Rc::clone(&vars));
+        vars
+    }
+
+    /// Lowers `formula`, a closed subformula met inside a binder, at the
+    /// plan level: the frames are set aside, so the pointer memo and the
+    /// plan's cons table apply and a checker caches the result like any
+    /// other instruction. A leaf (⊤, ⊥, `q_d`) is then interned in the
+    /// innermost frame, as cheap to evaluate there as to copy in; any
+    /// other result is imported down through the frames as an
+    /// [`Op::Arg`], a loop invariant the body reads instead of
+    /// recomputing.
+    fn lower_closed(&mut self, model: &Kripke, formula: &Formula) -> Result<u32, LogicError> {
+        let frames = std::mem::take(&mut self.frames);
+        let lowered = self.lower(model, formula);
+        self.frames = frames;
+        let id = lowered?;
+        Ok(match self.ops[id as usize] {
+            leaf @ (Op::Top | Op::Bottom | Op::Prop(_)) => self.intern(leaf),
+            _ => self.import(0, id),
+        })
+    }
+
+    /// Lowers one root formula: [`Lowerer::lower`], then drops the
+    /// free-variable memo, whose keys die with the root.
+    fn lower_root(&mut self, model: &Kripke, formula: &Formula) -> Result<u32, LogicError> {
+        let lowered = self.lower(model, formula);
+        self.free_vars.clear();
+        lowered
     }
 
     /// Lowers a µ/ν binder: opens a fresh frame, lowers the body into
@@ -634,15 +724,22 @@ impl Lowerer {
     fn lower(&mut self, model: &Kripke, formula: &Formula) -> Result<u32, LogicError> {
         let key = formula.kind() as *const FormulaKind;
         // The pointer memo holds plan-context ids of (necessarily
-        // closed) subtrees lowered outside every binder, so it is
-        // sound to consult — and grow — only when no frame is open: a
-        // body-local id is meaningless elsewhere, and inside a frame
-        // even a closed subtree lowers to frame-local ops.
+        // closed) subtrees lowered at the plan level, so it is sound to
+        // consult — and grow — only when no frame is open: a body-local
+        // id is meaningless elsewhere. Inside a frame, a maximal closed
+        // subtree other than a leaf is lowered at the plan level, where
+        // the memo applies again.
         if self.frames.is_empty() {
             if let Some(&id) = self.ptr_memo.get(&key) {
                 self.dedup_hits += 1;
                 return Ok(id);
             }
+        } else if !matches!(
+            formula.kind(),
+            FormulaKind::Top | FormulaKind::Bottom | FormulaKind::Prop(_) | FormulaKind::Var(_)
+        ) && self.free_vars(formula).is_empty()
+        {
+            return self.lower_closed(model, formula);
         }
         self.ast_nodes += 1;
         let id = match formula.kind() {
@@ -779,19 +876,20 @@ impl Plan {
         let mut lw = Lowerer::default();
         let mut roots = Vec::new();
         for f in formulas {
-            roots.push(lw.lower(model, f)?);
+            roots.push(lw.lower_root(model, f)?);
         }
         Ok(Plan::finish(model.len(), lw.ops, lw.bodies, roots, lw.ast_nodes, lw.dedup_hits))
     }
 
     /// Compacts to the live instructions, assigns recycled slots, and
-    /// freezes the statistics. Fixpoint bodies are self-contained
-    /// (body-local ids, no plan references either way), so compaction
-    /// never rewrites them.
+    /// freezes the statistics. Body ops are body-local and never
+    /// rewritten; a live top-level body's args are plan ids, so
+    /// compaction remaps them, and they stay live (and keep their slots)
+    /// until their fixpoint has run.
     fn finish(
         n: usize,
         ops: Vec<Op>,
-        bodies: Vec<FixBody>,
+        mut bodies: Vec<FixBody>,
         roots: Vec<u32>,
         ast_nodes: usize,
         dedup: usize,
@@ -803,7 +901,7 @@ impl Plan {
             if std::mem::replace(&mut live[id as usize], true) {
                 continue;
             }
-            ops[id as usize].for_each_operand(|a| stack.push(a));
+            ops[id as usize].for_each_operand(&bodies, |a| stack.push(a));
         }
 
         // Order-preserving compaction (operands precede consumers, so
@@ -815,7 +913,16 @@ impl Plan {
                 continue;
             }
             let rewritten = match op {
-                Op::Top | Op::Bottom | Op::Prop(_) | Op::Fixpoint(_) => op,
+                Op::Top | Op::Bottom | Op::Prop(_) => op,
+                Op::Fixpoint(b) => {
+                    // Each top-level body has one `Fixpoint` instruction
+                    // (the cons table merges equal ones), so its args are
+                    // remapped once.
+                    for a in &mut bodies[b as usize].args {
+                        *a = remap[*a as usize];
+                    }
+                    op
+                }
                 Op::Not(a) => Op::Not(remap[a as usize]),
                 Op::And(a, b) => Op::And(remap[a as usize], remap[b as usize]),
                 Op::Or(a, b) => Op::Or(remap[a as usize], remap[b as usize]),
@@ -835,7 +942,7 @@ impl Plan {
         let m = compact.len();
         let mut last_reader = vec![0u32; m];
         for (id, op) in compact.iter().enumerate() {
-            op.for_each_operand(|a| last_reader[a as usize] = id as u32);
+            op.for_each_operand(&bodies, |a| last_reader[a as usize] = id as u32);
         }
         for &r in &roots {
             last_reader[r as usize] = u32::MAX;
@@ -848,7 +955,7 @@ impl Plan {
                 slot_count += 1;
                 (slot_count - 1) as u32
             });
-            op.for_each_operand(|a| {
+            op.for_each_operand(&bodies, |a| {
                 if last_reader[a as usize] == id as u32 {
                     // Mark it freed, so an operand read twice frees once.
                     last_reader[a as usize] = u32::MAX;
@@ -1210,9 +1317,10 @@ fn body_dense_pass(
 /// One frontier pass over a fixpoint body: repairs the persistent
 /// per-op values in place through the change-propagation kernel
 /// ([`propagate_op`]), seeded by `x_changed`, the accumulator's flips,
-/// at the `Var` op, and by `direct`, the worlds where the model changed
-/// since the values were computed (a delta's touched set on a warm
-/// restart, empty inside one run). The repaired values are
+/// at the `Var` op, and by `direct`, the worlds where the model or an
+/// external input changed since the values were computed (on a warm
+/// restart, a delta's touched set and every flip of the args' repaired
+/// vectors; empty inside one run). The repaired values are
 /// bit-identical to a dense pass — the contract the differential µ
 /// suite pins. Flips land in `changed[i]`, each world once, in no fixed
 /// order; `changed[body.root]` is the accumulator's next flip set. An op
@@ -1227,6 +1335,7 @@ fn body_frontier_pass(
     x: &Bitset,
     x_changed: &[u32],
     direct: &[u32],
+    arg_vals: &[&Bitset],
     vals: &mut [Bitset],
     changed: &mut [Vec<u32>],
     counts: &mut [Option<Vec<u32>>],
@@ -1250,6 +1359,20 @@ fn body_frontier_pass(
                 flips.clear();
                 flips.extend_from_slice(x_changed);
                 stats.fixpoint_frontier_worlds += x_changed.len();
+            }
+            // An external input is fixed within a run; across a delta it
+            // moved only inside `direct`.
+            (Op::Arg(k), _) => {
+                flips.clear();
+                let arg = arg_vals[k as usize];
+                for &v in direct {
+                    let now = arg.get(v as usize);
+                    if cur.get(v as usize) != now {
+                        cur.set(v as usize, now);
+                        flips.push(v);
+                    }
+                }
+                stats.fixpoint_frontier_worlds += direct.len();
             }
             // A nested fixpoint re-runs whenever the model or any of its
             // external inputs changed (its own executor starts dense
@@ -1334,9 +1457,8 @@ enum Propagation {
 /// through as its candidates (`¬`, or `∧`/`∨` with one clean operand)
 /// and those were unordered, as a counted diamond's are
 /// ([`count_flips`]). `cur` is only fetched when some candidate exists,
-/// so a copy-on-write store is never copied for a clean op. `Var` and
-/// `Fixpoint` are the callers' business; `Arg` is an input fixed for
-/// the whole run, like a constant.
+/// so a copy-on-write store is never copied for a clean op. `Var`,
+/// `Arg` and `Fixpoint` are the callers' business.
 #[allow(clippy::too_many_arguments)]
 fn propagate_op<'a, 'c>(
     model: &Kripke,
@@ -1353,7 +1475,7 @@ fn propagate_op<'a, 'c>(
     // Candidate worlds, each once. A single input's list is borrowed as
     // it is; only a merge of several is sorted and deduplicated.
     let candidates: Cow<'_, [u32]> = match op {
-        Op::Top | Op::Bottom | Op::Arg(_) => Cow::Borrowed(&[]),
+        Op::Top | Op::Bottom => Cow::Borrowed(&[]),
         Op::Prop(_) => Cow::Borrowed(direct),
         Op::Not(a) => Cow::Borrowed(flips_of(a)),
         Op::And(a, b) | Op::Or(a, b) => match (flips_of(a), flips_of(b)) {
@@ -1378,7 +1500,9 @@ fn propagate_op<'a, 'c>(
                 Cow::Owned(c)
             }
         },
-        Op::Var | Op::Fixpoint(_) => unreachable!("Var and Fixpoint are propagated by the caller"),
+        Op::Var | Op::Arg(_) | Op::Fixpoint(_) => {
+            unreachable!("Var, Arg and Fixpoint are propagated by the caller")
+        }
     };
     if candidates.is_empty() {
         return Propagation::Clean;
@@ -1472,10 +1596,11 @@ enum FixStart<'s> {
     /// As [`FixStart::Cold`], recording the converged state.
     Record(&'s mut FixState),
     /// From a recorded state after a delta that touched the worlds
-    /// `direct` (ascending): the `cone` ([`fixpoint_cone`]) is flipped
-    /// out of the old value, and the first pass is a frontier pass
-    /// seeded by the cone and the delta together. `reads` is the body's
-    /// read ball, which ranks the worlds that flip.
+    /// `direct` (ascending; with every flip of the body's repaired args
+    /// merged in): the `cone` ([`fixpoint_cone`]) is flipped out of the
+    /// old value, and the first pass is a frontier pass seeded by the
+    /// cone and `direct` together. `reads` is the body's read ball,
+    /// which ranks the worlds that flip.
     Warm { state: &'s mut FixState, reads: &'s BodyReads, cone: &'s [u32], direct: &'s [u32] },
 }
 
@@ -1489,12 +1614,12 @@ struct BodyReads {
 }
 
 impl BodyReads {
-    fn of(body: &FixBody) -> BodyReads {
+    fn of(bodies: &[FixBody], body: &FixBody) -> BodyReads {
         let mut depth = vec![0usize; body.ops.len()];
         let mut rels = Vec::new();
         for (i, &op) in body.ops.iter().enumerate() {
             let mut d = 0;
-            op.for_each_operand(|a| d = d.max(depth[a as usize]));
+            op.for_each_operand(bodies, |a| d = d.max(depth[a as usize]));
             if let Op::Diamond { rel, .. } = op {
                 d += 1;
                 rels.push(rel);
@@ -1547,7 +1672,9 @@ impl BodyReads {
 }
 
 /// The worlds of a recorded fixpoint that a delta touching `direct`
-/// invalidated, ascending — or `None` when rebuilding wholesale is
+/// (which also holds every world where an external input — the body's
+/// `args`, already repaired — flipped) invalidated, ascending — or
+/// `None` when rebuilding wholesale is
 /// cheaper: once they reach a quarter of the universe (the dense
 /// threshold of [`propagate_op`]), or once their support checks have
 /// scanned what one dense body pass scans (`n` plus the stored entries
@@ -1577,6 +1704,7 @@ impl BodyReads {
 fn fixpoint_cone(
     model: &Kripke,
     body: &FixBody,
+    args: &[&Bitset],
     reads: &BodyReads,
     state: &FixState,
     direct: &[u32],
@@ -1606,7 +1734,8 @@ fn fixpoint_cone(
         budget = budget.checked_sub(1)?;
         let support =
             |u: usize| body.greatest != (ranked(u) && state.rank[u] < r && !in_cone.get(u));
-        let holds = holds_at(model, &body.ops, body.root, w as usize, &support, &mut budget)?;
+        let holds =
+            holds_at(model, &body.ops, args, body.root, w as usize, &support, &mut budget)?;
         if holds != body.greatest {
             continue;
         }
@@ -1627,35 +1756,34 @@ fn fixpoint_cone(
 }
 
 /// Whether body op `op` holds at world `v` of the current model, with
-/// `Var` read through `var`: the value [`eval_op_into`] would give at
-/// `v`, computed from `v`'s read ball alone. It serves only
-/// [`fixpoint_cone`]'s support checks, whose bodies are closed and
-/// binder-free. Every successor entry scanned is charged to `budget`;
-/// `None` once it runs out.
+/// `Var` read through `var` and `Arg(k)` from `args[k]`: the value
+/// [`eval_op_into`] would give at `v`, computed from `v`'s read ball
+/// alone. It serves only [`fixpoint_cone`]'s support checks, whose
+/// bodies are binder-free (a closed nested binder is hoisted to the
+/// plan level and read as an arg). Every successor entry scanned is
+/// charged to `budget`; `None` once it runs out.
 fn holds_at(
     model: &Kripke,
     ops: &[Op],
+    args: &[&Bitset],
     op: u32,
     v: usize,
     var: &impl Fn(usize) -> bool,
     budget: &mut usize,
 ) -> Option<bool> {
+    let holds = |a: u32, v: usize, budget: &mut usize| holds_at(model, ops, args, a, v, var, budget);
     Some(match ops[op as usize] {
         Op::Top => true,
         Op::Bottom => false,
         Op::Prop(d) => model.degree(v) == d,
-        Op::Not(a) => !holds_at(model, ops, a, v, var, budget)?,
-        Op::And(a, b) => {
-            holds_at(model, ops, a, v, var, budget)? && holds_at(model, ops, b, v, var, budget)?
-        }
-        Op::Or(a, b) => {
-            holds_at(model, ops, a, v, var, budget)? || holds_at(model, ops, b, v, var, budget)?
-        }
+        Op::Not(a) => !holds(a, v, budget)?,
+        Op::And(a, b) => holds(a, v, budget)? && holds(b, v, budget)?,
+        Op::Or(a, b) => holds(a, v, budget)? || holds(b, v, budget)?,
         Op::Diamond { rel, grade, inner } => {
             let mut found = 0;
             for &w in model.successors_dense(rel as usize, v) {
                 *budget = budget.checked_sub(1)?;
-                if holds_at(model, ops, inner, w as usize, var, budget)? {
+                if holds(inner, w as usize, budget)? {
                     found += 1;
                     if found == grade {
                         return Some(true);
@@ -1665,9 +1793,8 @@ fn holds_at(
             false
         }
         Op::Var => var(v),
-        Op::Arg(_) | Op::Fixpoint(_) => {
-            unreachable!("warm fixpoint bodies are closed and binder-free")
-        }
+        Op::Arg(k) => args[k as usize].get(v),
+        Op::Fixpoint(_) => unreachable!("warm fixpoint bodies are binder-free"),
     })
 }
 
@@ -1679,15 +1806,9 @@ fn holds_at(
 fn counted_diamonds(bodies: &[FixBody], body: &FixBody) -> Vec<Option<Vec<u32>>> {
     let mut reads_x = vec![false; body.ops.len()];
     for (i, &op) in body.ops.iter().enumerate() {
-        reads_x[i] = match op {
-            Op::Var => true,
-            Op::Fixpoint(b) => bodies[b as usize].args.iter().any(|&a| reads_x[a as usize]),
-            _ => {
-                let mut reads = false;
-                op.for_each_operand(|a| reads |= reads_x[a as usize]);
-                reads
-            }
-        };
+        let mut reads = op == Op::Var;
+        op.for_each_operand(bodies, |a| reads |= reads_x[a as usize]);
+        reads_x[i] = reads;
     }
     body.ops
         .iter()
@@ -1704,10 +1825,11 @@ fn counted_diamonds(bodies: &[FixBody], body: &FixBody) -> Vec<Option<Vec<u32>>>
 /// iteration is dense and every later one a frontier pass — see the
 /// module docs. The accumulator is advanced by applying the
 /// root op's recorded flips, so a frontier iteration costs
-/// O(frontier); the empty flip set is the convergence test. `arg_of` resolves the
-/// body's external inputs in the enclosing context (plan slots,
-/// checker caches, or an enclosing body's value store — never invoked
-/// for a top-level fixpoint, whose body is closed).
+/// O(frontier); the empty flip set is the convergence test. `arg_of`
+/// resolves the body's external inputs in the enclosing context: plan
+/// slots or the checker's cache and staging buffer for a top-level
+/// fixpoint (its hoisted closed subformulas), an enclosing body's value
+/// store for a nested one.
 ///
 /// Bit-identical to the naive Kleene reference: every pass computes
 /// exactly `body(Xᵢ)` (ops are deterministic functions of their
@@ -1809,8 +1931,8 @@ fn eval_fixpoint_into<'a>(
             }
             (1, Some((_, cone, direct))) => {
                 body_frontier_pass(
-                    model, mode, bodies, body, &x, cone, direct, vals, &mut changed, &mut counts,
-                    stats, ctl, par,
+                    model, mode, bodies, body, &x, cone, direct, &arg_vals, vals, &mut changed,
+                    &mut counts, stats, ctl, par,
                 )?;
                 // The accumulator left the old value at the cone and the
                 // root at its flips; it moves next where the two now
@@ -1823,8 +1945,8 @@ fn eval_fixpoint_into<'a>(
             }
             _ => {
                 body_frontier_pass(
-                    model, mode, bodies, body, &x, &x_changed, &[], vals, &mut changed,
-                    &mut counts, stats, ctl, par,
+                    model, mode, bodies, body, &x, &x_changed, &[], &arg_vals, vals,
+                    &mut changed, &mut counts, stats, ctl, par,
                 )?;
                 x_changed.clear();
                 x_changed.extend_from_slice(&changed[root]);
@@ -2873,7 +2995,7 @@ impl<'m> ModelChecker<'m> {
                 continue;
             }
             work += op_work_for(self.model, &self.lw.bodies, self.lw.ops[id as usize]);
-            self.lw.ops[id as usize].for_each_operand(|a| stack.push(a));
+            self.lw.ops[id as usize].for_each_operand(&self.lw.bodies, |a| stack.push(a));
         }
         work
     }
@@ -2885,7 +3007,7 @@ impl<'m> ModelChecker<'m> {
     /// lowering memoises the subformulas it reached before failing.
     fn lower_retaining(&mut self, formula: &Formula) -> Result<u32, LogicError> {
         let memo_before = self.lw.ptr_memo.len();
-        let lowered = self.lw.lower(self.model, formula);
+        let lowered = self.lw.lower_root(self.model, formula);
         if self.lw.ptr_memo.len() > memo_before {
             self.retained.push(formula.clone());
         }
@@ -2923,7 +3045,7 @@ impl<'m> ModelChecker<'m> {
                     continue;
                 }
                 needed.push(id);
-                self.lw.ops[id as usize].for_each_operand(|a| stack.push(a));
+                self.lw.ops[id as usize].for_each_operand(&self.lw.bodies, |a| stack.push(a));
             }
         }
         needed.sort_unstable();
@@ -2949,9 +3071,9 @@ impl<'m> ModelChecker<'m> {
                     &staged[at].1
                 })
             };
-            // The checker evaluates sequentially. Top-level fixpoint
-            // bodies are closed (a free variable is a lowering error), so
-            // a fixpoint never calls the operand resolver.
+            // The checker evaluates sequentially. A fixpoint resolves
+            // its hoisted args through the same resolver: they are
+            // operands, so they are cached or staged by now.
             eval_instr_into(
                 self.model,
                 self.mode,
@@ -3074,7 +3196,8 @@ impl<'m> ModelChecker<'m> {
     /// fixpoint is still recomputed wholesale on its first repair after
     /// a check (which records the state), when its cone reaches a
     /// quarter of the universe or the search for it scans what a dense
-    /// body pass scans, and when its body nests another binder. Every
+    /// body pass scans, and when its body nests a binder that reads an
+    /// outer variable (a closed one is hoisted out of it). Every
     /// path is pinned bit-identical to a fresh checker by the
     /// differential delta suites, and [`Self::last_repair`] reports
     /// which path each vector took.
@@ -3160,23 +3283,39 @@ impl<'m> ModelChecker<'m> {
                 // wholesale instead, recording fresh state where a later
                 // repair can use it. Either way the word diff drives its
                 // consumers.
-                let body = &self.lw.bodies[b as usize];
+                let bodies = &self.lw.bodies;
+                let body = &bodies[b as usize];
                 let keeps_state = !body.ops.iter().any(|o| matches!(o, Op::Fixpoint(_)));
-                let reads = BodyReads::of(body);
+                let reads = BodyReads::of(bodies, body);
                 let mut state = self.fix_states.remove(&(id as u32)).unwrap_or_default();
                 debug_assert!(
                     state.rank.is_empty() || state.vals[body.root as usize] == *existing,
                     "a recorded fixpoint state must match its cached vector"
                 );
+                // The body's args were repaired above (operands precede
+                // consumers); a world where one flipped reads as touched.
+                let direct: Cow<'_, [u32]> =
+                    if body.args.iter().all(|&a| prev_changed[a as usize].is_empty()) {
+                        Cow::Borrowed(&d0)
+                    } else {
+                        let mut direct = d0.clone();
+                        for &a in &body.args {
+                            direct.extend_from_slice(&prev_changed[a as usize]);
+                        }
+                        direct.sort_unstable();
+                        direct.dedup();
+                        Cow::Owned(direct)
+                    };
                 let cone = if state.rank.is_empty() {
                     None
                 } else {
-                    fixpoint_cone(model, body, &reads, &state, &d0)
+                    let args: Vec<&Bitset> = body.args.iter().map(|&a| operand(a)).collect();
+                    fixpoint_cone(model, body, &args, &reads, &state, &direct)
                 };
                 let frontier_before = exec.fixpoint_frontier_worlds;
                 let start = match &cone {
                     Some(cone) => {
-                        FixStart::Warm { state: &mut state, reads: &reads, cone, direct: &d0 }
+                        FixStart::Warm { state: &mut state, reads: &reads, cone, direct: &direct }
                     }
                     None if keeps_state => FixStart::Record(&mut state),
                     None => FixStart::Cold,
@@ -3185,7 +3324,7 @@ impl<'m> ModelChecker<'m> {
                 eval_fixpoint_into(
                     model,
                     self.mode,
-                    &self.lw.bodies,
+                    bodies,
                     b,
                     &operand,
                     &mut out,
@@ -4223,7 +4362,7 @@ mod tests {
         let mut owner = vec![u32::MAX; plan.slot_count];
         for (id, op) in plan.ops.iter().enumerate() {
             let dst = plan.dst[id];
-            op.for_each_operand(|a| {
+            op.for_each_operand(&plan.bodies, |a| {
                 assert!(a < id as u32, "operand {a} of {id} runs later");
                 let slot = plan.dst[a as usize];
                 assert_eq!(owner[slot as usize], a, "slot {slot} of {a} overwritten before {id}");
@@ -4258,6 +4397,45 @@ mod tests {
         let (par, _) = execute_pinned(&plan, &k, DiamondMode::Auto, Parallelism::Force);
         assert_eq!(seq, par);
         assert_eq!(seq[0], evaluate_packed_recursive(&k, &f).unwrap());
+
+        // A hoisted arg read first by a conjunction and last by a
+        // top-level fixpoint, with fresh instructions in between that
+        // take every slot freed so far: the arg's slot must stay live
+        // until the fixpoint has run. 256 worlds give the forced run
+        // two chunks per `Prop` and forward diamond.
+        let k = Kripke::k_mm(&generators::path(256));
+        let arg = Formula::diamond_geq(ModalIndex::Any, 2, &Formula::prop(2));
+        let x = Formula::var("X");
+        let reach = Formula::mu("X", &arg.or(&Formula::diamond(ModalIndex::Any, &x))).unwrap();
+        let between = Formula::prop(3).and(&Formula::diamond(ModalIndex::Any, &Formula::prop(0)));
+        let f = arg.and(&unshared_tower(3)).or(&between.or(&reach));
+        let plan = Plan::compile(&k, &f).unwrap();
+        let (fix, b) = plan
+            .ops
+            .iter()
+            .enumerate()
+            .find_map(|(id, &op)| match op {
+                Op::Fixpoint(b) => Some((id, b)),
+                _ => None,
+            })
+            .unwrap();
+        let a = plan.bodies[b as usize].args[0];
+        let mut readers = Vec::new();
+        for (id, op) in plan.ops.iter().enumerate() {
+            op.for_each_operand(&plan.bodies, |o| {
+                if o == a {
+                    readers.push(id);
+                }
+            });
+        }
+        assert_eq!(readers.len(), 2, "the arg has an earlier reader: {:?}", plan.ops);
+        assert_eq!(readers[1], fix, "the fixpoint reads the arg last");
+        assert_slots_sound(&plan);
+        let want = evaluate_packed_recursive(&k, &f).unwrap();
+        for par in [Parallelism::Off, Parallelism::Force] {
+            let (got, _) = execute_pinned(&plan, &k, DiamondMode::Auto, par);
+            assert_eq!(got[0], want, "{par:?}");
+        }
     }
 
     #[test]
@@ -4431,6 +4609,83 @@ mod tests {
         assert_eq!(checker.estimate_work(std::slice::from_ref(&f)).unwrap(), 0);
     }
 
+    /// A random graded `K₋,₋` formula of modal depth at most `depth`
+    /// over `q0..q3`: the shape of serve_cold's batches.
+    fn cold_formula(rng: &mut rand::rngs::StdRng, depth: usize) -> Formula {
+        use rand::Rng;
+        if depth == 0 || rng.random_bool(0.25) {
+            return Formula::prop(rng.random_range(0..4usize));
+        }
+        let sub = |rng: &mut rand::rngs::StdRng| cold_formula(rng, depth - 1);
+        match rng.random_range(0..6u8) {
+            0 => sub(rng).not(),
+            1 => sub(rng).and(&sub(rng)),
+            2 => sub(rng).or(&sub(rng)),
+            3 | 4 => Formula::diamond_geq(ModalIndex::Any, rng.random_range(1..4usize), &sub(rng)),
+            _ => Formula::diamond(ModalIndex::Any, &sub(rng)),
+        }
+    }
+
+    /// serve_cold's fixpoint request over `batch` and its goal:
+    /// `µX. goal ∨ ⟨*,*⟩X` with `goal = q1 ∨ (φ ∧ ¬φ)`, φ the batch's
+    /// conjunction.
+    fn closed_goal_reachability(batch: &[Formula]) -> (Formula, Formula) {
+        let all = batch[1..].iter().fold(batch[0].clone(), |a, f| a.and(f));
+        let goal = Formula::prop(1).or(&all.and(&all.not()));
+        let step = Formula::diamond(ModalIndex::Any, &Formula::var("X"));
+        (Formula::mu("X", &goal.or(&step)).unwrap(), goal)
+    }
+
+    #[test]
+    fn closed_goals_hoist_out_of_fixpoint_bodies_onto_the_cached_batch() {
+        use rand::SeedableRng;
+        let k = marked_path(1 << 10, 1);
+        let x = Formula::var("X");
+        let bare = Formula::mu("X", &Formula::prop(1).or(&Formula::diamond(ModalIndex::Any, &x)));
+        let want = evaluate_packed_recursive(&k, &bare.unwrap()).unwrap();
+        for seed in 0..8 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let batch: Vec<Formula> = (0..8).map(|_| cold_formula(&mut rng, 5)).collect();
+            let mut checker = ModelChecker::new(&k);
+            checker.check_suite(&batch).unwrap();
+            let (f, goal) = closed_goal_reachability(&batch);
+            let before = checker.lw.ops.len();
+            let estimate = checker.estimate_work(std::slice::from_ref(&f)).unwrap();
+            let goal_root = checker.lower_retaining(&goal).unwrap();
+            // The plan level gains the goal chain (φ's at most seven
+            // conjunctions, ¬φ, φ ∧ ¬φ, `q1 ∨ …` and `q1` if the batch
+            // lacks it) and the fixpoint: nothing of the batch again.
+            let added = checker.lw.ops[before..].to_vec();
+            let Some((&Op::Fixpoint(b), chain)) = added.split_last() else {
+                panic!("seed {seed}: the fixpoint comes last: {added:?}")
+            };
+            assert!(chain.len() <= 11, "seed {seed}: {chain:?}");
+            assert!(
+                chain.iter().all(|op| matches!(op, Op::And(..) | Op::Or(..) | Op::Not(_) | Op::Prop(1))),
+                "seed {seed}: {chain:?}"
+            );
+            // The body reads the goal as its one arg.
+            let body = &checker.lw.bodies[b as usize];
+            assert!(body.ops.len() <= 4, "seed {seed}: {:?}", body.ops);
+            assert!(
+                body.ops
+                    .iter()
+                    .all(|op| matches!(op, Op::Arg(0) | Op::Var | Op::Diamond { .. } | Op::Or(..))),
+                "seed {seed}: {:?}",
+                body.ops
+            );
+            assert_eq!(body.args, [goal_root], "seed {seed}");
+            // `price` walks the args: the uncached chain is priced with
+            // the fixpoint.
+            let bodies = &checker.lw.bodies;
+            let full: usize = added.iter().map(|&op| op_work_for(&k, bodies, op)).sum();
+            assert_eq!(estimate, full, "seed {seed}");
+            assert!(estimate > op_work_for(&k, bodies, Op::Fixpoint(b)), "seed {seed}");
+            assert_eq!(*checker.check(&f).unwrap(), want, "seed {seed}");
+            assert_eq!(checker.estimate_work(std::slice::from_ref(&f)).unwrap(), 0, "seed {seed}");
+        }
+    }
+
     #[test]
     fn checker_repair_matches_fresh_after_deltas_with_fixpoints() {
         use crate::kripke::ModelDelta;
@@ -4474,6 +4729,63 @@ mod tests {
             .degrees(degrees)
             .build()
             .unwrap()
+    }
+
+    /// Instruction `id` of `lw`'s table evaluated afresh on `k`.
+    fn eval_fresh(k: &Kripke, lw: &Lowerer, id: u32) -> Bitset {
+        let mut needed = vec![id];
+        let mut i = 0;
+        while i < needed.len() {
+            lw.ops[needed[i] as usize].for_each_operand(&lw.bodies, |a| needed.push(a));
+            i += 1;
+        }
+        needed.sort_unstable();
+        needed.dedup();
+        let mut vals: Vec<(u32, Bitset)> = Vec::new();
+        for &at in &needed {
+            let mut out = Bitset::default();
+            let operand = |a: u32| &vals[vals.binary_search_by_key(&a, |v| v.0).unwrap()].1;
+            eval_instr_into(
+                k,
+                DiamondMode::Auto,
+                &lw.bodies,
+                lw.ops[at as usize],
+                &operand,
+                &mut out,
+                &mut ExecStats::default(),
+                &ExecControl::unrestricted(),
+                Parallelism::Off,
+            )
+            .unwrap();
+            vals.push((at, out));
+        }
+        vals.pop().unwrap().1
+    }
+
+    /// The cone a repair of `cache`'s fixpoint instruction `id` would
+    /// flip out on `k` after deltas touching `d0` (ascending): the
+    /// repair's own inputs, with the body's args brought up to date and
+    /// their flips read as touched.
+    fn cone_of(
+        k: &Kripke,
+        cache: &CheckerCache,
+        id: u32,
+        state: &FixState,
+        d0: &[u32],
+    ) -> Option<Vec<u32>> {
+        let Op::Fixpoint(b) = cache.lw.ops[id as usize] else { unreachable!() };
+        let body = &cache.lw.bodies[b as usize];
+        let args: Vec<Bitset> = body.args.iter().map(|&a| eval_fresh(k, &cache.lw, a)).collect();
+        let mut direct = d0.to_vec();
+        for (&a, now) in body.args.iter().zip(&args) {
+            cache.results[a as usize].as_ref().unwrap().for_each_difference(now, |v| {
+                direct.push(v as u32);
+            });
+        }
+        direct.sort_unstable();
+        direct.dedup();
+        let args: Vec<&Bitset> = args.iter().collect();
+        fixpoint_cone(k, body, &args, &BodyReads::of(&cache.lw.bodies, body), state, &direct)
     }
 
     /// Drives 1000 deltas of 10 edge flips each through a checker
@@ -4534,9 +4846,7 @@ mod tests {
                 d0.dedup();
                 let mut largest = 0;
                 for (&id, state) in &cache.fix_states {
-                    let Op::Fixpoint(b) = cache.lw.ops[id as usize] else { unreachable!() };
-                    let body = &cache.lw.bodies[b as usize];
-                    let cone = fixpoint_cone(&k, body, &BodyReads::of(body), state, &d0)
+                    let cone = cone_of(&k, &cache, id, state, &d0)
                         .unwrap_or_else(|| panic!("{name}, delta {step}: cone past n/4"));
                     assert!(cone.len() <= n / 8, "{name}, delta {step}: cone {}", cone.len());
                     largest = largest.max(cone.len());
@@ -4630,10 +4940,8 @@ mod tests {
         d0.sort_unstable();
         d0.dedup();
         for (&id, state) in &cache.fix_states {
-            let Op::Fixpoint(b) = cache.lw.ops[id as usize] else { unreachable!() };
-            let body = &cache.lw.bodies[b as usize];
-            let cone = fixpoint_cone(&k, body, &BodyReads::of(body), state, &d0).unwrap();
-            assert_eq!(cone, [1, 2, 3], "greatest = {}", body.greatest);
+            let cone = cone_of(&k, &cache, id, state, &d0).unwrap();
+            assert_eq!(cone, [1, 2, 3], "fixpoint {id}");
         }
         let mut checker = ModelChecker::resume(&k, cache, &touched);
         let stats = *checker.last_repair().expect("repair ran");
@@ -4677,6 +4985,101 @@ mod tests {
             let got = checker.check(&f).unwrap();
             assert_eq!(*got, *ModelChecker::new(&k).check(&f).unwrap(), "delta {step}");
             assert_eq!(*got, crate::evaluate_packed_recursive(&k, &f).unwrap(), "delta {step}");
+            cache = checker.detach();
+        }
+    }
+
+    /// Warm repair of fixpoints whose hoisted args flip: a valuation
+    /// edit at `u` flips `⟨*⟩≥2 q2` at `u`'s neighbours, outside the
+    /// touched set, so the warm pass must read those flips as touched.
+    /// The model is 256 disjoint 16-world paths valued 0, with about
+    /// one world in eight marked `q2` and one in eight `q3`, so a
+    /// segment's answer rests on a few marks an edit can move.
+    #[test]
+    fn warm_repair_reads_the_flips_of_hoisted_args() {
+        use crate::kripke::ModelDelta;
+        use rand::{Rng, SeedableRng};
+        let n = 1 << 12;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mark = |rng: &mut rand::rngs::StdRng| [0, 2, 3][rng.random_range(0..3usize)];
+        let degrees = (0..n).map(|_| if rng.random_range(0..4u32) == 0 { mark(&mut rng) } else { 0 });
+        let degrees: Vec<usize> = degrees.collect();
+        let within = |v: u32| !(v + 1).is_multiple_of(16);
+        let mut k = crate::KripkeBuilder::new(crate::kripke::ModelVariant::MinusMinus, n)
+            .relation(ModalIndex::Any, move || {
+                (0..n as u32 - 1).filter(move |&v| within(v)).flat_map(|v| [(v, v + 1), (v + 1, v)])
+            })
+            .degrees(degrees)
+            .build()
+            .unwrap();
+        let any = ModalIndex::Any;
+        let step = Formula::diamond(any, &Formula::var("X"));
+        let pair = Formula::nu("Y", &Formula::prop(2).and(&Formula::diamond(any, &Formula::var("Y"))));
+        let suite = [
+            Formula::mu("X", &Formula::diamond_geq(any, 2, &Formula::prop(2)).or(&step)).unwrap(),
+            Formula::nu("X", &Formula::prop(3).not().and(&Formula::box_(any, &Formula::var("X"))))
+                .unwrap(),
+            Formula::mu("X", &pair.unwrap().or(&step)).unwrap(),
+        ];
+        let mut checker = ModelChecker::new(&k);
+        checker.check_suite(&suite).unwrap();
+        let mut cache = checker.detach();
+        // Four top-level fixpoints (νY is hoisted out of the third
+        // body), each body reading one arg and nesting no binder.
+        let fixpoints: Vec<&FixBody> = cache
+            .lw
+            .ops
+            .iter()
+            .filter_map(|&op| match op {
+                Op::Fixpoint(b) => Some(&cache.lw.bodies[b as usize]),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fixpoints.len(), 4);
+        for body in &fixpoints {
+            assert!(!body.ops.iter().any(|op| matches!(op, Op::Fixpoint(_))), "{:?}", body.ops);
+        }
+        assert_eq!(fixpoints.iter().filter(|b| b.args.len() == 1).count(), 3);
+        let edges: Vec<u32> = (0..n as u32 - 1).filter(|&v| within(v)).collect();
+        let mut cut: Vec<u32> = Vec::new();
+        for step in 0..48 {
+            // Even steps re-mark six worlds, odd steps restore the
+            // edges the previous odd step cut and cut three fresh ones.
+            let mut delta = ModelDelta::new();
+            if step % 2 == 0 {
+                for _ in 0..6 {
+                    delta.set_valuation(rng.random_range(0..n as u32), mark(&mut rng));
+                }
+            } else {
+                for &v in &cut {
+                    delta.add_edge(any, v, v + 1).add_edge(any, v + 1, v);
+                }
+                let mut fresh: Vec<u32> = Vec::new();
+                while fresh.len() < 3 {
+                    let v = edges[rng.random_range(0..edges.len())];
+                    if !cut.contains(&v) && !fresh.contains(&v) {
+                        fresh.push(v);
+                    }
+                }
+                cut = fresh;
+                for &v in &cut {
+                    delta.remove_edge(any, v, v + 1).remove_edge(any, v + 1, v);
+                }
+            }
+            let touched = k.apply_delta(&delta).unwrap();
+            let mut checker = ModelChecker::resume(&k, cache, &touched);
+            let stats = *checker.last_repair().expect("repair ran");
+            if step == 0 {
+                assert_eq!(stats.warm_fixpoints, 0, "the first repair records state: {stats:?}");
+            } else {
+                assert_eq!(stats.warm_fixpoints, 4, "delta {step}: {stats:?}");
+                assert_eq!(stats.rebuilt_vectors, 0, "delta {step}: {stats:?}");
+            }
+            let got = checker.check_suite(&suite).unwrap();
+            let fresh = ModelChecker::new(&k).check_suite(&suite).unwrap();
+            for ((f, got), fresh) in suite.iter().zip(&got).zip(&fresh) {
+                assert_eq!(**got, **fresh, "delta {step}: {f}");
+            }
             cache = checker.detach();
         }
     }

@@ -102,6 +102,26 @@ fn run_checker(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     Ok(truth.words().to_vec())
 }
 
+/// A batch of [`query_formula`] and `µX. (⟨*,*⟩q1 ∧ ¬q0) ∨ ⟨*,*⟩X`,
+/// whose closed goal is hoisted out of the body: on a fresh checker
+/// the goal is staged in the same evaluation as the fixpoint that reads
+/// it, and the fixpoint comes last in instruction order. On the 96-path
+/// the goal holds at worlds 1 and 94, so the fixpoint iterates ~n/2
+/// times.
+fn checker_fixpoint_batch() -> Vec<Formula> {
+    let goal = Formula::diamond(ModalIndex::Any, &Formula::prop(1)).and(&Formula::prop(0).not());
+    let step = Formula::diamond(ModalIndex::Any, &Formula::var("X"));
+    let reach = Formula::mu("X", &goal.or(&step)).expect("body is positive in X");
+    vec![query_formula(4), reach]
+}
+
+fn run_checker_fixpoint(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
+    let k = chaos_model();
+    let mut checker = ModelChecker::new(&k);
+    let truths = checker.check_suite_controlled(&checker_fixpoint_batch(), ctl)?;
+    Ok(truths.iter().flat_map(|b| b.words().iter().copied()).collect())
+}
+
 fn run_refine(ctl: &ExecControl) -> Result<Vec<u64>, LogicError> {
     refine_digest(Parallelism::Auto, ctl)
 }
@@ -132,6 +152,8 @@ const MATRIX: &[(&str, Query)] = &[
     ("plan-fixpoint-iter", run_fixpoint_seq as Query),
     ("plan-fixpoint-iter", run_fixpoint_pool as Query),
     ("checker-instr", run_checker as Query),
+    ("checker-instr", run_checker_fixpoint as Query),
+    ("plan-fixpoint-iter", run_checker_fixpoint as Query),
     ("refine-round", run_refine as Query),
     ("refine-round", run_refine_pool as Query),
     ("pool-chunk", run_refine_pool as Query),
@@ -299,6 +321,93 @@ fn cancelled_fixpoint_mid_iteration_leaves_cache_whole_or_nothing() {
         checker.stats().computed > committed,
         "retry must recompute the uncommitted suffix"
     );
+}
+
+/// A fault after a hoisted goal was staged and before (or inside) the
+/// fixpoint that reads it — a panic or a cancel at the fixpoint's
+/// `checker-instr` boundary, or at its first `plan-fixpoint-iter` —
+/// leaves the checker's cache exactly as the previous check left it:
+/// nothing of the batch is committed, the goal included, and a retry
+/// on the same checker equals a fresh checker bit for bit.
+#[test]
+fn fault_between_a_staged_goal_and_its_fixpoint_leaves_the_previous_cache() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let _g = serial();
+    let k = chaos_model();
+    let batch = checker_fixpoint_batch();
+    let previous = Formula::diamond(ModalIndex::Any, &Formula::prop(2)).not();
+    let fresh: Vec<Vec<u64>> = ModelChecker::new(&k)
+        .check_suite(&batch)
+        .expect("fresh")
+        .iter()
+        .map(|b| b.words().to_vec())
+        .collect();
+    // How many instructions the batch evaluates after `previous`; the
+    // fixpoint is the last of them.
+    let mut probe = ModelChecker::new(&k);
+    probe.check(&previous).expect("previous");
+    let computed = probe.stats().computed;
+    probe.check_suite(&batch).expect("batch");
+    let added = probe.stats().computed - computed;
+    assert!(added >= 3, "the goal and the fixpoint are both new: {added}");
+
+    // A checker that checked `previous` and lowered the batch.
+    let primed = || {
+        let mut checker = ModelChecker::new(&k);
+        checker.check(&previous).expect("previous");
+        let price = checker.estimate_work(&batch).expect("prices");
+        (checker, price)
+    };
+    let (baseline, price) = primed();
+    let before = baseline.stats().computed;
+    let words = baseline.detach().cached_words();
+
+    for (site, at, cancel) in [
+        ("checker-instr", added, false),
+        ("checker-instr", added, true),
+        ("plan-fixpoint-iter", 1, false),
+        ("plan-fixpoint-iter", 1, true),
+    ] {
+        let (mut checker, _) = primed();
+
+        let token = CancelToken::new();
+        let t = token.clone();
+        let hits = Arc::new(AtomicUsize::new(0));
+        let h = hits.clone();
+        fail::cfg_callback(site, move || {
+            if h.fetch_add(1, Ordering::Relaxed) + 1 == at {
+                if cancel {
+                    t.cancel();
+                } else {
+                    panic!("chaos injection");
+                }
+            }
+        });
+        let ctl = ExecControl::with_cancel(token);
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| checker.check_suite_controlled(&batch, &ctl)));
+        fail::teardown();
+        match (cancel, outcome) {
+            (false, Err(_)) | (true, Ok(Err(LogicError::Interrupted(_)))) => {}
+            (_, other) => panic!("{site} (cancel {cancel}): fault not observed: {:?}", other.is_ok()),
+        }
+        assert!(hits.load(Ordering::Relaxed) >= at, "{site}: the fault site was not reached");
+        assert_eq!(checker.stats().computed, before, "{site}: a faulted batch committed vectors");
+        assert_eq!(checker.estimate_work(&batch).unwrap(), price, "{site}: part of the batch is cached");
+        let cache = checker.detach();
+        assert_eq!(cache.cached_words(), words, "{site}: the cache moved");
+        let mut checker = ModelChecker::resume(&k, cache, &[]);
+        let retry: Vec<Vec<u64>> = checker
+            .check_suite(&batch)
+            .expect("retry")
+            .iter()
+            .map(|b| b.words().to_vec())
+            .collect();
+        assert_eq!(retry, fresh, "{site} (cancel {cancel}): retry diverged");
+        assert_pool_not_wedged();
+    }
 }
 
 /// An already-expired deadline is observed at the fixpoint's own loop
